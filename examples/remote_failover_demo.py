@@ -157,7 +157,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     replacement.start()
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
-        if all(link.alive for link in backend._links):
+        if all(replica.link.alive for replica in backend._replicas_snapshot()):
             break
         time.sleep(0.05)
     else:

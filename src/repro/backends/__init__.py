@@ -22,22 +22,26 @@ compute; this package owns *where and how* it executes:
     recalls scale with cores instead of contending for one GIL.
 
 ``remote``
-    :class:`~repro.backends.remote.RemoteBackend` — worker *agents*
-    (``python -m repro worker --listen HOST:PORT``) on any host, spoken
-    to over the pickle-free length-prefixed TCP protocol of
-    :mod:`repro.backends.wire`.  Links are supervised (heartbeats,
-    reconnect with backoff) and in-flight shards retry onto surviving
-    replicas, so recall scales across machines and survives worker loss.
+    :class:`~repro.backends.fleet.RemoteBackend` — a ``fleet`` with a
+    static membership: the worker *agents* named by
+    ``worker_addresses`` (``python -m repro worker --listen HOST:PORT``
+    on any host), no spawned agents and no control socket.  Same links,
+    supervision, weighted routing and shard retry as ``fleet``.
 
 ``fleet``
-    :class:`~repro.backends.fleet.FleetSupervisor` — the ``remote``
-    backend grown into a control plane: spawns and/or adopts worker
-    agents, weights shard routing by measured per-replica EWMA latency
-    (slow replicas get proportionally fewer rows, never declared dead),
-    admits workers *joining a running service*, drains replicas out of
-    routing without disconnecting them, and performs rolling
-    ``EngineSpec`` updates verified by a canary recall — zero-downtime
-    reprogramming.  Admin verbs (``status``/``join``/``drain``/
+    :class:`~repro.backends.fleet.FleetSupervisor` — the one remote
+    transport: worker agents spoken to over the pickle-free
+    length-prefixed TCP protocol of :mod:`repro.backends.wire`
+    (:mod:`repro.backends.remote` holds the agent and the link).  Links
+    are supervised (heartbeats, reconnect with backoff) and in-flight
+    shards retry onto surviving replicas, so recall scales across
+    machines and survives worker loss.  On top of that it is a control
+    plane: spawns and/or adopts worker agents, weights shard routing by
+    measured per-replica EWMA latency (slow replicas get proportionally
+    fewer rows, never declared dead), admits workers *joining a running
+    service*, drains replicas out of routing without disconnecting them,
+    and performs rolling ``EngineSpec`` updates verified by a canary
+    recall — zero-downtime reprogramming.  Admin verbs (``status``/``join``/``drain``/
     ``respec``) are served on a control socket
     (:class:`~repro.backends.fleet.FleetControlServer`, spoken to by
     :class:`~repro.backends.fleet.FleetAdminClient` and
@@ -75,6 +79,7 @@ from repro.backends.fleet import (
     FleetAdminClient,
     FleetControlServer,
     FleetSupervisor,
+    RemoteBackend,
     weighted_shards,
 )
 from repro.backends.process import ProcessPoolBackend
@@ -87,7 +92,6 @@ from repro.backends.registry import (
     resolve_backend,
 )
 from repro.backends.remote import (
-    RemoteBackend,
     WorkerServer,
     parse_worker_addresses,
     spawn_local_worker,

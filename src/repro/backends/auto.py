@@ -38,8 +38,8 @@ from repro.backends.costmodel import (
     ShardRule,
     calibrate_backend,
 )
+from repro.backends.fleet import RemoteBackend
 from repro.backends.process import ProcessPoolBackend
-from repro.backends.remote import RemoteBackend
 from repro.backends.serial import SerialBackend
 from repro.backends.threaded import ThreadedBackend
 from repro.core.amm import AssociativeMemoryModule, BatchRecognitionResult

@@ -1,14 +1,14 @@
 """The fleet control plane: supervised replica sets with online membership.
 
-PR 5 gave every remote link private supervision (heartbeats, reconnect
-with backoff, shard retry on the survivors).  This module grows that
-into a *control plane* for the whole replica set:
+This module is the one backend over the worker links of
+:mod:`repro.backends.remote`, and a *control plane* for the whole
+replica set:
 
 * :class:`FleetSupervisor` — registered as ``"fleet"``.  Spawns local
   worker agents (``spawn_local_worker``) and/or adopts remote ones
-  (``worker_addresses``), supervises every link exactly like the
-  ``remote`` backend, and on top of that tracks per-replica health and
-  an EWMA of measured per-row shard latency.  Routing is
+  (``worker_addresses``), supervises every link (heartbeats, reconnect
+  with backoff, shard retry on the survivors), and tracks per-replica
+  health and an EWMA of measured per-row shard latency.  Routing is
   *health-weighted*: shard sizes are proportional to each replica's
   measured speed (:func:`weighted_shards`), so a slow replica receives
   proportionally fewer rows — it is never declared dead for being slow
@@ -16,6 +16,9 @@ into a *control plane* for the whole replica set:
   only decides *which replica* solves a shard and every recall runs the
   seeded path with the fleet's pinned Woodbury chunk, no routing
   decision can change a result bit.
+* :class:`RemoteBackend` — registered as ``"remote"``: the same
+  supervisor with a static membership of adopted ``worker_addresses``,
+  no spawned agents and no control socket.
 * **Online membership** — :meth:`FleetSupervisor.join` admits a worker
   into a *running* fleet (scale-out under load): the supervisor dials
   it, pushes the current spec over the ordinary handshake and starts
@@ -64,9 +67,11 @@ from repro.backends.base import (
     EngineSpec,
     RecallBackend,
     WorkerCrashedError,
+    check_batch_shape,
 )
 from repro.backends.remote import (
     Address,
+    _FrameServer,
     _WorkerLink,
     parse_worker_addresses,
     spawn_local_worker,
@@ -179,9 +184,9 @@ class _Replica:
     """One fleet member: a supervised link plus health and routing state.
 
     ``admitted`` is the routing flag — cleared by :meth:`drain`, set by
-    ``join``/readmit — and is checked *under the link lock* in
-    :meth:`exchange`, so the drain contract ("no shard after the drain
-    returns") has no check-then-send race.  ``ewma_row_seconds`` is the
+    ``join``/readmit — and is checked *under the link lock* (the gate of
+    :meth:`_WorkerLink.exchange`), so the drain contract ("no shard after
+    the drain returns") has no check-then-send race.  ``ewma_row_seconds`` is the
     exponentially weighted moving average of measured seconds per row
     over this replica's served shards; ``None`` until the first shard.
     """
@@ -211,6 +216,12 @@ class _Replica:
             return "drained"
         return "live"
 
+    def _refuse_if_drained(self) -> None:
+        if not self.admitted:
+            raise ReplicaDrainedError(
+                f"replica {self.address} is drained; shard re-queued"
+            )
+
     def exchange(
         self,
         kind: int,
@@ -226,27 +237,8 @@ class _Replica:
         dispatch uses ``control=False`` and re-queues on
         :class:`ReplicaDrainedError`.
         """
-        with self.link.lock:
-            if not control and not self.admitted:
-                raise ReplicaDrainedError(
-                    f"replica {self.address} is drained; shard re-queued"
-                )
-            if not self.link.alive or self.link.sock is None:
-                raise ConnectionError(f"link to {self.address} is down")
-            try:
-                wire.send_frame(self.link.sock, kind, header, arrays)
-                reply = wire.recv_frame(self.link.sock)
-            except (
-                OSError,
-                wire.WireProtocolError,
-                wire.ConnectionClosedError,
-            ) as error:
-                self.link._mark_dead_locked()
-                raise ConnectionError(
-                    f"worker {self.address} failed mid-command: {error}"
-                ) from error
-            reply_kind, _, reply_header, reply_arrays = reply
-            return reply_kind, reply_header, reply_arrays
+        gate = None if control else self._refuse_if_drained
+        return self.link.exchange(kind, header, arrays, gate)
 
     def observe(self, rows: int, elapsed: float, alpha: float) -> None:
         """Fold one served shard into the health/latency estimate."""
@@ -280,9 +272,21 @@ class FleetSupervisor(RecallBackend):
     spawn_workers:
         Local agents to spawn in addition to any adopted addresses
         (``None`` = ``workers`` when no addresses were given, else 0).
-    min_shard_size, chunk_size, connect_timeout, io_timeout,
+    min_shard_size:
+        A batch is split across replicas only when every shard would
+        hold at least this many samples.
+    chunk_size:
+        Explicit Woodbury chunk; ``None`` pins the first replica's
+        autotuned choice into the spec so every member (joiners and
+        reconnects included) runs the same chunk.
+    connect_timeout, io_timeout:
+        Socket budgets for dialling and for one in-flight command; a
+        worker slower than ``io_timeout`` is treated as crashed and its
+        shard is retried on the survivors.
     heartbeat_interval, backoff_base, backoff_max:
-        Exactly the :class:`~repro.backends.remote.RemoteBackend` knobs.
+        Seconds between idle-link PING probes; dead links are re-dialled
+        with exponential backoff (``backoff_base`` doubling to
+        ``backoff_max``).
     latency_alpha:
         EWMA smoothing factor for per-row shard latency (0 < alpha <= 1;
         higher = reacts faster to a replica speeding up or bogging down).
@@ -430,7 +434,7 @@ class FleetSupervisor(RecallBackend):
                     header, arrays = self._spec_wire()
             if not any(r.link.alive for r in self._replicas_snapshot()):
                 raise ConnectionError(
-                    "no fleet worker reachable at "
+                    f"no {self.name} worker reachable at "
                     f"{[r.address for r in self._replicas_snapshot()]}: "
                     f"{first_error}"
                 )
@@ -460,9 +464,14 @@ class FleetSupervisor(RecallBackend):
                     return
                 link = replica.link
                 if link.alive:
-                    # Full io budget, same reasoning as the remote
-                    # supervisor: slow is not dead, and a sent PING's
-                    # PONG must be read or the socket torn down.
+                    # Probe with the full io budget: a PONG that takes
+                    # longer than a short probe window but arrives within
+                    # io_timeout is a *slow* worker, and slow is not dead
+                    # (pinned by tests/backends/test_remote_faults.py).
+                    # Once a PING is sent its PONG must be read or the
+                    # socket torn down (a late PONG would corrupt the next
+                    # command's framing), so the only safe probe timeout
+                    # is the one that actually defines death.
                     link.ping(timeout=self.io_timeout)
                 if not link.alive and time.monotonic() >= link.next_attempt:
                     try:
@@ -769,9 +778,10 @@ class FleetSupervisor(RecallBackend):
         The first round sizes shards proportionally to replica speed
         (fastest replica, biggest shard); a shard lost to a dying — or
         just-drained — replica re-queues for the remaining routable
-        members, with the same retry budget and no-replica semantics as
-        the remote backend (:class:`WorkerCrashedError` only when no
-        routable replica remains).
+        members.  The retryable :class:`WorkerCrashedError` surfaces only
+        when no routable replica remains, or when a shard has burned its
+        retry budget, so a crash-looping worker (reconnects fine, dies on
+        every command) cannot spin a request forever.
         """
         self.prepare()
         routable = self._routable()
@@ -783,7 +793,7 @@ class FleetSupervisor(RecallBackend):
                 routable = self._routable()
         if not routable:
             raise WorkerCrashedError(
-                "no routable fleet replica remains at "
+                f"no routable {self.name} replica remains at "
                 f"{[r.address for r in self._replicas_snapshot()]}; the batch "
                 "was not started and is safe to retry"
             )
@@ -796,7 +806,7 @@ class FleetSupervisor(RecallBackend):
             ordered, _ = self._ordered_routable()
             if not ordered:
                 raise WorkerCrashedError(
-                    "every routable fleet replica was lost with shards in "
+                    f"every routable {self.name} replica was lost with shards in "
                     "flight; the request was not completed and is safe to retry"
                 )
             round_shards = pending[: len(ordered)]
@@ -856,18 +866,7 @@ class FleetSupervisor(RecallBackend):
     ) -> BatchRecognitionResult:
         codes = np.asarray(codes_batch, dtype=np.int64)
         seeds = np.asarray(request_seeds, dtype=np.int64)
-        rows = self.module.crossbar.rows
-        if codes.ndim != 2 or codes.shape[1] != rows:
-            raise ValueError(
-                f"codes_batch must have shape (B, {rows}), got {codes.shape}"
-            )
-        if codes.shape[0] == 0:
-            raise ValueError("codes_batch must not be empty")
-        if seeds.shape != (codes.shape[0],):
-            raise ValueError(
-                f"request_seeds must have shape ({codes.shape[0]},), "
-                f"got {seeds.shape}"
-            )
+        check_batch_shape("codes_batch", codes, self.module.crossbar.rows, seeds)
 
         def send_one(replica: _Replica, begin: int, end: int):
             kind, header, arrays = replica.exchange(
@@ -891,10 +890,13 @@ class FleetSupervisor(RecallBackend):
         self, dac_conductances: np.ndarray, include_parasitics: bool = True
     ) -> BatchCrossbarSolution:
         dac = np.asarray(dac_conductances, dtype=float)
-        rows = self.module.crossbar.rows
-        if dac.ndim != 2 or dac.shape[1] != rows:
-            raise ValueError(
-                f"dac_conductances must have shape (B, {rows}), got {dac.shape}"
+        check_batch_shape("dac_conductances", dac, self.module.crossbar.rows)
+        if dac.shape[0] == 0:
+            # Nothing to shard: answer like the in-process engines do.
+            return BatchCrossbarSolution(
+                column_currents=np.empty((0, self.module.crossbar.columns)),
+                supply_current=np.empty(0),
+                delta_v=self.module.solver.delta_v,
             )
 
         def send_one(replica: _Replica, begin: int, end: int):
@@ -977,164 +979,80 @@ class FleetSupervisor(RecallBackend):
             pass
 
 
+class RemoteBackend(FleetSupervisor):
+    """The ``remote`` backend: a fleet of statically adopted workers.
+
+    Every link, the supervision, the health-weighted dispatch and the
+    shard retry are :class:`FleetSupervisor`'s; this alias only requires
+    ``worker_addresses`` (the replica set), never spawns local agents
+    and never serves a control socket.  The other keyword options are
+    the fleet's.
+    """
+
+    name = "remote"
+
+    def __init__(
+        self,
+        module: AssociativeMemoryModule,
+        workers: int = 1,
+        worker_addresses: Union[str, Sequence[Union[str, Address]], None] = None,
+        **options,
+    ) -> None:
+        if not parse_worker_addresses(worker_addresses):
+            raise ValueError(
+                "remote backend needs worker_addresses "
+                "(e.g. worker_addresses='127.0.0.1:7070,127.0.0.1:7071' or "
+                "--workers 127.0.0.1:7070,127.0.0.1:7071 on the CLI); start "
+                "agents with `python -m repro worker --listen HOST:PORT`"
+            )
+        options.update(spawn_workers=0, control=None)
+        super().__init__(
+            module, workers=workers, worker_addresses=worker_addresses, **options
+        )
+
+
 # ---------------------------------------------------------------------- #
 # Control socket
 # ---------------------------------------------------------------------- #
-class FleetControlServer:
+class FleetControlServer(_FrameServer):
     """Serves the fleet admin verbs on a TCP control socket.
 
-    Speaks the ordinary wire framing and handshake (a torn or hostile
-    frame is answered/dropped exactly like on a worker socket, never
-    crashes the loop), then maps ``STATUS`` / ``JOIN`` / ``DRAIN`` /
-    ``RESPEC`` frames onto the supervisor.  Lives inside the serving
-    process; started by :meth:`FleetSupervisor.prepare` when a
-    ``control`` address was configured.
+    Speaks the ordinary wire framing and handshake of the worker agent
+    (a torn or hostile frame is answered/dropped exactly like on a
+    worker socket, never crashes the loop), then maps ``STATUS`` /
+    ``JOIN`` / ``DRAIN`` / ``RESPEC`` frames onto the supervisor.  Lives
+    inside the serving process; started by :meth:`FleetSupervisor.prepare`
+    when a ``control`` address was configured.
     """
+
+    role = "control socket"
+    thread_prefix = "fleet-control"
 
     def __init__(
         self, supervisor: FleetSupervisor, host: str = "127.0.0.1", port: int = 0
     ) -> None:
+        super().__init__(host, port, backlog=8)
         self._supervisor = supervisor
-        self._listener = socket.create_server((host, port), backlog=8)
-        self._closed = threading.Event()
-        self._conn_lock = threading.Lock()
-        self._connections: List[socket.socket] = []
-        self._conn_threads: List[threading.Thread] = []
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="fleet-control-accept", daemon=True
-        )
-        self._accept_thread.start()
+        self.start()
 
-    @property
-    def address(self) -> Address:
-        host, port = self._listener.getsockname()[:2]
-        return host, port
-
-    def _accept_loop(self) -> None:
-        while not self._closed.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            with self._conn_lock:
-                if self._closed.is_set():
-                    conn.close()
-                    return
-                self._connections.append(conn)
-                self._conn_threads = [
-                    thread for thread in self._conn_threads if thread.is_alive()
-                ]
-                thread = threading.Thread(
-                    target=self._serve_connection,
-                    args=(conn,),
-                    name="fleet-control-conn",
-                    daemon=True,
-                )
-                self._conn_threads.append(thread)
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            kind, version, header, _ = wire.recv_frame(conn)
-            if kind != wire.HELLO:
-                wire.send_error(
-                    conn,
-                    wire.WireProtocolError(
-                        f"expected HELLO as the first frame, got kind {kind}"
-                    ),
-                )
-                return
-            if version != wire.PROTOCOL_VERSION or (
-                header.get("protocol") != wire.PROTOCOL_VERSION
-            ):
-                wire.send_error(
-                    conn,
-                    wire.ProtocolVersionError(
-                        f"control socket speaks protocol {wire.PROTOCOL_VERSION}, "
-                        f"peer sent {header.get('protocol', version)}"
-                    ),
-                )
-                return
-            wire.send_frame(conn, wire.HELLO, {"protocol": wire.PROTOCOL_VERSION})
-            while not self._closed.is_set():
-                kind, _, header, _ = wire.recv_frame(conn)
-                if kind == wire.BYE:
-                    return
-                if kind == wire.PING:
-                    wire.send_frame(conn, wire.PONG)
-                    continue
-                try:
-                    if kind == wire.STATUS:
-                        wire.send_frame(
-                            conn,
-                            wire.OK,
-                            {"fleet": self._supervisor.fleet_stats()},
-                        )
-                    elif kind == wire.JOIN:
-                        info = self._supervisor.join(header["address"])
-                        wire.send_frame(conn, wire.OK, {"replica": info})
-                    elif kind == wire.DRAIN:
-                        info = self._supervisor.drain(
-                            header["address"],
-                            timeout=float(header.get("timeout", 30.0)),
-                        )
-                        wire.send_frame(conn, wire.OK, {"replica": info})
-                    elif kind == wire.RESPEC:
-                        report = self._supervisor.respec(
-                            drain_timeout=float(header.get("timeout", 30.0))
-                        )
-                        wire.send_frame(conn, wire.OK, {"replicas": report})
-                    else:
-                        raise wire.WireProtocolError(
-                            f"unknown control frame kind {kind}"
-                        )
-                except (wire.ConnectionClosedError, BrokenPipeError, OSError):
-                    raise
-                except Exception as error:  # transport, never crash the loop
-                    wire.send_error(conn, error)
-        except (wire.ConnectionClosedError, ConnectionError, OSError):
-            pass  # peer went away (or tore a frame); nothing to answer
-        except wire.WireProtocolError as error:
-            try:
-                wire.send_error(conn, error)
-            except OSError:
-                pass
-        finally:
-            with self._conn_lock:
-                if conn in self._connections:
-                    self._connections.remove(conn)
-            conn.close()
-
-    def close(self) -> None:
-        if self._closed.is_set():
-            return
-        self._closed.set()
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            try:
-                poke = socket.create_connection(self.address, timeout=0.5)
-                poke.close()
-            except OSError:
-                pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._conn_lock:
-            connections, self._connections = self._connections, []
-            threads, self._conn_threads = self._conn_threads, []
-        for conn in connections:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            conn.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-        for thread in threads:
-            thread.join(timeout=5.0)
+    def _command(self, conn, kind, header, arrays, state) -> None:
+        if kind == wire.STATUS:
+            wire.send_frame(conn, wire.OK, {"fleet": self._supervisor.fleet_stats()})
+        elif kind == wire.JOIN:
+            info = self._supervisor.join(header["address"])
+            wire.send_frame(conn, wire.OK, {"replica": info})
+        elif kind == wire.DRAIN:
+            info = self._supervisor.drain(
+                header["address"], timeout=float(header.get("timeout", 30.0))
+            )
+            wire.send_frame(conn, wire.OK, {"replica": info})
+        elif kind == wire.RESPEC:
+            report = self._supervisor.respec(
+                drain_timeout=float(header.get("timeout", 30.0))
+            )
+            wire.send_frame(conn, wire.OK, {"replicas": report})
+        else:
+            raise wire.WireProtocolError(f"unknown control frame kind {kind}")
 
 
 class FleetAdminClient:

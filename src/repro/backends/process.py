@@ -42,6 +42,7 @@ from repro.backends.base import (
     EngineSpec,
     RecallBackend,
     WorkerCrashedError,
+    check_batch_shape,
     contiguous_shards,
 )
 from repro.core.amm import AssociativeMemoryModule, BatchRecognitionResult
@@ -458,15 +459,7 @@ class ProcessPoolBackend(RecallBackend):
         self.prepare()
         codes = np.asarray(codes_batch, dtype=np.int64)
         seeds = np.asarray(request_seeds, dtype=np.int64)
-        rows = self.module.crossbar.rows
-        if codes.ndim != 2 or codes.shape[1] != rows:
-            raise ValueError(f"codes_batch must have shape (B, {rows}), got {codes.shape}")
-        if codes.shape[0] == 0:
-            raise ValueError("codes_batch must not be empty")
-        if seeds.shape != (codes.shape[0],):
-            raise ValueError(
-                f"request_seeds must have shape ({codes.shape[0]},), got {seeds.shape}"
-            )
+        check_batch_shape("codes_batch", codes, self.module.crossbar.rows, seeds)
 
         # Whole-batch result buffers, allocated once per dispatch: shard
         # reads copy each shared-memory view straight into its [begin:end)
@@ -532,11 +525,7 @@ class ProcessPoolBackend(RecallBackend):
     ) -> BatchCrossbarSolution:
         self.prepare()
         dac = np.asarray(dac_conductances, dtype=float)
-        rows = self.module.crossbar.rows
-        if dac.ndim != 2 or dac.shape[1] != rows:
-            raise ValueError(
-                f"dac_conductances must have shape (B, {rows}), got {dac.shape}"
-            )
+        check_batch_shape("dac_conductances", dac, self.module.crossbar.rows)
 
         total = dac.shape[0]
         currents = np.empty((total, self.module.crossbar.columns), dtype=np.float64)

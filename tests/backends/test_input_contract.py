@@ -1,0 +1,63 @@
+"""One input contract across every registered backend.
+
+Whatever executes a batch, the caller sees the same validation: a code
+batch of the wrong shape, a seeds vector of the wrong length and an
+empty recall raise ``ValueError``; an empty ``(0, rows)`` solve is not an
+error and returns an empty solution with ``(0, columns)`` currents.
+Remote and fleet backends run against two in-process worker agents.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.backends import backend_names, create_backend
+
+
+@pytest.fixture(params=backend_names())
+def any_backend(request, backend_amm):
+    name = request.param
+    options = {"workers": 2, "min_shard_size": 4}
+    servers = []
+    if name in ("remote", "fleet"):
+        from repro.backends import WorkerServer
+
+        servers = [WorkerServer().start(), WorkerServer().start()]
+        options.update(
+            worker_addresses=[server.address for server in servers],
+            heartbeat_interval=0.1,
+            io_timeout=20.0,
+        )
+    backend = create_backend(name, backend_amm, **options).prepare()
+    yield backend
+    backend.close()
+    for server in servers:
+        server.close()
+
+
+def test_misshaped_codes_rejected(any_backend, request_codes):
+    seeds = np.arange(request_codes.shape[0], dtype=np.int64)
+    with pytest.raises(ValueError):
+        any_backend.recall_batch_seeded(request_codes[:, :-1], seeds)
+    with pytest.raises(ValueError):
+        any_backend.recall_batch_seeded(request_codes[0], seeds[:1])
+
+
+def test_seeds_length_mismatch_rejected(any_backend, request_codes):
+    seeds = np.arange(request_codes.shape[0] - 1, dtype=np.int64)
+    with pytest.raises(ValueError):
+        any_backend.recall_batch_seeded(request_codes, seeds)
+
+
+def test_empty_recall_rejected(any_backend, backend_amm):
+    codes = np.empty((0, backend_amm.crossbar.rows), dtype=np.int64)
+    with pytest.raises(ValueError):
+        any_backend.recall_batch_seeded(codes, np.empty(0, dtype=np.int64))
+
+
+def test_empty_solve_returns_empty_solution(any_backend, backend_amm):
+    solution = any_backend.solve_batch(np.empty((0, backend_amm.crossbar.rows)))
+    assert len(solution) == 0
+    assert solution.column_currents.shape == (0, backend_amm.crossbar.columns)
+    assert solution.supply_current.shape == (0,)

@@ -318,11 +318,11 @@ class TestSupervision:
         victim.close()
         # Force the loss to be noticed mid-flight.
         remote_backend.recall_batch_seeded(request_codes, request_seeds)
-        assert wait_until(lambda: not remote_backend._links[0].alive)
+        assert wait_until(lambda: not remote_backend._replicas[0].link.alive)
         # Restart an agent on the same port; the supervisor re-dials it.
         replacement = WorkerServer(host=host, port=port).start()
         try:
-            assert wait_until(lambda: remote_backend._links[0].alive), (
+            assert wait_until(lambda: remote_backend._replicas[0].link.alive), (
                 "supervisor never reconnected to the restarted worker"
             )
             assert remote_backend.reconnects >= 1
@@ -339,7 +339,7 @@ class TestSupervision:
         budget the dispatch raises the retryable WorkerCrashedError."""
         from repro.backends import remote as remote_module
 
-        def always_crashing(self, kind, header, arrays):
+        def always_crashing(self, kind, header, arrays, gate=None):
             raise ConnectionError("simulated crash-looping worker")
 
         monkeypatch.setattr(
@@ -401,6 +401,11 @@ class TestIntegration:
             backend_amm, max_batch_size=8, max_wait=1e-3, backend=remote_backend
         ) as service:
             assert service.health()["backend"] == "remote"
+            # remote is a static-membership fleet, so /stats reports the
+            # replica set too — with no control socket.
+            fleet = service.stats()["fleet"]
+            assert fleet["routable"] == 2
+            assert fleet["control_address"] is None
             results = service.recognise_many(
                 request_codes, seeds=list(request_seeds), timeout=30.0
             )

@@ -34,7 +34,7 @@ def chaos_setup(backend_amm):
     """Two workers, one behind a chaos proxy; backend with fast knobs.
 
     Returns ``(backend, proxy, direct_worker, proxied_worker)``; the
-    proxied link is always ``backend._links[0]``.
+    proxied link is always ``backend._replicas[0].link``.
     """
     proxied_worker = WorkerServer().start()
     direct_worker = WorkerServer().start()
@@ -71,11 +71,11 @@ class TestKill:
         proxy.refuse(kill_existing=True)  # the worker "crashes"
         result = backend.recall_batch_seeded(request_codes, request_seeds)
         assert_results_equal(result, reference)
-        assert wait_until(lambda: not backend._links[0].alive)
+        assert wait_until(lambda: not backend._replicas[0].link.alive)
         # The worker comes back: the supervisor reconnects and the link
         # serves again (no restart of the backend needed).
         proxy.accept()
-        assert wait_until(lambda: backend._links[0].alive), "no reconnect after heal"
+        assert wait_until(lambda: backend._replicas[0].link.alive), "no reconnect after heal"
         assert backend.reconnects >= 1
         assert_results_equal(
             backend.recall_batch_seeded(request_codes, request_seeds), reference
@@ -90,7 +90,7 @@ class TestKill:
         reference = backend_amm.recognise_batch_seeded(request_codes, request_seeds)
         for attempt in range(3):
             proxy.accept()
-            wait_until(lambda: backend._links[0].alive, timeout=5.0)
+            wait_until(lambda: backend._replicas[0].link.alive, timeout=5.0)
             proxy.refuse(kill_existing=True)
             try:
                 result = backend.recall_batch_seeded(request_codes, request_seeds)
@@ -113,9 +113,9 @@ class TestPartition:
         elapsed = time.monotonic() - start
         assert_results_equal(result, reference)
         assert elapsed < 10.0  # bounded by io_timeout + retry, not a hang
-        assert wait_until(lambda: not backend._links[0].alive)
+        assert wait_until(lambda: not backend._replicas[0].link.alive)
         proxy.heal()
-        assert wait_until(lambda: backend._links[0].alive), (
+        assert wait_until(lambda: backend._replicas[0].link.alive), (
             "supervisor never reconnected after the partition healed"
         )
 
@@ -123,11 +123,11 @@ class TestPartition:
         """A partition on an *idle* link is found by the heartbeat alone
         (no request traffic needed) within a few intervals."""
         backend, proxy, _, _ = chaos_setup
-        assert backend._links[0].alive
+        assert backend._replicas[0].link.alive
         proxy.partition()
         # heartbeat_interval=0.1, io_timeout=2.0: the PING blocks, times
         # out, and the link is marked dead without any recall in flight.
-        assert wait_until(lambda: not backend._links[0].alive, timeout=15.0), (
+        assert wait_until(lambda: not backend._replicas[0].link.alive, timeout=15.0), (
             "heartbeat never detected the partitioned link"
         )
 
@@ -145,7 +145,7 @@ class TestSlowWorker:
         result = backend.recall_batch_seeded(request_codes, request_seeds)
         assert_results_equal(result, reference)
         assert backend.retried_shards == before, "slow worker was failed over"
-        assert backend._links[0].alive
+        assert backend._replicas[0].link.alive
 
     def test_heartbeat_tolerates_slow_link(self, chaos_setup):
         """Regression: the idle-link heartbeat used to probe with a short
@@ -158,7 +158,7 @@ class TestSlowWorker:
         # heartbeat_interval=0.1: several probes hit the slow link.
         deadline = time.monotonic() + 1.5
         while time.monotonic() < deadline:
-            assert backend._links[0].alive, (
+            assert backend._replicas[0].link.alive, (
                 "heartbeat declared a slow-but-alive link dead"
             )
             time.sleep(0.05)
@@ -171,7 +171,7 @@ class TestSlowWorker:
         proxy.delay(5.0)  # beyond io_timeout=2.0: indistinguishable from dead
         result = backend.recall_batch_seeded(request_codes, request_seeds)
         assert_results_equal(result, reference)
-        assert not backend._links[0].alive
+        assert not backend._replicas[0].link.alive
         proxy.delay(0.0)
 
 
@@ -189,5 +189,5 @@ class TestTornWrites:
         proxy.close_after(cut_at)
         result = backend.recall_batch_seeded(request_codes, request_seeds)
         assert_results_equal(result, reference)
-        assert not backend._links[0].alive
+        assert not backend._replicas[0].link.alive
         proxy.delay(0.0)
