@@ -39,8 +39,8 @@ from repro.serving import (
     RecognitionClient,
     RecognitionService,
     run_load,
-    start_server,
-    stop_server,
+    start_async_server,
+    stop_async_server,
 )
 
 #: Where the serving trajectory is persisted.
@@ -77,7 +77,7 @@ def recall_codes(full_pipeline, full_dataset):
 
 
 def _measure(service, codes, requests, concurrency, images_per_request):
-    server = start_server(service, port=0)
+    server = start_async_server(service, port=0)
     try:
         report = run_load(
             "127.0.0.1",
@@ -90,7 +90,7 @@ def _measure(service, codes, requests, concurrency, images_per_request):
         with RecognitionClient("127.0.0.1", server.port) as client:
             stats = client.stats()
     finally:
-        stop_server(server)
+        stop_async_server(server)
     assert report.errors == 0 and report.rejected == 0
     point = report.as_dict()
     point["server"] = {
@@ -240,7 +240,7 @@ def test_streaming_vs_buffered_large_request(
     service = RecognitionService(
         amm, max_batch_size=MAX_BATCH_SIZE, max_wait=MAX_WAIT_SECONDS, workers=WORKERS
     )
-    server = start_server(service, port=0)
+    server = start_async_server(service, port=0)
     try:
         import time
 
@@ -262,7 +262,7 @@ def test_streaming_vs_buffered_large_request(
                     summary = event
             stream_total = time.perf_counter() - begin
     finally:
-        stop_server(server)
+        stop_async_server(server)
 
     assert summary == {
         "done": True,
@@ -337,7 +337,7 @@ def test_mixed_priority_latency_under_saturation(full_pipeline, recall_codes, wr
         max_queue_depth=256,
         workers=1,
     )
-    server = start_server(service, port=0)
+    server = start_async_server(service, port=0)
     try:
         report = run_load(
             "127.0.0.1",
@@ -351,7 +351,7 @@ def test_mixed_priority_latency_under_saturation(full_pipeline, recall_codes, wr
         with RecognitionClient("127.0.0.1", server.port) as client:
             stats = client.stats()
     finally:
-        stop_server(server)
+        stop_async_server(server)
 
     assert report.errors == 0
     by_priority = report.priority_latency_percentiles()
@@ -400,12 +400,12 @@ def test_served_results_match_offline_recall(full_pipeline, recall_codes):
     subset = recall_codes[:24]
     seeds = list(range(24))
     service = RecognitionService(amm, max_batch_size=16, max_wait=1e-3, workers=WORKERS)
-    server = start_server(service, port=0)
+    server = start_async_server(service, port=0)
     try:
         with RecognitionClient("127.0.0.1", server.port) as client:
             served = client.recognise_many(subset, seeds=seeds)
     finally:
-        stop_server(server)
+        stop_async_server(server)
     reference = amm.recognise_batch_seeded(subset, seeds)
     for index, result in enumerate(served):
         assert result["winner"] == reference[index].winner
@@ -415,53 +415,44 @@ def test_served_results_match_offline_recall(full_pipeline, recall_codes):
 
 
 # --------------------------------------------------------------------- #
-# Connection sweep: async vs threaded front end at high connection counts
+# Connection sweep: the front end at high keep-alive connection counts
 # --------------------------------------------------------------------- #
 
-#: Keep-alive connection counts for the frontend comparison.
+#: Keep-alive connection counts of the sweep.
 CONNECTION_SWEEP = (16, 256, 1024)
 SWEEP_IMAGES_PER_REQUEST = 16
 
 
-def test_connection_sweep_async_vs_threaded(full_pipeline, recall_codes, write_result):
-    """Throughput vs keep-alive connection count, both front ends.
+def test_connection_sweep(full_pipeline, recall_codes, write_result):
+    """Throughput and server threads vs keep-alive connection count.
 
-    The thread-per-connection reference pays one OS thread per open
-    connection; the asyncio front end pays one heap object.  The same
-    steady-state offered load (several keep-alive requests per
+    The same steady-state offered load (several keep-alive requests per
     connection from ``run_connection_load``'s single event loop, bodies
-    pre-encoded) is driven at each connection count.  On a multi-core
-    box the thread churn shows up as lost throughput; on the single-core
-    CI runner the GIL already serialises everything, so the asserted
-    floor is parity (the CI smoke's 10% band) and the resource story is
-    recorded alongside: the threaded server holds one OS thread per
-    connection while the async server holds one, period.
+    pre-encoded) is driven at each connection count.  Every request must
+    succeed, and the event-loop front end must hold its thread count
+    flat: no more server threads at C=1024 than at C=16 (a connection
+    costs a heap object, never an OS thread).
     """
+    import os
     import threading as threading_module
 
-    from repro.serving import run_connection_load, start_async_server, stop_async_server
+    from repro.serving import run_connection_load
 
     amm = full_pipeline.amm
 
-    def fresh_service():
+    def measure(connections):
         # The sweep opens every connection before the first request, so
         # the instantaneous offered load is connections x images — the
-        # queue must absorb the burst (this measures frontends, not the
-        # admission policy; backpressure is exercised elsewhere).
-        return RecognitionService(
+        # queue must absorb the burst (this measures the front end, not
+        # the admission policy; backpressure is exercised elsewhere).
+        service = RecognitionService(
             amm,
             max_batch_size=MAX_BATCH_SIZE,
             max_wait=MAX_WAIT_SECONDS,
             workers=WORKERS,
             max_queue_depth=max(CONNECTION_SWEEP) * SWEEP_IMAGES_PER_REQUEST * 2,
         )
-
-    def measure(frontend, connections):
-        service = fresh_service()
-        if frontend == "async":
-            server = start_async_server(service, port=0, binary_port=None)
-        else:
-            server = start_server(service, port=0)
+        server = start_async_server(service, port=0, binary_port=None)
         baseline_threads = threading_module.active_count()
         peak_threads = [baseline_threads]
 
@@ -487,73 +478,35 @@ def test_connection_sweep_async_vs_threaded(full_pipeline, recall_codes, write_r
         finally:
             stop_sampling.set()
             sampler.join(2.0)
-            if frontend == "async":
-                stop_async_server(server)
-            else:
-                stop_server(server)
+            stop_async_server(server)
         assert report.errors == 0 and report.rejected == 0, (
-            f"{frontend} frontend at C={connections}: "
-            f"{report.errors} errors, {report.rejected} rejected"
+            f"C={connections}: {report.errors} errors, {report.rejected} rejected"
         )
         point = report.as_dict()
         point["connections"] = connections
         point["server_threads_peak"] = max(peak_threads) - baseline_threads
         return point
 
-    # Per connection count, the two front ends run back to back and each
-    # gets two trials (best-of-2 per frontend): adjacent-in-time pairs
-    # cancel machine drift, and best-of-2 shakes single-run scheduler
-    # noise out of a throughput *comparison* on a one-core runner.
-    sweep = {"threaded": [], "async": []}
-    for connections in CONNECTION_SWEEP:
-        best = {}
-        for frontend in ("threaded", "async", "threaded", "async"):
-            point = measure(frontend, connections)
-            held = best.get(frontend)
-            if held is None or point["images_per_second"] > held["images_per_second"]:
-                best[frontend] = point
-        for frontend in ("threaded", "async"):
-            sweep[frontend].append(best[frontend])
-
-    _merge_bench_section("connection_sweep", sweep)
-    lines = []
-    for frontend in ("threaded", "async"):
-        for point in sweep[frontend]:
-            lines.append(
-                f"{frontend:<8s} C={point['connections']:<5d} "
-                f"{point['images_per_second']:8.1f} images/s "
-                f"(p99 {point['latency']['p99_ms']:7.1f} ms, "
-                f"{point['server_threads_peak']:4d} extra threads)"
-            )
-    write_result("serving_connections", "\n".join(lines))
-
-    by_count = {
-        connections: (threaded_point, async_point)
-        for connections, threaded_point, async_point in zip(
-            CONNECTION_SWEEP, sweep["threaded"], sweep["async"]
-        )
-    }
-    for connections, (threaded_point, async_point) in by_count.items():
-        threaded_ips = threaded_point["images_per_second"]
-        async_ips = async_point["images_per_second"]
-        if connections >= 256:
-            # The CI floor: the async frontend must never trail the
-            # threaded reference by more than 10% at high connection
-            # counts (on multi-core hardware it should win outright).
-            assert async_ips > threaded_ips * 0.90, (
-                f"async JSON frontend ({async_ips:.0f} images/s) fell behind the "
-                f"threaded server ({threaded_ips:.0f} images/s) at C={connections}"
-            )
-            # The resource story is unconditional: thread-per-connection
-            # scales threads with C, the event loop does not.
-            assert (
-                async_point["server_threads_peak"]
-                < threaded_point["server_threads_peak"]
-            ), (
-                f"async frontend used {async_point['server_threads_peak']} threads "
-                f"vs threaded {threaded_point['server_threads_peak']} at "
-                f"C={connections}"
-            )
+    points = [measure(connections) for connections in CONNECTION_SWEEP]
+    _merge_bench_section(
+        "connection_sweep", {"nproc": os.cpu_count(), "points": points}
+    )
+    write_result(
+        "serving_connections",
+        "\n".join(
+            f"C={point['connections']:<5d} "
+            f"{point['images_per_second']:8.1f} images/s "
+            f"(p99 {point['latency']['p99_ms']:7.1f} ms, "
+            f"{point['server_threads_peak']:4d} extra threads)"
+            for point in points
+        ),
+    )
+    first, last = points[0], points[-1]
+    assert last["server_threads_peak"] <= first["server_threads_peak"], (
+        f"server threads grew with connections: {first['server_threads_peak']} "
+        f"at C={first['connections']}, {last['server_threads_peak']} at "
+        f"C={last['connections']}"
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -660,7 +613,7 @@ def test_encode_cost_json_vs_binary(full_pipeline, recall_codes, write_result):
     import numpy as np
 
     from repro.core.amm import AssociativeMemoryModule
-    from repro.serving import BinaryRecognitionClient, start_async_server, stop_async_server
+    from repro.serving import BinaryRecognitionClient
 
     rng = np.random.default_rng(ENCODE_SEED)
     templates = rng.integers(0, 32, size=(ENCODE_FEATURES, ENCODE_TEMPLATES))

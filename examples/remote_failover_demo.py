@@ -35,8 +35,8 @@ from repro.serving import (
     RecognitionClient,
     RecognitionService,
     ServerError,
-    start_server,
-    stop_server,
+    start_async_server,
+    stop_async_server,
 )
 
 
@@ -76,7 +76,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "backoff_base": 0.05,
         },
     )
-    server = start_server(service, port=0)
+    server = start_async_server(service, port=0)
     backend = service.pool.backend
     print(f"serving on http://127.0.0.1:{server.port} (backend=remote)", flush=True)
 
@@ -174,7 +174,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if row["winner_column"] != int(reference.winner_column[index]):
                 failures.append(f"post-recovery result {index} diverged: {row}")
 
-    stop_server(server)
+    stop_async_server(server)
     replacement.close()
     survivor.terminate()
     survivor.wait(timeout=10.0)

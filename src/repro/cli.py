@@ -28,7 +28,9 @@ without writing any code:
 * ``serve`` — boot the micro-batching recognition service
   (:mod:`repro.serving`) behind its JSON HTTP API (``POST /recognise``
   with request priorities and streaming mode, ``GET /healthz``,
-  ``GET /stats``) on the execution backend named by ``--backend``,
+  ``GET /stats``) and its binary endpoint (``--binary-port``, off with
+  ``--no-binary``), both on one event loop, on the execution backend
+  named by ``--backend``,
   optionally with per-client token-bucket quotas (``--quota-rate`` /
   ``--quota-burst`` / ``--quota-max-inflight``), and serve until
   interrupted;
@@ -346,32 +348,20 @@ def _build_service(arguments: argparse.Namespace):
 
 
 def _command_serve(arguments: argparse.Namespace) -> str:
-    from repro.serving import (
-        start_async_server,
-        start_server,
-        stop_async_server,
-        stop_server,
-    )
+    from repro.serving import start_async_server, stop_async_server
 
     _, _, service = _build_service(arguments)
-    if arguments.frontend == "async":
-        server = start_async_server(
-            service,
-            host=arguments.host,
-            port=arguments.port,
-            binary_port=None if arguments.no_binary else arguments.binary_port,
-        )
-        binary = (
-            "disabled"
-            if server.binary_port is None
-            else f"{arguments.host}:{server.binary_port}"
-        )
-        extra = f", binary endpoint {binary}"
-        shutdown = lambda: stop_async_server(server)  # noqa: E731
-    else:
-        server = start_server(service, host=arguments.host, port=arguments.port)
-        extra = ""
-        shutdown = lambda: stop_server(server)  # noqa: E731
+    server = start_async_server(
+        service,
+        host=arguments.host,
+        port=arguments.port,
+        binary_port=None if arguments.no_binary else arguments.binary_port,
+    )
+    binary = (
+        "disabled"
+        if server.binary_port is None
+        else f"{arguments.host}:{server.binary_port}"
+    )
     control_address = getattr(service.pool.backend, "control_address", None)
     if control_address is not None:
         # Parsed by admin tooling the way workers' startup line is.
@@ -382,7 +372,7 @@ def _command_serve(arguments: argparse.Namespace) -> str:
     print(
         f"serving {service.amm.crossbar.rows}x{service.amm.crossbar.columns} "
         f"recognition on http://{arguments.host}:{server.port} "
-        f"(frontend={arguments.frontend}{extra}, "
+        f"(binary endpoint {binary}, "
         f"backend={arguments.backend}, workers={arguments.workers}, "
         f"max_batch_size={arguments.max_batch_size}, "
         f"max_wait={arguments.max_wait_ms} ms); Ctrl-C to stop",
@@ -394,7 +384,7 @@ def _command_serve(arguments: argparse.Namespace) -> str:
     except KeyboardInterrupt:
         pass
     finally:
-        shutdown()
+        stop_async_server(server)
     return "server stopped"
 
 
@@ -406,9 +396,7 @@ def _command_loadtest(arguments: argparse.Namespace) -> str:
         run_connection_load,
         run_load,
         start_async_server,
-        start_server,
         stop_async_server,
-        stop_server,
     )
 
     if arguments.binary and arguments.stream:
@@ -416,10 +404,9 @@ def _command_loadtest(arguments: argparse.Namespace) -> str:
     if arguments.connections is not None and (arguments.binary or arguments.stream):
         raise SystemExit(
             "loadtest: --connections sweeps buffered JSON requests; "
-            "it composes with --frontend, not with --binary/--stream"
+            "it does not compose with --binary/--stream"
         )
     server = None
-    shutdown = None
     binary_port = arguments.binary_port
     if arguments.url:
         url = arguments.url if "//" in arguments.url else f"http://{arguments.url}"
@@ -441,13 +428,8 @@ def _command_loadtest(arguments: argparse.Namespace) -> str:
     else:
         dataset, pipeline, service = _build_service(arguments)
         extractor = pipeline.extractor
-        if arguments.frontend == "async" or arguments.binary:
-            server = start_async_server(service, host="127.0.0.1", port=0, binary_port=0)
-            binary_port = server.binary_port
-            shutdown = lambda: stop_async_server(server)  # noqa: E731
-        else:
-            server = start_server(service, host="127.0.0.1", port=0)
-            shutdown = lambda: stop_server(server)  # noqa: E731
+        server = start_async_server(service, host="127.0.0.1", port=0, binary_port=0)
+        binary_port = server.binary_port
         host, port = "127.0.0.1", server.port
     codes = extractor.extract_many(dataset.test_images)
     priorities = None
@@ -480,8 +462,8 @@ def _command_loadtest(arguments: argparse.Namespace) -> str:
         with RecognitionClient(host, port) as client:
             stats = client.stats()
     finally:
-        if shutdown is not None:
-            shutdown()
+        if server is not None:
+            stop_async_server(server)
     latency = report.latency_percentiles()
     if arguments.binary:
         mode = "binary"
@@ -718,23 +700,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080, help="0 = ephemeral port")
     serve.add_argument(
-        "--frontend",
-        default="threaded",
-        choices=("threaded", "async"),
-        help="HTTP front end: threaded = thread-per-connection reference, "
-        "async = single-event-loop server with a native binary endpoint",
-    )
-    serve.add_argument(
         "--binary-port",
         type=int,
         default=0,
-        help="binary endpoint port for --frontend async (0 = ephemeral; "
-        "the bound port is printed on startup)",
+        help="binary endpoint port (0 = ephemeral; the bound port is "
+        "printed on startup)",
     )
     serve.add_argument(
         "--no-binary",
         action="store_true",
-        help="serve JSON only from the async front end (no binary endpoint)",
+        help="serve JSON only (no binary endpoint)",
     )
     serve.add_argument(
         "--control",
@@ -756,12 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--requests", type=int, default=200, help="HTTP requests to send")
     loadtest.add_argument("--concurrency", type=int, default=8, help="client threads")
     loadtest.add_argument(
-        "--frontend",
-        default="threaded",
-        choices=("threaded", "async"),
-        help="front end for the in-process server (ignored with --url)",
-    )
-    loadtest.add_argument(
         "--connections",
         type=int,
         default=None,
@@ -772,8 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument(
         "--binary",
         action="store_true",
-        help="drive the async front end's binary endpoint instead of JSON "
-        "(implies --frontend async for the in-process server)",
+        help="drive the server's binary endpoint instead of JSON",
     )
     loadtest.add_argument(
         "--binary-port",

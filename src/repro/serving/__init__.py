@@ -28,21 +28,19 @@ traffic, where callers arrive one image at a time:
     reference.  Deadline-expired requests are dropped here, before any
     engine time is spent.
 
-``protocol`` / ``server`` / ``aio`` / ``client``
-    Two interchangeable front ends over one shared request-protocol
-    module.  :mod:`~repro.serving.server` is the threaded reference: a
-    stdlib-only JSON API (``POST /recognise``, ``GET /healthz``,
-    ``GET /stats``) on :class:`http.server.ThreadingHTTPServer`.
-    :mod:`~repro.serving.aio` is the performance front end: the same
-    JSON API served from a single asyncio event loop (no
-    thread-per-connection), plus a native binary endpoint on a second
-    port speaking the :mod:`repro.backends.wire` framing — raw
-    little-endian arrays instead of per-row JSON.  Both parse, admit
-    and classify through :mod:`~repro.serving.protocol`, so semantics
-    (error taxonomy, priorities, quotas, deadlines, body limits) are
-    identical by construction.  The client side pairs a keep-alive JSON
-    client with :class:`~repro.serving.client.BinaryRecognitionClient`
-    and the :func:`~repro.serving.client.run_load` /
+``protocol`` / ``aio`` / ``client``
+    One front end over a shared request-protocol module.
+    :mod:`~repro.serving.aio` serves the JSON API (``POST /recognise``,
+    ``GET /healthz``, ``GET /stats``) from a single asyncio event loop
+    (no thread-per-connection), plus a native binary endpoint on a
+    second port, on by default, speaking the :mod:`repro.backends.wire`
+    framing — raw little-endian arrays instead of per-row JSON.  Both
+    endpoints parse, admit and classify through
+    :mod:`~repro.serving.protocol`, so semantics (error taxonomy,
+    priorities, quotas, deadlines, body limits) are identical by
+    construction.  The client side pairs a keep-alive JSON client with
+    :class:`~repro.serving.client.BinaryRecognitionClient` and the
+    :func:`~repro.serving.client.run_load` /
     :func:`~repro.serving.client.run_connection_load` load generators
     behind ``python -m repro serve`` and ``python -m repro loadtest``.
     Large multi-image requests can set ``"stream": true`` for a chunked
@@ -94,11 +92,11 @@ Quickstart
 ----------
 
 >>> from repro import build_pipeline, load_default_dataset
->>> from repro.serving import RecognitionService, start_server, RecognitionClient
+>>> from repro.serving import RecognitionService, start_async_server, RecognitionClient
 >>> dataset = load_default_dataset(seed=7)
 >>> pipeline = build_pipeline(dataset, seed=7)
 >>> service = RecognitionService(pipeline.amm, max_batch_size=64, max_wait=0.002)
->>> server = start_server(service, port=0)
+>>> server = start_async_server(service, port=0)
 >>> client = RecognitionClient("127.0.0.1", server.port)
 >>> client.recognise(pipeline.extractor.extract_codes(dataset.test_images[0]))["winner"]
 0
@@ -125,14 +123,8 @@ from repro.serving.errors import (
     ServiceClosedError,
 )
 from repro.serving.metrics import ServiceMetrics, latency_summary, percentile
+from repro.serving.protocol import result_to_json, row_error_to_json
 from repro.serving.quotas import ANONYMOUS_CLIENT, ClientQuotas, QuotaConfig
-from repro.serving.server import (
-    RecognitionServer,
-    result_to_json,
-    row_error_to_json,
-    start_server,
-    stop_server,
-)
 from repro.serving.service import (
     DEFAULT_PRIORITY,
     MAX_PRIORITY,
@@ -157,7 +149,6 @@ __all__ = [
     "QuotaConfig",
     "QuotaExceededError",
     "RecognitionClient",
-    "RecognitionServer",
     "RecognitionService",
     "ServerError",
     "ServiceClosedError",
@@ -170,7 +161,5 @@ __all__ = [
     "run_connection_load",
     "run_load",
     "start_async_server",
-    "start_server",
     "stop_async_server",
-    "stop_server",
 ]

@@ -1,19 +1,32 @@
-"""Asyncio front end: the same serving contract, one event loop.
+"""The serving front end: HTTP and binary endpoints on one event loop.
 
-The threaded reference server (:mod:`repro.serving.server`) spends a
-thread per connection; at hundreds of keep-alive connections the
-scheduler churn (and per-connection stacks) eat the throughput the
-batched engine worked for.  This module serves the identical contract —
-same endpoints, same error taxonomy, same quota/priority/deadline
-semantics, same NDJSON streaming, bit-identical results — from a single
-event loop, plus a **native binary endpoint** on a second port that
-reuses the :mod:`repro.backends.wire` framing so bulk clients never pay
-JSON per row:
+A thread per connection spends, at hundreds of keep-alive connections,
+the throughput the batched engine worked for on scheduler churn and
+per-connection stacks.  This module serves every connection from a
+single asyncio event loop (3 server threads however many clients are
+connected), with a JSON HTTP API and a **native binary endpoint** on a
+second port, on by default, that reuses the :mod:`repro.backends.wire`
+framing so bulk clients never pay JSON per row:
 
-* **HTTP** — ``POST /recognise`` (buffered and ``"stream": true``
-  chunked NDJSON), ``GET /healthz``, ``GET /stats``; HTTP/1.1 keep-alive
-  with the same body-size/411/408 enforcement as the threaded server
-  (all protocol decisions live in :mod:`repro.serving.protocol`).
+* **HTTP** — ``POST /recognise`` for one request (``{"codes": [...],
+  "seed": 0}``) or several (``{"codes": [[...], ...], "seeds": [...]}``),
+  each row submitted to the service individually so it coalesces with
+  concurrent traffic.  Optional fields: ``"timeout_ms"`` (dispatch
+  deadline — a row still queued when it expires is dropped unsolved and
+  answered 504), ``"priority"`` (0–9, higher dispatches first and
+  survives shedding), ``"client_id"`` (also the ``X-Client-Id`` header;
+  quota admission and per-client stats) and ``"stream"``: a
+  ``Transfer-Encoding: chunked`` ``application/x-ndjson`` response with
+  one line per row as it resolves (``{"index": i, "result": {...}}`` or
+  ``{"index": i, "error": {...}}``) and a ``{"done": true, "count": n,
+  "ok": k, "failed": m}`` summary.  ``GET /healthz`` is liveness and
+  ``GET /stats`` the :class:`~repro.serving.metrics.ServiceMetrics`
+  snapshot plus a ``"frontend"`` section (live and total connection
+  counts per endpoint).  Connections persist under HTTP/1.1 unless the
+  client sends ``Connection: close``; HTTP/1.0 requests close after
+  their response unless they send ``Connection: keep-alive``.  Body
+  size, 411 and 408 enforcement and the error taxonomy live in
+  :mod:`repro.serving.protocol`.
 * **Binary** — a :data:`~repro.backends.wire.HELLO` handshake (version
   mismatch answered with a typed ``ERROR`` frame, never a hang), then
   any number of :data:`~repro.backends.wire.RECOGNISE` request frames
@@ -42,8 +55,8 @@ cancelled", which is an ordinary per-row outcome (503 ``cancelled``).
 
 :func:`start_async_server` runs the loop on a dedicated daemon thread
 (the rest of the process stays synchronous); :func:`stop_async_server`
-tears it down cleanly.  ``python -m repro serve --frontend async``
-selects this front end.
+tears it down cleanly; ``python -m repro serve`` and ``loadtest`` boot
+it that way.
 """
 
 from __future__ import annotations
@@ -155,8 +168,8 @@ class _OutcomeDrain:
 # ---------------------------------------------------------------------- #
 # HTTP plumbing
 # ---------------------------------------------------------------------- #
-def _parse_head(head: bytes) -> Tuple[str, str, Dict[str, str]]:
-    """Parse one request head; returns ``(method, path, headers)``.
+def _parse_head(head: bytes) -> Tuple[str, str, str, Dict[str, str]]:
+    """Parse one request head; returns ``(method, path, version, headers)``.
 
     Header names are lower-cased; a malformed request line raises
     ``ValueError`` (answered 400 and the connection dropped — the byte
@@ -166,7 +179,7 @@ def _parse_head(head: bytes) -> Tuple[str, str, Dict[str, str]]:
     parts = lines[0].split(" ")
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise ValueError(f"malformed request line {lines[0]!r}")
-    method, path, _version = parts
+    method, path, version = parts
     headers: Dict[str, str] = {}
     for line in lines[1:]:
         if not line:
@@ -175,7 +188,23 @@ def _parse_head(head: bytes) -> Tuple[str, str, Dict[str, str]]:
         if not sep:
             raise ValueError(f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
-    return method, path, headers
+    return method, path, version, headers
+
+
+def _closes_after(version: str, headers: Dict[str, str]) -> bool:
+    """Whether the connection closes once this request is answered.
+
+    HTTP/1.1 persists unless the client sends ``Connection: close``;
+    HTTP/1.0 closes unless it sends ``Connection: keep-alive`` (a plain
+    1.0 client reads its response to EOF and would otherwise wait out
+    the idle timeout).
+    """
+    tokens = {
+        token.strip() for token in headers.get("connection", "").lower().split(",")
+    }
+    if version == "HTTP/1.0":
+        return "keep-alive" not in tokens
+    return "close" in tokens
 
 
 def _chunk(data: bytes) -> bytes:
@@ -237,8 +266,8 @@ class AsyncRecognitionServer:
             self.loop.close()
 
     async def _bind(self) -> None:
-        # Deep listen backlog, matching the threaded front end: a burst
-        # of simultaneous connects must never hit kernel SYN drops.
+        # Deep listen backlog (the stdlib default of 5 drops SYNs under a
+        # connect burst; the kernel clamps it to net.core.somaxconn).
         self._http_server = await asyncio.start_server(
             self._handle_http, self.host, self.port, backlog=1024
         )
@@ -314,7 +343,7 @@ class AsyncRecognitionServer:
                     )
                     return
                 try:
-                    method, path, headers = _parse_head(head)
+                    method, path, version, headers = _parse_head(head)
                 except ValueError as error:
                     await self._respond(
                         writer,
@@ -323,7 +352,7 @@ class AsyncRecognitionServer:
                         close=True,
                     )
                     return
-                close_after = headers.get("connection", "").lower() == "close"
+                close_after = _closes_after(version, headers)
                 if await self._dispatch(
                     method, path, headers, reader, writer, close_after
                 ):
@@ -478,9 +507,9 @@ class AsyncRecognitionServer:
         outcomes: Dict[int, object] = {}
         results: List[object] = []
         # Scanned in row order (not arrival order) so a multi-row failure
-        # reports the lowest failed row, exactly like the threaded
-        # server's sequential gather; the moment that row fails, the
-        # unresolved tail is abandoned without waiting for it.
+        # reports the lowest failed row, exactly like the sequential
+        # gather of ``RecognitionService.recognise_many``; the moment that
+        # row fails, the unresolved tail is abandoned without waiting.
         next_scan = 0
         try:
             while next_scan < total:
@@ -530,11 +559,15 @@ class AsyncRecognitionServer:
     ) -> bool:
         """Chunked-NDJSON streaming on the loop.
 
-        Re-implements the windowed submission policy of
-        :meth:`RecognitionService.recognise_stream` (which is a blocking
-        generator) with awaits in place of blocking waits; the window
-        size, retry policy, mass-fail tail and abandonment semantics are
-        kept identical so both front ends stream the same bytes.
+        Rows are submitted in windows of :meth:`RecognitionService.stream_window`
+        and emitted in row order.  Admission pressure (backpressure or
+        quota) while rows are in flight is absorbed by draining them and
+        retrying; with nothing in flight the retry honours the
+        whole-stream budget (``MAX_REQUEST_TIMEOUT``).  When that budget
+        runs out, every row still owed fails with the same timeout and
+        the queued ones are cancelled.  A closed service mid-stream fails
+        the unsubmitted rows per row; a rejection before any row was
+        admitted is a clean whole-request status instead.
         """
         service = self.service
         loop = self.loop
@@ -1086,7 +1119,7 @@ async def _write_error(
 
 
 # ---------------------------------------------------------------------- #
-# Lifecycle helpers (mirror server.start_server / stop_server)
+# Lifecycle helpers
 # ---------------------------------------------------------------------- #
 def start_async_server(
     service: RecognitionService,

@@ -783,14 +783,14 @@ def run_connection_load(
     """Connection-scaling load: one asyncio task per keep-alive connection.
 
     Thread-per-client load generation stops scaling long before the
-    connection counts the async front end is built for, so this driver
+    connection counts the event-loop front end is built for, so this driver
     opens ``connections`` keep-alive HTTP connections from one event
     loop and round-robins ``requests`` buffered recalls across them.
     Every request body is pre-encoded before the clock starts and the
     responses are only framed (status + ``Content-Length``), never
     JSON-decoded — the measurement is the server's connection scaling,
-    not the client's encode cost.  Works against both front ends, which
-    is exactly how the ``connection_sweep`` benchmark compares them.
+    not the client's encode cost — the driver of the ``connection_sweep``
+    benchmark.
     """
     check_integer("requests", requests, minimum=1)
     check_integer("connections", connections, minimum=1)

@@ -1,18 +1,18 @@
-"""Protocol-agnostic request logic shared by every serving front end.
+"""Protocol-agnostic request logic shared by every serving endpoint.
 
-The threaded HTTP server (:mod:`repro.serving.server`), the asyncio
-front end (:mod:`repro.serving.aio`) and its binary wire endpoint all
-serve the *same* request contract: the same body validation, the same
-error taxonomy, the same quota/priority/deadline plumbing and the same
-stream-windowing policy.  This module is that contract in one place, so
-a front end can only differ in transport — never in semantics:
+The JSON HTTP endpoint and the binary wire endpoint of the front end
+(:mod:`repro.serving.aio`) serve the *same* request contract: the same
+body validation, the same error taxonomy, the same quota/priority/
+deadline plumbing and the same stream-windowing policy.  This module is
+that contract in one place, so an endpoint can only differ in transport
+— never in semantics:
 
 * **Result / error projection** — :func:`result_to_json`,
   :func:`classify_error`, :func:`row_error_to_json` and
   :func:`error_payload` define the one mapping from engine results and
   exceptions to the JSON the client sees (whole-request statuses and
   per-row stream errors share it, so the taxonomy cannot drift between
-  the buffered, streaming, threaded and async paths).
+  the buffered, streaming and binary paths).
 * **Body validation** — :func:`integral_array` / :func:`integral_scalar`
   reject non-integral payloads instead of silently truncating them, and
   :func:`parse_recognise` turns a decoded ``POST /recognise`` body into
@@ -28,8 +28,7 @@ a front end can only differ in transport — never in semantics:
   see the ``encode_cost`` section of ``BENCH_serving.json``).
 
 Transport-level constants (body-size bound, read deadlines, keep-alive
-idle timeout) live here too so the two HTTP front ends enforce identical
-limits.
+idle timeout) live here too, next to the limits they enforce.
 """
 
 from __future__ import annotations
@@ -69,8 +68,8 @@ MAX_REQUEST_TIMEOUT = 300.0
 
 #: Seconds a front end allows for one declared request body to arrive in
 #: full.  A client that trickles its upload a byte at a time must not pin
-#: a handler thread (or an event-loop task) beyond this budget: the read
-#: is abandoned and the request answered 408.
+#: an event-loop task beyond this budget: the read is abandoned and the
+#: request answered 408.
 BODY_READ_TIMEOUT = 30.0
 
 #: Seconds an idle keep-alive connection may sit between requests before
@@ -100,8 +99,8 @@ def classify_error(error: BaseException) -> Tuple[int, str]:
     """Map an exception to its ``(HTTP status, reason)`` pair.
 
     One mapping for whole-request statuses and per-row stream errors, so
-    the error taxonomy cannot drift between the buffered and streaming
-    paths — or between the threaded and async front ends.
+    the error taxonomy cannot drift between the buffered, streaming and
+    binary paths.
     """
     if isinstance(error, QuotaExceededError):
         return 429, "quota"
@@ -354,8 +353,8 @@ class SlowBodyError(RuntimeError):
 class StreamLineEncoder:
     """NDJSON line encoder for one streamed request, counting outcomes.
 
-    Both chunked-response writers (threaded and async) feed their
-    ``(index, outcome)`` events through one of these: :meth:`line`
+    The chunked-response writer feeds its ``(index, outcome)`` events
+    through one of these: :meth:`line`
     renders a row event, :meth:`summary` the clean terminal line and
     :meth:`abnormal_summary` the terminal line of a stream whose event
     source blew up mid-way (the remaining rows are counted as failed, so

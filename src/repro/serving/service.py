@@ -21,11 +21,11 @@ recall engine:
    and resolve each caller's future with its own
    :class:`~repro.core.amm.RecognitionResult` slice.
 
-Very large multi-image requests stream through
-:meth:`RecognitionService.recognise_stream`, which submits rows in
-bounded windows and yields each row's outcome as its future resolves —
-the HTTP front end turns that into a chunked NDJSON response, so a
-1000-image request is served incrementally with flat server-side memory.
+Very large multi-image requests stream: the asyncio front end
+(:mod:`repro.serving.aio`) submits their rows in bounded windows of
+:meth:`RecognitionService.stream_window` rows and writes each row's
+outcome as its future resolves, so a 1000-image request is served
+incrementally with flat server-side memory.
 
 Every request carries a seed for its private random substream (see
 :meth:`~repro.core.amm.AssociativeMemoryModule.recognise_batch_seeded`),
@@ -42,7 +42,7 @@ import itertools
 import threading
 import time
 from collections import deque
-from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,11 +71,6 @@ from repro.utils.validation import check_integer
 MIN_PRIORITY = 0
 MAX_PRIORITY = 9
 DEFAULT_PRIORITY = MIN_PRIORITY
-
-#: Outcome of one streamed row: its index and either a result or the
-#: error that resolved it.
-StreamEvent = Tuple[int, Union[RecognitionResult, BaseException]]
-
 
 def _consume_outcome(future: concurrent.futures.Future) -> None:
     """Done-callback that retrieves (and discards) a future's outcome."""
@@ -296,32 +291,6 @@ class RecognitionService:
             client_id=client_id,
         )[0]
 
-    def _validate_rows(
-        self,
-        codes_batch: np.ndarray,
-        seeds: Optional[Sequence[int]],
-    ) -> Tuple[np.ndarray, Sequence[int]]:
-        """Shared request validation (shape, ranges, seeds) for the
-        buffered and streaming submission paths."""
-        codes_batch = np.asarray(codes_batch, dtype=np.int64)
-        if codes_batch.ndim != 2 or codes_batch.shape[1] != self.amm.crossbar.rows:
-            raise ValueError(
-                f"codes_batch must have shape (B, {self.amm.crossbar.rows}), "
-                f"got {codes_batch.shape}"
-            )
-        if seeds is None:
-            seeds = [0] * codes_batch.shape[0]
-        if len(seeds) != codes_batch.shape[0]:
-            raise ValueError(
-                f"seeds must have length {codes_batch.shape[0]}, got {len(seeds)}"
-            )
-        max_code = self.amm.input_dacs.max_code
-        if np.any(codes_batch < 0) or np.any(codes_batch > max_code):
-            raise ValueError(f"codes must be in [0, {max_code}]")
-        if any(seed < 0 for seed in seeds):
-            raise ValueError("seeds must be non-negative")
-        return codes_batch, seeds
-
     def submit_many(
         self,
         codes_batch: np.ndarray,
@@ -341,7 +310,23 @@ class RecognitionService:
         ``client_id`` the same ordering and quota accounting, to every
         row.
         """
-        codes_batch, seeds = self._validate_rows(codes_batch, seeds)
+        codes_batch = np.asarray(codes_batch, dtype=np.int64)
+        if codes_batch.ndim != 2 or codes_batch.shape[1] != self.amm.crossbar.rows:
+            raise ValueError(
+                f"codes_batch must have shape (B, {self.amm.crossbar.rows}), "
+                f"got {codes_batch.shape}"
+            )
+        if seeds is None:
+            seeds = [0] * codes_batch.shape[0]
+        if len(seeds) != codes_batch.shape[0]:
+            raise ValueError(
+                f"seeds must have length {codes_batch.shape[0]}, got {len(seeds)}"
+            )
+        max_code = self.amm.input_dacs.max_code
+        if np.any(codes_batch < 0) or np.any(codes_batch > max_code):
+            raise ValueError(f"codes must be in [0, {max_code}]")
+        if any(seed < 0 for seed in seeds):
+            raise ValueError("seeds must be non-negative")
         check_integer("priority", priority, minimum=MIN_PRIORITY)
         if priority > MAX_PRIORITY:
             raise ValueError(
@@ -430,6 +415,7 @@ class RecognitionService:
                 "request shed from the queue to admit higher-priority traffic; "
                 "retry later"
             )
+            self.metrics.record_shed(len(shed))
             for pending in shed:
                 if self.quotas is not None:
                     # Shed rows did no work: give their tokens back (the
@@ -437,7 +423,6 @@ class RecognitionService:
                     self.quotas.refund_tokens(pending.client_id, 1)
                 if pending.future.set_running_or_notify_cancel():
                     pending.future.set_exception(error)
-            self.metrics.record_shed(len(shed))
         return [pending.future for pending in batch]
 
     def recognise(
@@ -471,10 +456,10 @@ class RecognitionService:
 
         The rows enter the shared micro-batching queue individually
         (atomically, via :meth:`submit_many`), so they coalesce with
-        whatever other traffic is in flight — this is the multi-image
-        HTTP request path, not a private batch.  ``timeout`` bounds the
-        *whole* gather (client-side wait); ``timeout_ms`` is the
-        server-side dispatch deadline applied to every row.
+        whatever other traffic is in flight — the in-process twin of a
+        multi-image HTTP request, not a private batch.  ``timeout``
+        bounds the *whole* gather (client-side wait); ``timeout_ms`` is
+        the server-side dispatch deadline applied to every row.
 
         When the gather fails part-way (a row error, or the ``timeout``
         budget running out), the remaining rows are abandoned: still-
@@ -523,148 +508,23 @@ class RecognitionService:
     # ------------------------------------------------------------------ #
     # Streaming
     # ------------------------------------------------------------------ #
-    def stream_window(self, window: Optional[int] = None) -> int:
+    def stream_window(self) -> int:
         """The bounded submission-window size of one streamed request.
 
-        Default: twice ``max_batch_size`` (so the batcher always has a
-        full batch ready while the previous one is in flight), clamped
+        Twice ``max_batch_size`` (so the batcher always has a full batch
+        ready while the previous one is in flight), at least 32, clamped
         to the queue depth and — when quotas are configured — the quota
         burst and per-client in-flight cap, or the all-or-nothing window
         submission could never be admitted even on an idle service.
-        Shared by the blocking generator below and the asyncio front
-        end's stream writer, so every transport windows identically.
+        Shared by the asyncio front end's NDJSON stream writer and its
+        binary endpoint, so both transports window identically.
         """
-        if window is None:
-            window = max(2 * self.max_batch_size, 32)
-        check_integer("window", window, minimum=1)
-        window = min(window, self.max_queue_depth)
+        window = min(max(2 * self.max_batch_size, 32), self.max_queue_depth)
         if self.quotas is not None:
             window = min(window, self.quotas.burst)
             if self.quotas.config.max_inflight is not None:
                 window = min(window, self.quotas.config.max_inflight)
         return window
-
-    def recognise_stream(
-        self,
-        codes_batch: np.ndarray,
-        seeds: Optional[Sequence[int]] = None,
-        timeout: Optional[float] = None,
-        timeout_ms: Optional[float] = None,
-        priority: int = DEFAULT_PRIORITY,
-        client_id: Optional[str] = None,
-        window: Optional[int] = None,
-    ) -> Generator[StreamEvent, None, None]:
-        """Stream a large multi-image request row by row, in row order.
-
-        Submits rows in bounded windows of at most ``window`` requests
-        (default: twice ``max_batch_size``, clamped to the queue depth
-        and the quota burst) and yields ``(row_index, outcome)`` as each
-        row's future resolves — ``outcome`` is the row's
-        :class:`~repro.core.amm.RecognitionResult` or the exception that
-        resolved it (partial failure is per-row, not per-request).  The
-        server turns these events into a chunked NDJSON response, so the
-        service never buffers more than one window of futures per stream,
-        and a request larger than ``max_queue_depth`` — impossible on the
-        buffered path — streams through in slices.
-
-        Admission pressure (backpressure or quota) while the stream has
-        rows in flight is absorbed by draining those rows first and
-        retrying; when nothing is in flight the retry honours the
-        ``timeout`` budget, after which the remaining rows are yielded
-        with the admission error.  A denial before *anything* was
-        admitted propagates as a plain exception — the caller gets the
-        same clean 429 as a buffered request.
-        """
-        codes_batch, seeds = self._validate_rows(codes_batch, seeds)
-        total = codes_batch.shape[0]
-        window = self.stream_window(window)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        inflight: deque = deque()  # of (row_index, future)
-        next_row = 0
-        admission_error: Optional[BaseException] = None
-        try:
-            while inflight or next_row < total:
-                # Keep the submission window full while rows remain.
-                while (
-                    admission_error is None
-                    and next_row < total
-                    and len(inflight) < window
-                ):
-                    end = min(next_row + (window - len(inflight)), total)
-                    try:
-                        futures = self.submit_many(
-                            codes_batch[next_row:end],
-                            seeds=list(seeds[next_row:end]),
-                            timeout_ms=timeout_ms,
-                            priority=priority,
-                            client_id=client_id,
-                        )
-                    except ServiceClosedError as error:
-                        if next_row == 0 and not inflight:
-                            raise  # nothing streamed yet: clean 503
-                        # Mid-stream shutdown is permanent: no retry,
-                        # the remaining rows fail with per-row errors.
-                        admission_error = error
-                        break
-                    except (BackpressureError, QuotaExceededError) as error:
-                        if next_row == 0 and not inflight:
-                            raise  # nothing streamed yet: clean rejection
-                        if inflight:
-                            break  # drain our own rows, then retry
-                        remaining = (
-                            None
-                            if deadline is None
-                            else deadline - time.monotonic()
-                        )
-                        if remaining is not None and remaining <= 0:
-                            admission_error = error
-                            break
-                        delay = getattr(error, "retry_after", None) or 0.02
-                        delay = min(delay, 0.25)
-                        if remaining is not None:
-                            delay = min(delay, remaining)
-                        time.sleep(max(delay, 1e-4))
-                        continue
-                    for offset, future in enumerate(futures):
-                        inflight.append((next_row + offset, future))
-                    next_row = end
-                if not inflight:
-                    break  # done, or admission gave out with nothing in flight
-                index, future = inflight.popleft()
-                remaining = (
-                    None if deadline is None else max(0.0, deadline - time.monotonic())
-                )
-                try:
-                    outcome: Union[RecognitionResult, BaseException] = future.result(
-                        remaining
-                    )
-                except concurrent.futures.TimeoutError:
-                    # The whole-stream budget is spent: everything left
-                    # fails with the same timeout, queued rows cancelled.
-                    timeout_error = concurrent.futures.TimeoutError(
-                        f"stream not served within {timeout} s"
-                    )
-                    self._abandon([future])
-                    yield index, timeout_error
-                    self._abandon(f for _, f in inflight)
-                    for stale_index, _ in inflight:
-                        yield stale_index, timeout_error
-                    inflight.clear()
-                    for unsubmitted in range(next_row, total):
-                        yield unsubmitted, timeout_error
-                    return
-                except concurrent.futures.CancelledError as error:
-                    outcome = error
-                except Exception as error:  # per-row failure: keep streaming
-                    outcome = error
-                yield index, outcome
-            if admission_error is not None:
-                for unsubmitted in range(next_row, total):
-                    yield unsubmitted, admission_error
-        finally:
-            # Closed generator (client went away) or internal error:
-            # nothing keeps computing for an audience that left.
-            self._abandon(future for _, future in inflight)
 
     # ------------------------------------------------------------------ #
     # Micro-batcher
@@ -747,8 +607,8 @@ class RecognitionService:
 
         When the pool's backend is fleet-supervised (exposes
         ``fleet_stats``), its replica/health/control snapshot rides along
-        as a ``fleet`` section — both front ends serve it for free since
-        they delegate here (schema in ``src/repro/serving/README.md``).
+        as a ``fleet`` section — the front end serves it for free since
+        it delegates here (schema in ``src/repro/serving/README.md``).
         """
         stats = self.metrics.snapshot()
         fleet_stats = getattr(self.pool.backend, "fleet_stats", None)
@@ -780,13 +640,15 @@ class RecognitionService:
             error = ServiceClosedError(
                 "service closed before the request was dispatched"
             )
-            failed = 0
-            for pending in abandoned:
-                # A cancelled future must not be resolved again.
-                if pending.future.set_running_or_notify_cancel():
-                    pending.future.set_exception(error)
-                    failed += 1
-            self.metrics.record_failed(failed)
+            # A cancelled future must not be resolved again.
+            claimed = [
+                pending
+                for pending in abandoned
+                if pending.future.set_running_or_notify_cancel()
+            ]
+            self.metrics.record_failed(len(claimed))
+            for pending in claimed:
+                pending.future.set_exception(error)
             # With the queue empty the batcher exits after at most one
             # dispatch cycle; the pool is still consuming, so this join
             # is bounded by the in-flight work.

@@ -232,13 +232,13 @@ class ShardedWorkerPool:
                 self._queue.put((rank, next(self._sequence), batch))
                 return
         error = ServiceClosedError("worker pool is closed")
-        failed = 0
-        for pending in batch:
-            if pending.future.set_running_or_notify_cancel():
-                pending.future.set_exception(error)
-                failed += 1
-        if failed:
-            self.metrics.record_failed(failed)
+        claimed = [
+            pending for pending in batch if pending.future.set_running_or_notify_cancel()
+        ]
+        if claimed:
+            self.metrics.record_failed(len(claimed))
+        for pending in claimed:
+            pending.future.set_exception(error)
         raise error
 
     def _run(self) -> None:
@@ -249,23 +249,24 @@ class ShardedWorkerPool:
             self._process(batch)
 
     def _drop_expired(self, batch: List[PendingRequest]) -> List[PendingRequest]:
-        """Resolve deadline-expired requests before they reach the backend."""
+        """Resolve deadline-expired requests before they reach the backend.
+
+        Here and below, metrics are recorded *before* the futures
+        resolve, so a caller that has seen its outcome also sees it
+        counted in ``/stats``.
+        """
         now = time.monotonic()
         live: List[PendingRequest] = []
-        expired = 0
+        expired: List[PendingRequest] = []
         for pending in batch:
-            if pending.expired(now):
-                if pending.future.set_running_or_notify_cancel():
-                    pending.future.set_exception(
-                        DeadlineExceededError(
-                            "request deadline expired before dispatch"
-                        )
-                    )
-                expired += 1
-            else:
-                live.append(pending)
+            (expired if pending.expired(now) else live).append(pending)
         if expired:
-            self.metrics.record_expired(expired)
+            self.metrics.record_expired(len(expired))
+        for pending in expired:
+            if pending.future.set_running_or_notify_cancel():
+                pending.future.set_exception(
+                    DeadlineExceededError("request deadline expired before dispatch")
+                )
         return live
 
     def _process(self, batch: List[PendingRequest]) -> None:
@@ -295,20 +296,18 @@ class ShardedWorkerPool:
                 seeds = [pending.seed for pending in live]
                 results = list(self.backend.recall_batch_seeded(codes, seeds))
         except Exception as error:  # resolve every caller, never swallow
+            self.metrics.record_failed(len(live))
             for pending in live:
                 pending.future.set_exception(error)
-            self.metrics.record_failed(len(live))
             return
         now = time.monotonic()
-        latencies = []
-        for pending, result in zip(live, results):
-            pending.future.set_result(result)
-            latencies.append(now - pending.enqueued_at)
         self.metrics.record_completed(
-            latencies,
+            [now - pending.enqueued_at for pending in live],
             priorities=[pending.priority for pending in live],
             client_ids=[pending.client_id for pending in live],
         )
+        for pending, result in zip(live, results):
+            pending.future.set_result(result)
 
     # ------------------------------------------------------------------ #
     # Lifecycle

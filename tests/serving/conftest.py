@@ -50,7 +50,7 @@ def free_port() -> int:
     """An OS-assigned TCP port that was free a moment ago.
 
     The port-collision rule of this suite: servers bind ``port=0`` and
-    read the ephemeral port back wherever possible (``start_server``
+    read the ephemeral port back wherever possible (``start_async_server``
     supports it; never hard-code a port or retry over a fixed range).
     This fixture covers the remaining case — an API that must be handed
     a concrete port number up front.  The OS hands out ascending

@@ -1,15 +1,9 @@
-"""Semantics matrix for the asyncio front end (`repro.serving.aio`).
+"""Semantics of the asyncio front end (`repro.serving.aio`) over JSON.
 
-The async server must be behaviourally indistinguishable from the
-threaded reference over the JSON API — same results bit for bit, same
-error taxonomy (400/404/408/411/429/503/504), same priority, quota,
-deadline and streaming semantics.  Both front ends are built on
-``repro.serving.protocol``, and this file pins the equivalence from the
-outside: every test drives real sockets against a real server.
-
-The body-limit regressions (trickling client, oversized declaration,
-chunked upload) are tested against *both* front ends here, since the
-threaded server's slow-body deadline landed in the same change.
+Results match the engine bit for bit, and the error taxonomy
+(400/404/408/411/429/503/504), priority, quota, deadline, body-limit and
+streaming semantics hold from the outside: every test drives real
+sockets against a real server.
 """
 
 from __future__ import annotations
@@ -23,16 +17,13 @@ import numpy as np
 import pytest
 
 import repro.serving.aio as aio_module
-import repro.serving.server as server_module
 from repro.serving import (
     QuotaConfig,
     RecognitionClient,
     RecognitionService,
     ServerError,
     start_async_server,
-    start_server,
     stop_async_server,
-    stop_server,
 )
 from tests.serving.test_regressions import wait_for
 
@@ -79,49 +70,6 @@ class TestJsonParity:
         assert result["static_power_w"] == pytest.approx(
             reference.static_power, rel=1e-9
         )
-
-    def test_bit_identical_with_threaded_frontend(
-        self, serving_amm, request_codes, request_seeds
-    ):
-        """The determinism contract is frontend-independent: the same
-        (codes, seeds) through either front end yields byte-identical
-        JSON result objects."""
-        seeds = [int(seed) for seed in request_seeds[:10]]
-        threaded = start_server(make_service(serving_amm), port=0)
-        try:
-            with RecognitionClient("127.0.0.1", threaded.port) as client:
-                via_threads = client.recognise_many(request_codes[:10], seeds=seeds)
-        finally:
-            stop_server(threaded)
-        asynch = start_async_server(make_service(serving_amm), port=0, binary_port=None)
-        try:
-            with RecognitionClient("127.0.0.1", asynch.port) as client:
-                via_loop = client.recognise_many(request_codes[:10], seeds=seeds)
-        finally:
-            stop_async_server(asynch)
-        assert via_loop == via_threads
-
-    def test_streaming_matches_threaded_frontend(
-        self, serving_amm, request_codes, request_seeds
-    ):
-        seeds = [int(seed) for seed in request_seeds[:8]]
-
-        def collect(port):
-            with RecognitionClient("127.0.0.1", port) as client:
-                return list(client.recognise_stream(request_codes[:8], seeds=seeds))
-
-        threaded = start_server(make_service(serving_amm), port=0)
-        try:
-            threaded_lines = collect(threaded.port)
-        finally:
-            stop_server(threaded)
-        asynch = start_async_server(make_service(serving_amm), port=0, binary_port=None)
-        try:
-            async_lines = collect(asynch.port)
-        finally:
-            stop_async_server(asynch)
-        assert async_lines == threaded_lines
-        assert async_lines[-1] == {"done": True, "count": 8, "ok": 8, "failed": 0}
 
     def test_healthz_and_stats(self, async_server):
         with RecognitionClient("127.0.0.1", async_server.port) as client:
@@ -275,31 +223,13 @@ class TestErrorTaxonomy:
 
 
 class TestBodyLimits:
-    """Content-Length enforcement and slow-body deadlines, both front ends."""
+    """Content-Length enforcement and slow-body deadlines."""
 
-    @pytest.fixture(params=["threaded", "async"])
-    def either_server(self, request, serving_amm):
-        service = make_service(serving_amm)
-        if request.param == "async":
-            server = start_async_server(service, port=0, binary_port=None)
-            yield request.param, server
-            if not service.closed:
-                stop_async_server(server)
-        else:
-            server = start_server(service, port=0)
-            yield request.param, server
-            if not service.closed:
-                stop_server(server)
-
-    def _timeout_module(self, kind):
-        return aio_module if kind == "async" else server_module
-
-    def test_oversized_declaration_rejected_before_read(self, either_server):
+    def test_oversized_declaration_rejected_before_read(self, async_server):
         from repro.serving import protocol
 
-        kind, server = either_server
         connection = http.client.HTTPConnection(
-            "127.0.0.1", server.port, timeout=10.0
+            "127.0.0.1", async_server.port, timeout=10.0
         )
         try:
             connection.putrequest("POST", "/recognise")
@@ -317,10 +247,9 @@ class TestBodyLimits:
         finally:
             connection.close()
 
-    def test_chunked_body_rejected_411(self, either_server):
-        kind, server = either_server
+    def test_chunked_body_rejected_411(self, async_server):
         connection = http.client.HTTPConnection(
-            "127.0.0.1", server.port, timeout=10.0
+            "127.0.0.1", async_server.port, timeout=10.0
         )
         try:
             connection.putrequest("POST", "/recognise")
@@ -337,15 +266,14 @@ class TestBodyLimits:
             connection.close()
 
     def test_trickling_client_hits_read_deadline(
-        self, either_server, monkeypatch
+        self, async_server, monkeypatch
     ):
         """A client that declares a body and then stalls cannot hold a
         handler past ``BODY_READ_TIMEOUT``: the server answers 408 and
         drops the connection."""
-        kind, server = either_server
-        monkeypatch.setattr(self._timeout_module(kind), "BODY_READ_TIMEOUT", 0.3)
+        monkeypatch.setattr(aio_module, "BODY_READ_TIMEOUT", 0.3)
         with socket.create_connection(
-            ("127.0.0.1", server.port), timeout=10.0
+            ("127.0.0.1", async_server.port), timeout=10.0
         ) as sock:
             sock.sendall(
                 b"POST /recognise HTTP/1.1\r\n"

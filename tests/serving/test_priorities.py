@@ -19,8 +19,8 @@ from repro.serving import (
     RecognitionService,
     ServerError,
     RecognitionClient,
-    start_server,
-    stop_server,
+    start_async_server,
+    stop_async_server,
 )
 from tests.serving.test_regressions import wait_for
 
@@ -43,7 +43,7 @@ class TestValidation:
 
     def test_http_priority_validation(self, serving_amm, request_codes):
         service = RecognitionService(serving_amm, max_batch_size=8, max_wait=1e-3)
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0)
         try:
             with RecognitionClient("127.0.0.1", server.port) as client:
                 with pytest.raises(ServerError) as excinfo:
@@ -52,7 +52,7 @@ class TestValidation:
                 result = client.recognise(request_codes[0], seed=3, priority=5)
                 assert "winner" in result
         finally:
-            stop_server(server)
+            stop_async_server(server)
 
 
 class TestDispatchOrdering:

@@ -1,7 +1,13 @@
-"""HTTP front-end tests: endpoints, error mapping, clean shutdown."""
+"""HTTP front-end tests: endpoints, error mapping, connection persistence.
+
+The remaining error-taxonomy statuses (404, malformed JSON, wrong shape,
+411, seed overflow, 503, 504) and the port-release check are pinned in
+``test_async_frontend.py``.
+"""
 
 import http.client
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -10,18 +16,18 @@ from repro.serving import (
     RecognitionClient,
     RecognitionService,
     ServerError,
-    start_server,
-    stop_server,
+    start_async_server,
+    stop_async_server,
 )
 
 
 @pytest.fixture()
 def running_server(serving_amm):
     service = RecognitionService(serving_amm, max_batch_size=8, max_wait=1e-3, workers=2)
-    server = start_server(service, port=0)
+    server = start_async_server(service, port=0)
     yield server
     if not service.closed:
-        stop_server(server)
+        stop_async_server(server)
 
 
 def raw_post(port, path, body: bytes, content_type="application/json"):
@@ -80,36 +86,9 @@ class TestEndpoints:
 
 
 class TestErrorMapping:
-    def test_unknown_path_404(self, running_server):
-        status, payload = raw_post(running_server.port, "/nope", b"{}")
-        assert status == 404 and "error" in payload
-
-    def test_malformed_json_400(self, running_server):
-        status, payload = raw_post(running_server.port, "/recognise", b"{not json")
-        assert status == 400 and "error" in payload
-
-    def test_wrong_shape_400(self, running_server):
-        body = json.dumps({"codes": [1, 2, 3]}).encode()
-        status, payload = raw_post(running_server.port, "/recognise", body)
-        assert status == 400 and "error" in payload
-
-    def test_missing_body_411(self, running_server):
-        status, payload = raw_post(running_server.port, "/recognise", b"")
-        assert status == 411
-        assert payload["reason"] == "length_required"
-
-    def test_overflowing_seed_400(self, running_server, request_codes):
-        body = json.dumps(
-            {"codes": request_codes[0].tolist(), "seed": 2**63}
-        ).encode()
-        status, payload = raw_post(running_server.port, "/recognise", body)
-        assert status == 400 and "error" in payload
-
     def test_never_admittable_batch_400_not_429(self, serving_amm, request_codes):
-        from repro.serving import RecognitionService, start_server, stop_server
-
         service = RecognitionService(serving_amm, max_batch_size=4, max_queue_depth=4)
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0)
         try:
             rows = np.tile(request_codes[0], (6, 1)).tolist()
             status, payload = raw_post(
@@ -118,7 +97,7 @@ class TestErrorMapping:
             assert status == 400
             assert "split (or stream) the request" in payload["error"]
         finally:
-            stop_server(server)
+            stop_async_server(server)
 
     def test_client_raises_server_error(self, running_server):
         with RecognitionClient("127.0.0.1", running_server.port) as client:
@@ -150,50 +129,53 @@ class TestErrorMapping:
         finally:
             connection.close()
 
-    def test_unserved_request_maps_to_504(self, running_server, request_codes, monkeypatch):
-        import threading
 
-        import repro.serving.server as server_module
-        from repro.backends.threaded import ThreadedBackend
-
-        gate = threading.Event()
-        original = ThreadedBackend.recall_batch_seeded
-
-        def gated_recall(self, codes_batch, request_seeds):
-            gate.wait(timeout=20.0)
-            return original(self, codes_batch, request_seeds)
-
-        monkeypatch.setattr(ThreadedBackend, "recall_batch_seeded", gated_recall)
-        monkeypatch.setattr(server_module, "DEFAULT_REQUEST_TIMEOUT", 0.05)
-        try:
-            body = json.dumps({"codes": request_codes[0].tolist()}).encode()
-            status, payload = raw_post(running_server.port, "/recognise", body)
-            assert status == 504
-            assert "error" in payload
-        finally:
-            gate.set()
-
-    def test_closed_service_maps_to_503(self, running_server, request_codes):
-        running_server.service.close()
-        body = json.dumps({"codes": request_codes[0].tolist()}).encode()
-        status, payload = raw_post(running_server.port, "/recognise", body)
-        assert status == 503
-        stop_server(running_server, close_service=False)
+def read_response(sock):
+    """One ``Content-Length`` framed response off a raw socket:
+    ``(lower-cased head, body)``."""
+    raw = b""
+    while b"\r\n\r\n" not in raw:
+        chunk = sock.recv(4096)
+        assert chunk, "connection closed before the response head"
+        raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    head = head.lower()
+    length = int(head.split(b"content-length:", 1)[1].split(b"\r\n", 1)[0])
+    while len(body) < length:
+        chunk = sock.recv(4096)
+        assert chunk, "connection closed mid-body"
+        body += chunk
+    return head, body
 
 
-def test_clean_shutdown_and_port_release(serving_amm, request_codes):
-    service = RecognitionService(serving_amm, max_batch_size=4, max_wait=0.0)
-    server = start_server(service, port=0)
-    port = server.port
-    with RecognitionClient("127.0.0.1", port) as client:
-        client.recognise(request_codes[0])
-    stop_server(server)
-    assert service.closed
-    # The socket is released: a fresh service can bind the same port.
-    second_service = RecognitionService(serving_amm, max_batch_size=4, max_wait=0.0)
-    second = start_server(second_service, port=port)
-    assert second.port == port
-    stop_server(second)
+class TestConnectionPersistence:
+    def test_http10_request_closes_after_response(self, running_server):
+        """A plain HTTP/1.0 client (``curl -0``, ``ab`` without ``-k``)
+        reads its response to EOF, so the server must close right after
+        answering instead of holding the socket until the idle timeout."""
+        with socket.create_connection(
+            ("127.0.0.1", running_server.port), timeout=5.0
+        ) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            head, body = read_response(sock)
+            assert b" 200 " in head.split(b"\r\n", 1)[0]
+            assert b"connection: close" in head
+            assert json.loads(body)["status"] == "ok"
+            # EOF now, not a socket.timeout five seconds later.
+            assert sock.recv(4096) == b""
+
+    def test_http10_keep_alive_persists(self, running_server):
+        with socket.create_connection(
+            ("127.0.0.1", running_server.port), timeout=5.0
+        ) as sock:
+            for _ in range(2):
+                sock.sendall(
+                    b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+                )
+                head, body = read_response(sock)
+                assert b" 200 " in head.split(b"\r\n", 1)[0]
+                assert b"connection: close" not in head
+                assert json.loads(body)["status"] == "ok"
 
 
 def test_explicit_port_boot_uses_free_port_fixture(
@@ -203,11 +185,11 @@ def test_explicit_port_boot_uses_free_port_fixture(
     from the shared ``free_port`` fixture (never a hard-coded number or
     a bind-retry loop) and serve on it normally."""
     service = RecognitionService(serving_amm, max_batch_size=4, max_wait=0.0)
-    server = start_server(service, port=free_port)
+    server = start_async_server(service, port=free_port)
     try:
         assert server.port == free_port
         with RecognitionClient("127.0.0.1", free_port) as client:
             assert client.healthz()["status"] == "ok"
             client.recognise(request_codes[0], seed=3)
     finally:
-        stop_server(server)
+        stop_async_server(server)

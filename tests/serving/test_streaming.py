@@ -11,29 +11,29 @@ every streamed result is bit-identical to the buffered/serial path.
 
 from __future__ import annotations
 
-import concurrent.futures
 import threading
 
 import numpy as np
 import pytest
 
+import repro.serving.aio as aio_module
 from repro.serving import (
-    DeadlineExceededError,
     RecognitionClient,
     RecognitionService,
     ServerError,
-    start_server,
-    stop_server,
+    start_async_server,
+    stop_async_server,
 )
+from tests.serving.test_regressions import wait_for
 
 
 @pytest.fixture()
 def running_server(serving_amm):
     service = RecognitionService(serving_amm, max_batch_size=8, max_wait=1e-3, workers=2)
-    server = start_server(service, port=0)
+    server = start_async_server(service, port=0)
     yield server
     if not service.closed:
-        stop_server(server)
+        stop_async_server(server)
 
 
 class TestStreamRoundTrip:
@@ -112,7 +112,7 @@ class TestWindowedSubmission:
         service = RecognitionService(
             serving_amm, max_batch_size=4, max_wait=0.0, max_queue_depth=8, workers=2
         )
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0)
         codes = np.tile(request_codes, (3, 1))[:64]
         seeds = list(range(64))
         try:
@@ -134,7 +134,7 @@ class TestWindowedSubmission:
                     reference[index].static_power, rel=1e-9
                 )
         finally:
-            stop_server(server)
+            stop_async_server(server)
 
     def test_window_clamped_to_quota_inflight_cap(self, serving_amm, request_codes):
         """A client whose max_inflight is below the default window must
@@ -149,7 +149,7 @@ class TestWindowedSubmission:
             workers=1,
             quota=QuotaConfig(rate=1e9, burst=256, max_inflight=4),
         )
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0)
         try:
             with RecognitionClient(
                 "127.0.0.1", server.port, client_id="small-tenant"
@@ -161,7 +161,7 @@ class TestWindowedSubmission:
                 )
             assert events[-1] == {"done": True, "count": 12, "ok": 12, "failed": 0}
         finally:
-            stop_server(server)
+            stop_async_server(server)
 
     def test_stream_honours_per_row_timeout_ms_on_healthy_server(
         self, running_server, request_codes
@@ -176,22 +176,6 @@ class TestWindowedSubmission:
             )
         assert events[-1]["ok"] == 6
 
-    def test_service_level_window_generator(self, serving_amm, request_codes, request_seeds):
-        with RecognitionService(
-            serving_amm, max_batch_size=4, max_wait=0.0, workers=1
-        ) as service:
-            events = list(
-                service.recognise_stream(
-                    request_codes, seeds=list(request_seeds), window=4, timeout=30.0
-                )
-            )
-            reference = serving_amm.recognise_batch_seeded(request_codes, request_seeds)
-            assert [index for index, _ in events] == list(range(len(request_seeds)))
-            for index, outcome in events:
-                assert not isinstance(outcome, BaseException)
-                assert outcome.winner_column == reference[index].winner_column
-
-
 class TestPartialFailure:
     def test_expired_rows_become_error_objects(
         self, serving_amm, request_codes, recall_gate
@@ -202,7 +186,7 @@ class TestPartialFailure:
         service = RecognitionService(
             serving_amm, max_batch_size=1, max_wait=0.0, workers=1
         )
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0)
         try:
             # Fill the gated dispatch pipeline from a side thread so the
             # streamed rows sit in the queue past their 1 ms deadline.
@@ -233,116 +217,99 @@ class TestPartialFailure:
             assert service.metrics.expired == 4
         finally:
             gate.set()
-            stop_server(server)
-
-    def test_service_stream_yields_exceptions_per_row(
-        self, serving_amm, request_codes, recall_gate
-    ):
-        gate, _ = recall_gate
-        service = RecognitionService(
-            serving_amm, max_batch_size=1, max_wait=0.0, workers=1
-        )
-        try:
-            blockers = [
-                service.submit(request_codes[index], seed=100 + index)
-                for index in range(3)
-            ]
-            release = threading.Timer(0.3, gate.set)
-            release.start()
-            try:
-                events = list(
-                    service.recognise_stream(
-                        request_codes[:3],
-                        seeds=[1, 2, 3],
-                        timeout_ms=1.0,
-                        timeout=20.0,
-                    )
-                )
-            finally:
-                release.join()
-            assert len(events) == 3
-            for _, outcome in events:
-                assert isinstance(outcome, DeadlineExceededError)
-            for blocker in blockers:
-                blocker.result(timeout=20.0)
-        finally:
-            gate.set()
-            service.close()
+            stop_async_server(server)
 
     def test_whole_stream_timeout_fails_remaining_rows(
-        self, serving_amm, request_codes, recall_gate
+        self, serving_amm, request_codes, recall_gate, monkeypatch
     ):
+        """When the whole-stream budget runs out, every row still owed
+        comes back as a 504 error line under a well-formed summary, and
+        the timed-out rows are cancelled rather than solved."""
         gate, recalled = recall_gate
+        monkeypatch.setattr(aio_module, "MAX_REQUEST_TIMEOUT", 0.3)
         service = RecognitionService(
             serving_amm, max_batch_size=1, max_wait=0.0, workers=1
         )
+        server = start_async_server(service, port=0)
         try:
+            # Fill the gated dispatch pipeline so the streamed rows queue.
             blockers = [
                 service.submit(request_codes[index], seed=100 + index)
                 for index in range(3)
             ]
-            events = list(
-                service.recognise_stream(
-                    request_codes[:4], seeds=[1, 2, 3, 4], timeout=0.3
+            with RecognitionClient("127.0.0.1", server.port) as client:
+                events = list(
+                    client.recognise_stream(request_codes[:4], seeds=[1, 2, 3, 4])
                 )
-            )
-            assert [index for index, _ in events] == [0, 1, 2, 3]
-            assert all(
-                isinstance(outcome, concurrent.futures.TimeoutError)
-                for _, outcome in events
-            )
+            assert events[-1] == {"done": True, "count": 4, "ok": 0, "failed": 4}
+            assert [event["index"] for event in events[:-1]] == [0, 1, 2, 3]
+            for event in events[:-1]:
+                assert event["error"]["status"] == 504
+                assert event["error"]["reason"] == "deadline"
+                assert event["error"]["type"] == "TimeoutError"
             gate.set()
             for blocker in blockers:
                 blocker.result(timeout=20.0)
-            # The timed-out rows were cancelled, not solved.
-            assert not (set(recalled) & {1, 2, 3, 4})
+            assert sorted(recalled) == [100, 101, 102]
         finally:
             gate.set()
-            service.close()
+            stop_async_server(server)
 
 
 class TestMidStreamClose:
     def test_close_fails_remaining_rows_per_row(
         self, serving_amm, request_codes, recall_gate
     ):
-        """A service closed mid-stream resolves every remaining row with
-        ServiceClosedError events — the stream ends, it does not hang or
-        blow up the generator."""
-        from repro.serving import ServiceClosedError
-
+        """A service closed mid-stream answers every row it no longer
+        serves with a per-row 503 ``ServiceClosedError`` line, and the
+        stream still ends in a well-formed summary."""
         gate, _ = recall_gate
         service = RecognitionService(
-            serving_amm, max_batch_size=1, max_wait=0.0, workers=1
+            serving_amm, max_batch_size=1, max_wait=0.0, max_queue_depth=8, workers=1
         )
-        events = []
+        server = start_async_server(service, port=0)
+        events: list = []
+
+        def stream() -> None:
+            with RecognitionClient("127.0.0.1", server.port) as client:
+                events.extend(
+                    client.recognise_stream(
+                        np.tile(request_codes[0], (12, 1)), seeds=list(range(1, 13))
+                    )
+                )
+
+        streamer = threading.Thread(target=stream)
+        closer = threading.Thread(target=service.close, kwargs={"timeout": 0.1})
         try:
-            stream = service.recognise_stream(
-                request_codes[:6], seeds=[1, 2, 3, 4, 5, 6], window=2, timeout=30.0
-            )
-            closer = threading.Timer(0.3, lambda: service.close(timeout=0.1))
+            streamer.start()
+            # The first window (8 rows, the queue depth) is admitted; the
+            # gated dispatch pipeline holds 4 of them, the rest stay queued.
+            assert wait_for(lambda: service.metrics.submitted == 8)
             closer.start()
-            release = threading.Timer(1.0, gate.set)
-            release.start()
-            try:
-                events = list(stream)
-            finally:
-                closer.join()
-                release.join()
-            assert [index for index, _ in events] == list(range(6))
-            # Whatever was in flight may have been served; everything the
-            # closed service abandoned carries ServiceClosedError.
-            failures = [
-                outcome
-                for _, outcome in events
-                if isinstance(outcome, BaseException)
-            ]
-            assert failures, "close() during the stream produced no row errors"
-            assert all(
-                isinstance(outcome, ServiceClosedError) for outcome in failures
-            )
+            # close() fails the queued rows before the gate opens...
+            assert wait_for(lambda: service.metrics.failed > 0)
+            gate.set()
+            # ...and the 4 rows never submitted fail at admission.
+            streamer.join(timeout=20.0)
+            assert not streamer.is_alive()
+            closer.join(timeout=20.0)
+            summary = events[-1]
+            assert summary["done"] is True and summary["count"] == 12
+            assert summary["ok"] + summary["failed"] == 12
+            assert [event["index"] for event in events[:-1]] == list(range(12))
+            assert "result" in events[0]
+            failures = [event for event in events[:-1] if "error" in event]
+            assert len(failures) == summary["failed"]
+            assert {event["index"] for event in failures} >= {7, 8, 9, 10, 11}
+            for event in failures:
+                assert event["error"]["status"] == 503
+                assert event["error"]["type"] == "ServiceClosedError"
         finally:
             gate.set()
-            service.close()
+            for thread in (streamer, closer):
+                if thread.ident is not None:
+                    thread.join(timeout=20.0)
+            stop_async_server(server)
 
 
 class TestStreamAbandonment:
@@ -374,7 +341,6 @@ class TestStreamAbandonment:
         ``requests.cancelled``), their seeds never reach a recall, and
         the client's in-flight quota slots all come home — no leak."""
         from repro.serving import QuotaConfig
-        from tests.serving.test_regressions import wait_for
 
         service = RecognitionService(
             serving_amm,
@@ -383,7 +349,7 @@ class TestStreamAbandonment:
             workers=1,
             quota=QuotaConfig(rate=1e9, burst=256, max_inflight=256),
         )
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0)
         codes = np.tile(request_codes, (2, 1))[:24]
         seeds = list(range(1000, 1024))
         try:
@@ -414,66 +380,7 @@ class TestStreamAbandonment:
                 "every row was solved despite the client leaving"
             )
         finally:
-            stop_server(server)
-
-    def test_service_generator_close_cancels_and_releases_quota(
-        self, serving_amm, request_codes, monkeypatch
-    ):
-        """Same contract one layer down: closing the service-level
-        stream generator (what the HTTP handler does in its ``finally``)
-        cancels the queued window rows and releases the client's quota
-        slots."""
-        from repro.backends.threaded import ThreadedBackend
-        from repro.serving import QuotaConfig
-        from tests.serving.test_regressions import wait_for
-
-        # The first recall passes so the generator can yield one event
-        # and suspend; every later recall blocks until released.
-        gate = threading.Event()
-        recalled: list = []
-        passed_first = threading.Event()
-        original = ThreadedBackend.recall_batch_seeded
-
-        def wrapped(self, codes_batch, request_seeds):
-            if passed_first.is_set():
-                gate.wait(timeout=20.0)
-            passed_first.set()
-            recalled.extend(int(seed) for seed in request_seeds)
-            return original(self, codes_batch, request_seeds)
-
-        monkeypatch.setattr(ThreadedBackend, "recall_batch_seeded", wrapped)
-        service = RecognitionService(
-            serving_amm,
-            max_batch_size=1,
-            max_wait=0.0,
-            workers=1,
-            quota=QuotaConfig(rate=1e9, burst=256, max_inflight=256),
-        )
-        try:
-            stream = service.recognise_stream(
-                request_codes[:8],
-                seeds=list(range(200, 208)),
-                client_id="walker",
-                window=8,
-                timeout=30.0,
-            )
-            index, outcome = next(stream)  # whole window now submitted
-            assert index == 0 and not isinstance(outcome, BaseException)
-            assert service.quotas.inflight("walker") > 0
-            stream.close()  # the client walked away
-            assert wait_for(
-                lambda: service.metrics.cancelled > 0, timeout=20.0
-            ), "closing the stream generator cancelled nothing"
-            gate.set()
-            assert wait_for(
-                lambda: service.quotas.inflight("walker") == 0, timeout=20.0
-            ), "generator close leaked in-flight quota slots"
-            # The cancelled tail never reached the engine.
-            assert set(range(200, 208)) - set(recalled)
-        finally:
-            gate.set()
-            service.close()
-
+            stop_async_server(server)
 
 class TestStreamAdmission:
     def test_saturated_queue_streams_cleanly_rejected(
@@ -485,7 +392,7 @@ class TestStreamAdmission:
         service = RecognitionService(
             serving_amm, max_batch_size=1, max_wait=0.0, max_queue_depth=2, workers=1
         )
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0)
         try:
             from repro.serving import BackpressureError
 
@@ -522,4 +429,4 @@ class TestStreamAdmission:
                 future.result(timeout=20.0)
         finally:
             gate.set()
-            stop_server(server)
+            stop_async_server(server)
