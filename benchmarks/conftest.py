@@ -9,9 +9,11 @@ against the paper values recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import ctypes
+import os
 import pathlib
 
-
+import numpy as np
 import pytest
 
 from repro.core.config import default_parameters
@@ -38,6 +40,41 @@ def write_result(results_dir):
         (results_dir / f"{name}.txt").write_text(text + "\n")
 
     return _write
+
+
+@pytest.fixture(scope="session")
+def host_facts() -> dict:
+    """Core count, BLAS build and its effective thread count, for the record.
+
+    Recorded next to every throughput figure: the batched engine is BLAS
+    bound, so a number without its host is not comparable.  The thread
+    count is read from the loaded OpenBLAS itself (``None`` when numpy
+    links another BLAS).
+    """
+    facts = {"nproc": os.cpu_count(), "blas": "unknown", "blas_threads": None}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        facts["blas"] = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError):
+        pass
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+    except OSError:
+        paths = []
+    for path in paths:
+        library = ctypes.CDLL(path)
+        for symbol in (
+            "scipy_openblas_get_num_threads64_",
+            "openblas_get_num_threads64_",
+            "openblas_get_num_threads",
+        ):
+            getter = getattr(library, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                facts["blas_threads"] = int(getter())
+                return facts
+    return facts
 
 
 @pytest.fixture(scope="session")

@@ -7,12 +7,14 @@ reference 128x40 pipeline two ways:
   loop: one sparse-MNA assembly + factorisation + SAR conversion per
   image), and
 * the batched engine (``recognise_batch``: one factorisation of the
-  static network amortised over the corpus, per-sample Woodbury updates
-  and a vectorised SAR winner-take-all), swept over batch sizes.
+  static network amortised over the corpus, per-sample Woodbury
+  corrections by batched Chebyshev iteration and a vectorised SAR
+  winner-take-all), swept over batch sizes.
 
 The measured trajectory (images/second, speedup, engine setup cost) is
-written to ``BENCH_throughput.json`` at the repository root so the
-headline can be tracked across commits.  The benchmark also re-asserts
+written to ``BENCH_throughput.json`` at the repository root, next to the
+host it was measured on (core count, BLAS build and thread count), so
+the headline can be tracked across commits.  The benchmark also re-asserts
 the engine contract on the timed inputs: identical winners, DOM codes
 and tie flags between the two paths.
 """
@@ -45,7 +47,9 @@ def recall_codes(full_pipeline, full_dataset):
     return full_pipeline.extractor.extract_many(full_dataset.test_images)
 
 
-def test_batched_recall_throughput(full_pipeline, full_dataset, recall_codes, write_result):
+def test_batched_recall_throughput(
+    full_pipeline, full_dataset, recall_codes, write_result, host_facts
+):
     amm = full_pipeline.amm
     corpus = recall_codes.shape[0]
 
@@ -87,6 +91,7 @@ def test_batched_recall_throughput(full_pipeline, full_dataset, recall_codes, wr
 
     best = max(trajectory, key=lambda point: point["images_per_second"])
     payload = {
+        "host": host_facts,
         "dataset": {
             "classes": int(full_dataset.num_classes),
             "test_images": int(corpus),

@@ -72,7 +72,7 @@ whole ``(B, features)`` code batch through a vectorised DAC conversion,
 an amortised crossbar solve and a vectorised SAR winner-take-all.  On the
 parasitic path the per-sample MNA matrices differ only in the DAC source
 conductances, so the static network is factorised once and each sample
-reduces to a dense ``rows x rows`` Woodbury update — two orders of
+reduces to a ``rows x rows`` Woodbury update, iterated batch-wide — orders of
 magnitude cheaper than re-assembling and re-factorising the 10 240-node
 reference network per image (see ``benchmarks/test_throughput.py`` and
 ``BENCH_throughput.json`` for measured images/second).  The ``batch_size``

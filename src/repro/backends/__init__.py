@@ -10,7 +10,7 @@ compute; this package owns *where and how* it executes:
 ``threads``
     :class:`~repro.backends.threaded.ThreadedBackend` — PR 2's sharded
     thread pool, extracted from the serving layer: contiguous shards over
-    per-slot engine replicas; the LAPACK solves overlap (they release the
+    per-slot engine replicas; the BLAS solves overlap (they release the
     GIL) but the Python glue still serialises.
 
 ``processes``
@@ -53,8 +53,8 @@ compute; this package owns *where and how* it executes:
     :class:`~repro.backends.costmodel.CostModel` for each (per-shard
     fixed cost + per-image marginal cost + effective parallel speedup)
     and sends every batch to whichever candidate the model predicts
-    cheapest for that batch size.  The serial candidate's Woodbury chunk
-    is pinned into every other candidate, so the routing decision never
+    cheapest for that batch size.  Every candidate's engine answers a
+    row independently of its batch-mates, so the routing decision never
     changes a result bit.
 
 All backends execute the *seeded* recall path, so results are a pure

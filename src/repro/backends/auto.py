@@ -9,9 +9,9 @@ cheapest for that batch size — so small batches never leave the caller's
 core, and large batches fan out only when parallelism actually pays on
 this host.
 
-Bit-compatibility across plans: the serial candidate prepares first and
-its (possibly autotuned) Woodbury chunk is pinned into every other
-candidate, so whichever plan the model picks — even different plans for
+Bit-compatibility across plans: every candidate builds the same engine
+from the same spec, and the engine answers each row independently of its
+batch-mates, so whichever plan the model picks — even different plans for
 the same workload on different runs — the results are identical to the
 last bit on the seeded recall path (pinned by
 ``tests/backends/test_auto.py`` and the equivalence property suite).
@@ -92,9 +92,6 @@ class AutoBackend(RecallBackend):
         ``processes``, ``remote``); ``serial`` is always included.
         Default: serial, plus threads and processes when ``workers > 1``,
         plus remote when ``worker_addresses`` is given.
-    chunk_size:
-        Explicit Woodbury chunk for every candidate; ``None`` autotunes
-        once on the serial candidate and pins its choice everywhere.
     calibration_repeats:
         Timed repetitions per calibration point (minimum kept).
     routing_margin:
@@ -118,7 +115,6 @@ class AutoBackend(RecallBackend):
         workers: int = 1,
         min_shard_size: int = 16,
         candidates: Optional[Sequence[str]] = None,
-        chunk_size: Optional[int] = None,
         calibration_repeats: int = CALIBRATION_REPEATS,
         routing_margin: float = DEFAULT_ROUTING_MARGIN,
         worker_addresses=None,
@@ -132,10 +128,8 @@ class AutoBackend(RecallBackend):
         self.min_shard_size = min_shard_size
         self.calibration_repeats = calibration_repeats
         self.routing_margin = routing_margin
-        self._chunk_size = chunk_size
         self._worker_addresses = worker_addresses
         self._options = dict(options)
-        self._options.pop("chunk_size", None)
         if candidates is None:
             names: List[str] = ["serial"]
             if workers > 1:
@@ -181,7 +175,7 @@ class AutoBackend(RecallBackend):
         seeds = rng.integers(0, 2**31 - 1, size=count, dtype=np.int64)
         return codes, seeds
 
-    def _build_candidate(self, candidate: str, chunk_size) -> RecallBackend:
+    def _build_candidate(self, candidate: str) -> RecallBackend:
         factory = _CANDIDATE_CLASSES[candidate]
         options = dict(self._options)
         if candidate == "remote":
@@ -190,7 +184,6 @@ class AutoBackend(RecallBackend):
             self.module,
             workers=self.workers,
             min_shard_size=self.min_shard_size,
-            chunk_size=chunk_size,
             **options,
         ).prepare()
 
@@ -200,19 +193,10 @@ class AutoBackend(RecallBackend):
                 raise RuntimeError("backend is closed")
             if self._planner is not None:
                 return self
-            # Serial prepares first: its engine autotunes the Woodbury
-            # chunk (when none was configured), and that choice is pinned
-            # into every other candidate so the model's routing decision
-            # can never change a result bit.
-            serial = SerialBackend(self.module, chunk_size=self._chunk_size)
-            serial.prepare()
-            pinned_chunk = serial._engine.chunk_size
-            backends: Dict[str, RecallBackend] = {"serial": serial}
-            for candidate in self._candidate_names:
-                if candidate != "serial":
-                    backends[candidate] = self._build_candidate(
-                        candidate, pinned_chunk
-                    )
+            backends: Dict[str, RecallBackend] = {
+                candidate: self._build_candidate(candidate)
+                for candidate in self._candidate_names
+            }
             models: Dict[str, CostModel] = {}
             entries: Dict[str, Tuple[CostModel, ShardRule]] = {}
             host_cores = os.cpu_count() or 1

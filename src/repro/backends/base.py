@@ -83,7 +83,7 @@ class EngineSpec:
     The spec carries the served module — whose pickled form is its
     configuration plus programmed state (conductances, DAC bank, WTA
     devices, labels); any engine factorisation inside it is dropped at
-    pickle time — and the engine tuning knobs.  ``build_engine()`` on the
+    pickle time.  ``build_engine()`` on the
     receiving side constructs and (optionally) pre-factorises a private
     :class:`~repro.crossbar.batched.BatchedCrossbarEngine` replica.
 
@@ -91,20 +91,14 @@ class EngineSpec:
     ----------
     module:
         The associative memory module to serve.
-    chunk_size:
-        Explicit Woodbury chunk size, or ``None`` to autotune per host at
-        :meth:`~repro.crossbar.batched.BatchedCrossbarEngine.prepare` time.
     """
 
     module: AssociativeMemoryModule
-    chunk_size: Optional[int] = None
 
     @classmethod
-    def from_module(
-        cls, module: AssociativeMemoryModule, chunk_size: Optional[int] = None
-    ) -> "EngineSpec":
+    def from_module(cls, module: AssociativeMemoryModule) -> "EngineSpec":
         """Capture the spec of an existing module."""
-        return cls(module=module, chunk_size=chunk_size)
+        return cls(module=module)
 
     def build_engine(self, prepare: bool = True) -> BatchedCrossbarEngine:
         """Construct a fresh engine replica for this spec's network."""
@@ -112,7 +106,6 @@ class EngineSpec:
             self.module.crossbar,
             delta_v=self.module.solver.delta_v,
             termination_resistance=self.module.solver.termination_resistance,
-            chunk_size=self.chunk_size,
         )
         if prepare:
             engine.prepare(self.module.include_parasitics)
@@ -210,7 +203,7 @@ def contiguous_shards(
 
     At most ``workers`` shards, and only when each shard would hold at
     least ``min_shard_size`` samples — small batches stay whole so they
-    keep their full Woodbury-chunk amortisation.  ``max_shard_size``
+    keep their full batched-GEMM amortisation.  ``max_shard_size``
     (used by backends whose transport buffers have a fixed capacity) is a
     hard capacity ceiling: when ``count > workers * max_shard_size`` the
     shard count rises *beyond* ``workers`` rather than ever returning a

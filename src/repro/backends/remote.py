@@ -300,7 +300,7 @@ class WorkerServer(_FrameServer):
             spec = wire.spec_from_wire(header, arrays)
             state["module"] = spec.module
             state["engine"] = spec.build_engine(prepare=True)
-            wire.send_frame(conn, wire.OK, {"chunk_size": state["engine"].chunk_size})
+            wire.send_frame(conn, wire.OK, {})
         elif kind == wire.RECALL:
             if "module" not in state:
                 raise RuntimeError("RECALL before SPEC on this link")
@@ -396,8 +396,8 @@ class _WorkerLink:
     def connect(
         self, spec_header: dict, spec_arrays: Dict[str, np.ndarray],
         connect_timeout: float,
-    ) -> Optional[int]:
-        """Dial, handshake and push the spec; returns the worker's chunk size.
+    ) -> None:
+        """Dial, handshake and push the spec.
 
         Any failure (refused, version skew, handshake garbage) leaves the
         link dead and re-raises — the caller decides whether that is
@@ -431,7 +431,6 @@ class _WorkerLink:
             self.sock = sock
             self.alive = True
             self.backoff = 0.0
-        return header.get("chunk_size")
 
     def mark_dead(self) -> None:
         """Tear the socket down; the supervisor will schedule a reconnect."""

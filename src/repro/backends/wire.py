@@ -65,7 +65,9 @@ from repro.devices.mtj import MagneticTunnelJunction
 MAGIC = b"RPRW"
 
 #: Wire-protocol version; both peers must agree at handshake time.
-PROTOCOL_VERSION = 1
+#: Version 2: the spec carries no Woodbury chunk and workers solve by
+#: Chebyshev iteration, so a version-1 peer must not join the fleet.
+PROTOCOL_VERSION = 2
 
 #: ``MAGIC | kind u8 | version u16 | header_len u32 | arrays_len u64``.
 _FRAME_HEADER = struct.Struct("<4sBHIQ")
@@ -335,7 +337,6 @@ def spec_to_wire(spec: EngineSpec) -> Tuple[dict, Dict[str, np.ndarray]]:
     wta = module.wta
     neuron = wta.neurons[0]
     header = {
-        "chunk_size": spec.chunk_size,
         "parameters": dataclasses.asdict(module.parameters),
         "parasitics": dataclasses.asdict(module.crossbar.parasitics),
         "dac_bank": {
@@ -428,10 +429,7 @@ def spec_from_wire(header: dict, arrays: Dict[str, np.ndarray]) -> EngineSpec:
         input_variation=float(header["input_variation"]),
         seed=0,
     )
-    chunk_size = header.get("chunk_size")
-    return EngineSpec(
-        module=module, chunk_size=None if chunk_size is None else int(chunk_size)
-    )
+    return EngineSpec(module=module)
 
 
 # ---------------------------------------------------------------------- #

@@ -283,7 +283,6 @@ def _command_admin(arguments: argparse.Namespace) -> str:
             lines.append(
                 f"routable {fleet['routable']}, "
                 f"spec version {fleet['spec_version']}, "
-                f"chunk {fleet['chunk_size']}, "
                 + ", ".join(f"{key} {value}" for key, value in counters.items())
             )
             return "\n".join(lines)

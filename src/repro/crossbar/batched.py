@@ -12,38 +12,67 @@ depend on the input across the batch:
 
 * **Parasitic path** (full MNA network): the per-sample MNA matrices
   differ *only* in the DAC source conductances stamped on the ``rows``
-  driven nodes — a diagonal, input-dependent update of a fixed network.
-  The engine factorises the static network ``A0`` once (sparse LU) and
-  applies the Woodbury identity per sample::
+  driven nodes — a diagonal, input-dependent update ``D = diag(d)`` of a
+  fixed network ``A0``.  The engine factorises ``A0`` once (sparse LU)
+  and applies the Woodbury identity per sample::
 
       (A0 + U D U^T)^{-1} b  =  A0^{-1} b - Z (I + D W)^{-1} D U^T A0^{-1} b
 
   with ``Z = A0^{-1} U`` and ``W = U^T Z`` precomputed.  Because the
-  right-hand side is supported on the same driven nodes (``b = U·ΔV·d``)
-  and only the column terminations and driven nodes are observed, each
-  sample costs one dense ``rows x rows`` solve plus two small matvecs —
-  about 200x cheaper than re-assembling and re-factorising the
-  10 240-node reference network.  The ``(I + D W)`` formulation (rather
-  than the textbook ``(D^{-1} + W)``) keeps zero-valued DAC conductances
-  (undriven rows) well defined.
+  right-hand side is supported on the driven nodes (``b = U·ΔV·d``) and
+  only the column terminations and driven nodes are observed, each
+  sample needs one ``rows x rows`` correction solve
+  ``(I + D W) c = D·base_driven`` plus two small projections.
 
-The Woodbury path agrees with the direct sparse solve to solver
-precision (relative error ~1e-13 on the reference design); the discrete
-recognition outputs (winner, DOM codes, tie flags) are identical.
+**Chebyshev form of the correction solve.**  ``A0`` is a conductance
+Laplacian with grounded terminations, hence symmetric positive
+definite, and so is ``W = U^T A0^{-1} U``.  With ``S = diag(√d)`` and
+``c = S y`` the correction system becomes the symmetric one::
+
+    (I + S W S) y = S·base_driven
+
+whose spectrum lies in ``[1, 1 + β]`` with ``β = max(d)·λmax(W)``.
+Zero DAC conductances (undriven rows) stay well defined: their ``y``
+and ``c`` entries are exactly zero.  The engine runs Chebyshev
+semi-iteration on that interval; every step is one ``(B, rows) @ W``
+GEMM for the whole batch, instead of one dense LU per sample.
+
+* *Precondition.*  :meth:`BatchedCrossbarEngine.prepare` checks that
+  ``W`` is symmetric to rounding and positive definite and stores
+  ``λmax(W)`` once; a network that fails the check is refused with a
+  :class:`ValueError` rather than iterated.
+* *Error bound.*  For a row with ``κ = 1 + β`` and
+  ``ρ = (√κ - 1)/(√κ + 1)``, ``k`` steps from ``y0 = 0`` leave a
+  relative 2-norm error ``‖y_k - y‖ / ‖y‖ ≤ 2√κ·ρ^k``.  The bound holds
+  for any ``β`` (Neumann series would need ``β < 1``).
+* *Step rule.*  Each row takes its ``β``, its Chebyshev coefficients and
+  its step count ``k`` — the least ``k`` with ``2√κ·ρ^k ≤``
+  :attr:`~BatchedCrossbarEngine.CHEBYSHEV_TOL` — from its own drive
+  only, and is frozen once it has taken its own ``k`` steps.  No row's
+  answer depends on its batch-mates.
+* *Dense rows.*  ``k`` grows like ``√β``; a row whose ``k`` exceeds
+  :attr:`~BatchedCrossbarEngine.MAX_CHEBYSHEV_STEPS` (``β`` above ~40,
+  reached only by degenerate calibrations such as a few-row array at
+  ΔV = 2 mV) is solved by a dense LU of its own ``(I + D W)`` instead.
+  That choice, too, depends on the row alone.
+
+On the reference design ``β ≈ 0.06`` (9 steps); the lowest Fig. 9 ΔV
+point gives ``β ≈ 2–3`` (~30 steps).  The iteration agrees with a dense
+per-sample solve to ~1e-15 relative and with the direct sparse solve to
+solver precision; the discrete recognition outputs (winner, DOM codes,
+tie flags) are identical.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from repro.crossbar.array import ResistiveCrossbar
-from repro.utils.validation import check_integer, check_positive
+from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -89,8 +118,26 @@ def concatenate_batch_solutions(chunks) -> BatchCrossbarSolution:
     )
 
 
+def chebyshev_steps(beta: np.ndarray, tol: float) -> np.ndarray:
+    """Per-row Chebyshev step counts for spectra in ``[1, 1 + beta]``.
+
+    The least ``k`` with ``2√κ·ρ^k ≤ tol``, where ``κ = 1 + beta`` and
+    ``ρ = (√κ - 1)/(√κ + 1)``, evaluated as ``β/(√κ + 1)²`` so a tiny
+    ``beta`` does not cancel to ``ρ = 0``; at least one step per row.
+    """
+    root = np.sqrt(1.0 + beta)
+    rho = beta / (root + 1.0) ** 2
+    steps = np.ceil(np.log(tol / (2.0 * root)) / np.log(rho))
+    return np.maximum(steps, 1).astype(np.int64)
+
+
 class BatchedCrossbarEngine:
     """Amortised many-input DC evaluation of one programmed crossbar.
+
+    The parasitic path solves the Woodbury corrections by per-row-bounded
+    Chebyshev iteration on ``(I + S W S) y = S·base_driven`` (module
+    docstring: SPD precondition, error bound, step rule); a row's result
+    depends only on its own DAC conductances, never on its batch-mates.
 
     Parameters
     ----------
@@ -101,44 +148,37 @@ class BatchedCrossbarEngine:
     termination_resistance:
         Input resistance (Ω) of the column clamp (already floored to the
         solver minimum by the caller).
-    chunk_size:
-        Samples per stacked LAPACK solve on the parasitic path.  ``None``
-        (default) picks one for the crossbar geometry at :meth:`prepare`
-        time: a quick autotune times the candidate chunk sizes on a
-        synthetic batch and keeps the fastest.  Every sample's
-        ``(I + D W)`` system is solved independently inside the stacked
-        call, so chunking never changes discrete outcomes; analog outputs
-        may differ in the last few ulps (different BLAS kernel paths for
-        different batch shapes) but agree to solver precision.
     """
 
-    #: Samples per stacked LAPACK call when no ``chunk_size`` was given
-    #: and autotuning has not run: bounds the transient ``(chunk, rows,
-    #: rows)`` system tensor to a few MB for the reference design.
-    WOODBURY_CHUNK = 64
+    #: Relative 2-norm error bound each row's iteration is run to.
+    CHEBYSHEV_TOL = float(np.finfo(float).eps)
 
-    #: Chunk sizes tried by the :meth:`prepare`-time autotune.
-    CHUNK_CANDIDATES = (16, 32, 64, 128)
+    #: Largest tolerated ``|W - W^T|`` relative to ``max|W|``.
+    SYMMETRY_TOL = 1e-10
+
+    #: Rows needing more steps (``β`` above ~40) get a dense per-row LU,
+    #: cheaper by then; every Fig. 9 point stays below ``β = 3``.
+    MAX_CHEBYSHEV_STEPS = 128
 
     def __init__(
         self,
         crossbar: ResistiveCrossbar,
         delta_v: float,
         termination_resistance: float,
-        chunk_size: Optional[int] = None,
     ) -> None:
         check_positive("delta_v", delta_v)
         check_positive("termination_resistance", termination_resistance)
-        if chunk_size is not None:
-            check_integer("chunk_size", chunk_size, minimum=1)
         self.crossbar = crossbar
         self.delta_v = delta_v
         self.termination_resistance = termination_resistance
-        self._chunk_size = chunk_size
-        self._chunk_autotuned = chunk_size is not None
         # Ideal-path state (cheap, always prepared).
         self._conductances = crossbar.conductances
         self._row_totals = crossbar.row_total_conductances()
+        rows, cols = crossbar.rows, crossbar.columns
+        #: MNA nodes the DACs drive (``row_node(i, 0)``) and the spin
+        #: neurons clamp (``col_node(rows - 1, j)``).
+        self._driven = np.arange(rows) * cols
+        self._outputs = rows * cols + (rows - 1) * cols + np.arange(cols)
         # Parasitic-path state, built lazily on the first parasitic batch.
         self._woodbury_ready = False
 
@@ -149,8 +189,9 @@ class BatchedCrossbarEngine:
 
     @property
     def chunk_size(self) -> int:
-        """Samples per stacked parasitic solve (configured, tuned or default)."""
-        return self._chunk_size if self._chunk_size is not None else self.WOODBURY_CHUNK
+        """Always ``0`` (unchunked).  Kept for the benchmark's ``crossbar.chunk_size``
+        metric; a later benchmark change drops both."""
+        return 0
 
     def prepare(
         self, include_parasitics: bool = True, autotune_chunk: bool = True
@@ -161,45 +202,17 @@ class BatchedCrossbarEngine:
         precomputation at startup (per worker replica) rather than on the
         first request, keeping first-request latency flat.  A no-op when
         parasitics are disabled or the factorisation already exists.
-
-        When no explicit ``chunk_size`` was configured, ``autotune_chunk``
-        (default) additionally times the candidate chunk sizes on a
-        synthetic batch and keeps the fastest for this geometry — a few
-        stacked solves, so the cost stays a small fraction of the LU
-        factorisation itself.
+        Raises :class:`ValueError` when ``W`` is not symmetric positive
+        definite.  ``autotune_chunk`` is accepted and ignored (the
+        benchmark still passes it; a later benchmark change drops it).
         """
         if (
             include_parasitics
             and self.crossbar.parasitics.segment_resistance != 0.0
+            and not self._woodbury_ready
         ):
-            if not self._woodbury_ready:
-                self._build_woodbury()
-            if autotune_chunk and not self._chunk_autotuned:
-                self._chunk_size = self._autotune_chunk()
-                self._chunk_autotuned = True
+            self._build_woodbury()
         return self
-
-    def _autotune_chunk(self) -> int:
-        """Time the candidate chunk sizes on this geometry; return the fastest.
-
-        The timing input is a synthetic full-drive batch (every row at the
-        nominal 2 % loading used for DAC calibration), which exercises the
-        same stacked-solve shapes as real traffic.  One warm-up plus one
-        timed solve per candidate keeps the whole tune to a handful of
-        LAPACK calls; the choice only affects speed, never results.
-        """
-        rows = self.crossbar.rows
-        drive = 0.02 * self.crossbar.nominal_row_conductance()
-        best_size, best_elapsed = self.WOODBURY_CHUNK, float("inf")
-        for candidate in self.CHUNK_CANDIDATES:
-            batch = np.full((candidate, rows), drive)
-            self._solve_parasitic_chunked(batch, candidate)  # warm-up
-            start = time.perf_counter()
-            self._solve_parasitic_chunked(batch, candidate)
-            elapsed = (time.perf_counter() - start) / candidate
-            if elapsed < best_elapsed:
-                best_size, best_elapsed = candidate, elapsed
-        return best_size
 
     # ------------------------------------------------------------------ #
     # Pickling (the EngineSpec contract)
@@ -214,7 +227,7 @@ class BatchedCrossbarEngine:
         dropped here and rebuilt by the receiver's own :meth:`prepare`.
         """
         state = self.__dict__.copy()
-        for key in ("_w_matrix", "_z_outputs", "_g_term", "_identity"):
+        for key in ("_w_matrix", "_z_outputs", "_g_term", "_lambda_max"):
             state.pop(key, None)
         state["_woodbury_ready"] = False
         return state
@@ -246,44 +259,27 @@ class BatchedCrossbarEngine:
     # ------------------------------------------------------------------ #
     # Parasitic path (Woodbury update of the static network)
     # ------------------------------------------------------------------ #
-    def _build_woodbury(self) -> None:
-        """Factorise the static network and precompute the update operators."""
+    def _static_network(self) -> sparse.csc_matrix:
+        """Assemble ``A0``: the MNA matrix of the network without DAC sources."""
         crossbar = self.crossbar
         rows, cols = crossbar.rows, crossbar.columns
-        conductances = self._conductances
-        dummy = crossbar.dummy_conductances
         g_wire = 1.0 / crossbar.parasitics.segment_resistance
-        g_term = 1.0 / self.termination_resistance
         n_nodes = 2 * rows * cols
-
-        entries_i = []
-        entries_j = []
-        entries_v = []
+        entries = []  # (row indices, column indices, values) blocks
 
         def stamp(a: np.ndarray, b, g: np.ndarray) -> None:
-            entries_i.append(a)
-            entries_j.append(a)
-            entries_v.append(g)
+            entries.append((a, a, g))
             if b is not None:
-                entries_i.append(b)
-                entries_j.append(b)
-                entries_v.append(g)
-                entries_i.append(a)
-                entries_j.append(b)
-                entries_v.append(-g)
-                entries_i.append(b)
-                entries_j.append(a)
-                entries_v.append(-g)
+                entries.extend([(b, b, g), (a, b, -g), (b, a, -g)])
 
-        row_first = np.arange(rows) * cols  # row_node(i, 0)
         # Dummy memristors terminating the driven row ends at the clamp rail.
-        stamp(row_first, None, np.asarray(dummy, dtype=float))
+        stamp(self._driven, None, np.asarray(crossbar.dummy_conductances, dtype=float))
         # Row wire segments.
         row_left = (np.arange(rows)[:, None] * cols + np.arange(cols - 1)[None, :]).ravel()
         stamp(row_left, row_left + 1, np.full(rows * (cols - 1), g_wire))
         # Memristors between row and column bars.
         cross = np.arange(rows * cols)
-        stamp(cross, rows * cols + cross, conductances.ravel())
+        stamp(cross, rows * cols + cross, self._conductances.ravel())
         # Column wire segments.
         col_upper = (
             rows * cols
@@ -291,72 +287,123 @@ class BatchedCrossbarEngine:
         )
         stamp(col_upper, col_upper + cols, np.full((rows - 1) * cols, g_wire))
         # Column terminations (spin-neuron clamp) at the last row end.
-        col_last = rows * cols + (rows - 1) * cols + np.arange(cols)
-        stamp(col_last, None, np.full(cols, g_term))
+        stamp(self._outputs, None, np.full(cols, 1.0 / self.termination_resistance))
 
-        base = sparse.coo_matrix(
-            (
-                np.concatenate(entries_v),
-                (np.concatenate(entries_i), np.concatenate(entries_j)),
-            ),
-            shape=(n_nodes, n_nodes),
+        index_i, index_j, values = (np.concatenate(part) for part in zip(*entries))
+        return sparse.coo_matrix(
+            (values, (index_i, index_j)), shape=(n_nodes, n_nodes)
         ).tocsc()
+
+    def _build_woodbury(self) -> None:
+        """Factorise the static network, precompute and check the update operators."""
+        rows = self.crossbar.rows
+        base = self._static_network()
         lu = splu(base)
         # Z = A0^{-1} U where U selects the driven row-end nodes.
-        selector = np.zeros((n_nodes, rows))
-        selector[row_first, np.arange(rows)] = 1.0
+        driven = self._driven
+        selector = np.zeros((base.shape[0], rows))
+        selector[driven, np.arange(rows)] = 1.0
         z_matrix = lu.solve(selector)
-        #: ``W = U^T A0^{-1} U`` — response of the driven nodes to themselves.
-        self._w_matrix = np.ascontiguousarray(z_matrix[row_first, :])
+        w_matrix = z_matrix[driven, :]
+        scale = np.max(np.abs(w_matrix))
+        if np.max(np.abs(w_matrix - w_matrix.T)) > self.SYMMETRY_TOL * scale:
+            raise ValueError(
+                "Woodbury operator W = U^T A0^-1 U is not symmetric; the "
+                "Chebyshev solve needs a reciprocal (symmetric) network"
+            )
+        #: ``W = U^T A0^{-1} U`` — response of the driven nodes to themselves,
+        #: symmetrised so the iteration sees an exactly symmetric operator.
+        self._w_matrix = np.ascontiguousarray(0.5 * (w_matrix + w_matrix.T))
+        eigenvalues = np.linalg.eigvalsh(self._w_matrix)
+        if eigenvalues[0] <= 0.0:
+            raise ValueError(
+                "Woodbury operator W = U^T A0^-1 U is not positive definite "
+                f"(smallest eigenvalue {eigenvalues[0]:.3e})"
+            )
+        self._lambda_max = float(eigenvalues[-1])
         #: Response of the column terminations to the driven nodes.
-        self._z_outputs = np.ascontiguousarray(z_matrix[col_last, :])
-        self._g_term = g_term
-        self._identity = np.eye(rows)
+        self._z_outputs = np.ascontiguousarray(z_matrix[self._outputs, :])
+        self._g_term = 1.0 / self.termination_resistance
         self._woodbury_ready = True
 
     def solve_parasitic_batch(self, dac_conductances: np.ndarray) -> BatchCrossbarSolution:
         """Woodbury solves of the full MNA network for a ``(B, rows)`` batch.
 
-        The per-sample ``(I + D W)`` systems are solved as one stacked
-        ``numpy.linalg.solve`` call per chunk of :attr:`chunk_size`
-        samples and the small projections as batched GEMMs, so the hot
-        path spends its time in LAPACK/BLAS rather than a Python loop.
+        The correction systems of the whole batch are solved together by
+        Chebyshev semi-iteration (one GEMM per step), each row on its own
+        spectral interval and step count, and the projections are batched
+        GEMMs, so the hot path spends its time in BLAS.
         """
         if self.crossbar.parasitics.segment_resistance == 0.0:
             return self.solve_ideal_batch(dac_conductances)
         dac = self._check_batch(dac_conductances)
         if not self._woodbury_ready:
             self._build_woodbury()
-        return self._solve_parasitic_chunked(dac, self.chunk_size)
-
-    def _solve_parasitic_chunked(
-        self, dac: np.ndarray, chunk_size: int
-    ) -> BatchCrossbarSolution:
-        """The chunked Woodbury loop over an already-validated batch."""
-        batch = dac.shape[0]
-        column_currents = np.empty((batch, self.crossbar.columns))
-        supply = np.empty(batch)
         w_matrix = self._w_matrix
-        z_outputs = self._z_outputs
         delta_v = self.delta_v
-        for start in range(0, batch, chunk_size):
-            d = dac[start : start + chunk_size]
-            injection = d * delta_v
-            base_driven = injection @ w_matrix.T
-            systems = self._identity[None, :, :] + d[:, :, None] * w_matrix[None, :, :]
-            corrections = np.linalg.solve(
-                systems, (d * base_driven)[:, :, None]
+        injection = dac * delta_v
+        base_driven = injection @ w_matrix
+        root_d = np.sqrt(dac)
+        # A floor of eps keeps the coefficients finite for undriven rows.
+        beta = np.maximum(
+            dac.max(axis=1, initial=0.0)[:, None] * self._lambda_max, self.CHEBYSHEV_TOL
+        )
+        steps = chebyshev_steps(beta, self.CHEBYSHEV_TOL)
+        corrections = root_d * self._chebyshev(
+            root_d, root_d * base_driven, beta, np.minimum(steps, self.MAX_CHEBYSHEV_STEPS)
+        )
+        dense = np.flatnonzero(steps[:, 0] > self.MAX_CHEBYSHEV_STEPS)
+        if dense.size:
+            d = dac[dense]
+            systems = np.eye(w_matrix.shape[0]) + d[:, :, None] * w_matrix[None, :, :]
+            corrections[dense] = np.linalg.solve(
+                systems, (d * base_driven[dense])[:, :, None]
             )[:, :, 0]
-            v_driven = base_driven - corrections @ w_matrix.T
-            v_outputs = (injection - corrections) @ z_outputs.T
-            stop = start + d.shape[0]
-            column_currents[start:stop] = self._g_term * v_outputs
-            supply[start:stop] = np.sum(d * (delta_v - v_driven), axis=1)
+        v_driven = base_driven - corrections @ w_matrix
+        v_outputs = (injection - corrections) @ self._z_outputs.T
         return BatchCrossbarSolution(
-            column_currents=column_currents,
-            supply_current=supply,
+            column_currents=self._g_term * v_outputs,
+            supply_current=np.sum(dac * (delta_v - v_driven), axis=1),
             delta_v=delta_v,
         )
+
+    def _chebyshev(
+        self, root_d: np.ndarray, rhs: np.ndarray, beta: np.ndarray, steps: np.ndarray
+    ) -> np.ndarray:
+        """Solve ``(I + S W S) y = rhs`` row by row, ``S = diag(root_d[b])``.
+
+        Chebyshev semi-iteration from ``y0 = 0`` (Saad, *Iterative
+        Methods for Sparse Linear Systems*, Alg. 12.1) on each row's
+        interval ``[1, 1 + β_b]``.  ``beta`` and ``steps`` are ``(B, 1)``
+        columns, so every coefficient comes from the row's own ``β_b``;
+        a row stops accumulating once it has taken its own step count,
+        so the batch-wide loop length never reaches its answer.
+        """
+        w_matrix = self._w_matrix
+        theta = 1.0 + 0.5 * beta
+        half_width = 0.5 * beta
+        sigma = theta / half_width
+        rho = 1.0 / sigma
+        # In-place updates: fresh (B, rows) temporaries per step would cost
+        # more than the GEMM itself.
+        residual = rhs.copy()
+        direction = rhs / theta
+        solution = direction.copy()
+        scaled = np.empty_like(rhs)
+        product = np.empty_like(rhs)
+        for step in range(1, int(steps.max(initial=0))):
+            np.multiply(root_d, direction, out=scaled)
+            np.matmul(scaled, w_matrix, out=product)
+            product *= root_d
+            residual -= direction
+            residual -= product
+            rho_next = 1.0 / (2.0 * sigma - rho)
+            direction *= rho_next * rho
+            np.multiply(residual, 2.0 * rho_next / half_width, out=scaled)
+            direction += scaled
+            rho = rho_next
+            np.add(solution, direction, out=solution, where=step < steps)
+        return solution
 
     # ------------------------------------------------------------------ #
     # Dispatch

@@ -6,9 +6,10 @@ length-prefixed JSON headers plus raw numpy buffers, with the
 conductance arrays.  Unpickling attacker-controlled bytes is arbitrary
 code execution, so one convenience ``import pickle`` under ``backends/``
 or ``serving/`` is the start of a security regression; and the Woodbury
-factorisation is a per-host artefact (LAPACK build, autotuned chunk)
-that must be rebuilt on the receiving side, never serialised across a
-process or wire boundary.
+operators (the sparse LU of the static network, ``W``, ``λmax(W)``)
+are a per-host artefact of the local LAPACK/BLAS build that must be
+rebuilt, and SPD-checked, on the receiving side, never serialised
+across a process or wire boundary.
 
 Two sub-rules:
 

@@ -19,7 +19,8 @@ framing so bulk clients never pay JSON per row:
   ``Transfer-Encoding: chunked`` ``application/x-ndjson`` response with
   one line per row as it resolves (``{"index": i, "result": {...}}`` or
   ``{"index": i, "error": {...}}``) and a ``{"done": true, "count": n,
-  "ok": k, "failed": m}`` summary.  ``GET /healthz`` is liveness and
+  "ok": k, "failed": m}`` summary (close-delimited instead of chunked
+  for an HTTP/1.0 request).  ``GET /healthz`` is liveness and
   ``GET /stats`` the :class:`~repro.serving.metrics.ServiceMetrics`
   snapshot plus a ``"frontend"`` section (live and total connection
   counts per endpoint).  Connections persist under HTTP/1.1 unless the
@@ -354,7 +355,7 @@ class AsyncRecognitionServer:
                     return
                 close_after = _closes_after(version, headers)
                 if await self._dispatch(
-                    method, path, headers, reader, writer, close_after
+                    method, path, version, headers, reader, writer, close_after
                 ):
                     return
         except (ConnectionResetError, BrokenPipeError, OSError):
@@ -399,6 +400,7 @@ class AsyncRecognitionServer:
         self,
         method: str,
         path: str,
+        version: str,
         headers: Dict[str, str],
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
@@ -437,10 +439,13 @@ class AsyncRecognitionServer:
                 writer, 404, {"error": f"unknown path {path}"}, close=True
             )
             return True
-        return await self._post_recognise(headers, reader, writer, close_after)
+        return await self._post_recognise(
+            version, headers, reader, writer, close_after
+        )
 
     async def _post_recognise(
         self,
+        version: str,
         headers: Dict[str, str],
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
@@ -475,7 +480,9 @@ class AsyncRecognitionServer:
             await self._respond_error(writer, error, close=close_after)
             return close_after
         if parsed.stream:
-            return await self._stream_recognise(parsed, writer, close_after)
+            return await self._stream_recognise(
+                parsed, writer, close_after, chunked=version != "HTTP/1.0"
+            )
         return await self._buffered_recognise(parsed, writer, close_after)
 
     async def _buffered_recognise(
@@ -556,6 +563,7 @@ class AsyncRecognitionServer:
         parsed: ParsedRecognise,
         writer: asyncio.StreamWriter,
         close_after: bool,
+        chunked: bool = True,
     ) -> bool:
         """Chunked-NDJSON streaming on the loop.
 
@@ -568,7 +576,19 @@ class AsyncRecognitionServer:
         the queued ones are cancelled.  A closed service mid-stream fails
         the unsubmitted rows per row; a rejection before any row was
         admitted is a clean whole-request status instead.
+
+        HTTP/1.0 has no chunked coding: a 1.0 request (``chunked=False``)
+        gets the same lines close-delimited, ended by EOF.
         """
+        close_after = close_after or not chunked
+        frame = _chunk if chunked else bytes
+        body_end = _CHUNKED_END if chunked else b""
+        head = b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+        if chunked:
+            head += b"Transfer-Encoding: chunked\r\n"
+        if close_after:
+            head += b"Connection: close\r\n"
+        head += b"\r\n"
         service = self.service
         loop = self.loop
         total = parsed.codes.shape[0]
@@ -588,7 +608,7 @@ class AsyncRecognitionServer:
             watched.clear()
 
         async def write_lines(lines: List[bytes]) -> None:
-            writer.write(b"".join(_chunk(line) for line in lines))
+            writer.write(b"".join(frame(line) for line in lines))
             await writer.drain()
 
         def take(batch: List[tuple]) -> List[bytes]:
@@ -646,14 +666,7 @@ class AsyncRecognitionServer:
                     next_row = end
                 if not committed:
                     committed = True
-                    head = (
-                        b"HTTP/1.1 200 OK\r\n"
-                        b"Content-Type: application/x-ndjson\r\n"
-                        b"Transfer-Encoding: chunked\r\n"
-                    )
-                    if close_after:
-                        head += b"Connection: close\r\n"
-                    writer.write(head + b"\r\n")
+                    writer.write(head)
                     await writer.drain()
                 if next_emit >= next_row:
                     break  # done, or admission gave out with nothing queued
@@ -680,11 +693,7 @@ class AsyncRecognitionServer:
             if not committed:
                 # Zero-row stream: still a well-formed 200 + summary.
                 committed = True
-                writer.write(
-                    b"HTTP/1.1 200 OK\r\n"
-                    b"Content-Type: application/x-ndjson\r\n"
-                    b"Transfer-Encoding: chunked\r\n\r\n"
-                )
+                writer.write(head)
             if admission_error is not None and next_row < total:
                 await write_lines(
                     [
@@ -692,7 +701,7 @@ class AsyncRecognitionServer:
                         for unsubmitted in range(next_row, total)
                     ]
                 )
-            writer.write(_chunk(encoder.summary()) + _CHUNKED_END)
+            writer.write(frame(encoder.summary()) + body_end)
             await writer.drain()
             return close_after
         except (ConnectionResetError, BrokenPipeError, OSError):
@@ -711,7 +720,7 @@ class AsyncRecognitionServer:
                 await self._respond_error(writer, error, close=close_after)
                 return close_after
             try:
-                writer.write(_chunk(encoder.abnormal_summary(error)) + _CHUNKED_END)
+                writer.write(frame(encoder.abnormal_summary(error)) + body_end)
                 await writer.drain()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass

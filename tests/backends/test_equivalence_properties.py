@@ -64,8 +64,6 @@ def ideal_amm():
 def backend_matrix(ideal_amm):
     """serial / threads / processes / remote / auto, one prepared pool each.
 
-    The Woodbury chunk is irrelevant on the ideal path (no stacked
-    parasitic solves), so replicas need no chunk pinning for exactness.
     ``auto`` routes through its own serial/threads/processes candidates
     by measured cost — whatever plan its calibration picked on this run,
     the properties below must hold bit-for-bit.

@@ -49,8 +49,6 @@ def survivor_and_proxied(backend_amm):
     half-open scenarios resolve inside the test budget; the proxy delays
     used by the scenarios stay well under it (slow != dead).
     """
-    engine = backend_amm.solver.batch_engine
-    engine.prepare(backend_amm.include_parasitics)
     survivor = WorkerServer().start()
     upstream = WorkerServer().start()
     proxy = ChaosProxy(upstream.address)
@@ -58,7 +56,6 @@ def survivor_and_proxied(backend_amm):
         backend_amm,
         worker_addresses=[survivor.address, proxy.address],
         min_shard_size=2,
-        chunk_size=engine.chunk_size,
         heartbeat_interval=0.1,
         backoff_base=0.02,
         backoff_max=0.2,
@@ -133,8 +130,6 @@ class TestJoinThenKillTheJoiner:
     def test_joiner_death_fails_over_to_original_member(
         self, backend_amm, request_codes, request_seeds, reference_results
     ):
-        engine = backend_amm.solver.batch_engine
-        engine.prepare(backend_amm.include_parasitics)
         anchor = WorkerServer().start()
         upstream = WorkerServer().start()
         proxy = ChaosProxy(upstream.address)
@@ -142,7 +137,6 @@ class TestJoinThenKillTheJoiner:
             backend_amm,
             worker_addresses=[anchor.address],
             min_shard_size=2,
-            chunk_size=engine.chunk_size,
             heartbeat_interval=0.1,
             backoff_base=0.02,
             backoff_max=0.2,

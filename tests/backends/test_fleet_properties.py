@@ -41,9 +41,6 @@ from tests.backends.test_remote import wait_until
 FEATURES = 16
 TEMPLATES = 4
 AMM = build_test_amm(FEATURES, TEMPLATES, seed=11)
-_ENGINE = AMM.solver.batch_engine
-_ENGINE.prepare(AMM.include_parasitics)
-CHUNK = _ENGINE.chunk_size
 
 CODES = (np.arange(12 * FEATURES, dtype=np.int64).reshape(12, FEATURES) * 5) % 32
 SEEDS = np.arange(12, dtype=np.int64) + 400
@@ -73,7 +70,6 @@ class _Driver:
             AMM,
             worker_addresses=[self.addresses[0], self.addresses[1]],
             min_shard_size=2,
-            chunk_size=CHUNK,
             heartbeat_interval=0.1,
             backoff_base=0.02,
             backoff_max=0.2,

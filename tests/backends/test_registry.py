@@ -104,9 +104,8 @@ class TestEngineSpec:
     def test_spec_pickles_without_factorisation(self, backend_amm):
         # Force a factorised engine into the module's solver first.
         backend_amm.solver.batch_engine.prepare(True)
-        spec = EngineSpec.from_module(backend_amm, chunk_size=32)
+        spec = EngineSpec.from_module(backend_amm)
         clone = pickle.loads(pickle.dumps(spec))
-        assert clone.chunk_size == 32
         engine = clone.build_engine(prepare=False)
         assert not engine.prepared  # the factorisation never crossed the pickle
         engine.prepare(True)
@@ -129,40 +128,8 @@ class TestEngineSpec:
         engine = backend_amm.solver.batch_engine.prepare(True)
         state = engine.__getstate__()
         assert state["_woodbury_ready"] is False
-        for key in ("_w_matrix", "_z_outputs", "_identity", "_g_term"):
+        for key in ("_w_matrix", "_z_outputs", "_g_term", "_lambda_max"):
             assert key not in state
-
-
-class TestChunkTuning:
-    def test_explicit_chunk_size_respected(self, backend_amm):
-        spec = EngineSpec.from_module(backend_amm, chunk_size=7)
-        engine = spec.build_engine()
-        assert engine.chunk_size == 7
-
-    def test_autotune_picks_candidate(self, backend_amm):
-        engine = EngineSpec.from_module(backend_amm).build_engine()
-        assert engine.chunk_size in engine.CHUNK_CANDIDATES
-
-    def test_chunk_size_never_changes_outcomes(self, backend_amm, request_codes):
-        """Chunking shifts BLAS rounding paths (GEMV vs GEMM) at the
-        1e-16 level but never the solution: analog outputs agree to
-        solver precision and the recognised winners are identical."""
-        conductances = backend_amm.input_dacs.conductances(request_codes)
-        solutions = []
-        for chunk in (1, 5, 64):
-            engine = EngineSpec.from_module(backend_amm, chunk_size=chunk).build_engine()
-            solutions.append(engine.solve_batch(conductances))
-        for other in solutions[1:]:
-            np.testing.assert_allclose(
-                solutions[0].column_currents, other.column_currents, rtol=1e-12
-            )
-            np.testing.assert_allclose(
-                solutions[0].supply_current, other.supply_current, rtol=1e-12
-            )
-            assert np.array_equal(
-                solutions[0].column_currents.argmax(axis=1),
-                other.column_currents.argmax(axis=1),
-            )
 
 
 class TestCapabilities:

@@ -53,13 +53,10 @@ def _processes(amm):
 
 def _remote(amm):
     servers = [WorkerServer().start(), WorkerServer().start()]
-    engine = amm.solver.batch_engine
-    engine.prepare(amm.include_parasitics)
     backend = RemoteBackend(
         amm,
         worker_addresses=[server.address for server in servers],
         min_shard_size=4,
-        chunk_size=engine.chunk_size,
         heartbeat_interval=0.1,
         io_timeout=20.0,
     )
@@ -68,13 +65,10 @@ def _remote(amm):
 
 def _fleet(amm):
     servers = [WorkerServer().start(), WorkerServer().start()]
-    engine = amm.solver.batch_engine
-    engine.prepare(amm.include_parasitics)
     backend = FleetSupervisor(
         amm,
         worker_addresses=[server.address for server in servers],
         min_shard_size=4,
-        chunk_size=engine.chunk_size,
         heartbeat_interval=0.1,
         io_timeout=20.0,
         control=("127.0.0.1", 0),
@@ -139,14 +133,11 @@ def test_worker_server_close_joins_handler_threads(backend_amm):
 
 def test_fleet_close_is_prompt_with_reconnect_in_flight(backend_amm):
     """close() during a reconnect dial still joins the supervisor."""
-    engine = backend_amm.solver.batch_engine
-    engine.prepare(backend_amm.include_parasitics)
     server = WorkerServer().start()
     baseline = set(threading.enumerate()) | {threading.current_thread()}
     fleet = FleetSupervisor(
         backend_amm,
         worker_addresses=[server.address],
-        chunk_size=engine.chunk_size,
         heartbeat_interval=0.05,
         backoff_base=0.01,
         backoff_max=0.05,

@@ -1,0 +1,216 @@
+"""The batched engine's parasitic path: per-row Chebyshev iteration.
+
+Pins the iteration against a dense per-row solve of ``(I + D W)`` and
+against the direct sparse MNA solve, its independence from batch-mates,
+and the SPD precondition :meth:`BatchedCrossbarEngine.prepare` checks.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+
+from repro.core.amm import AssociativeMemoryModule
+from repro.core.config import default_parameters
+from repro.crossbar.array import ResistiveCrossbar
+from repro.crossbar.batched import BatchedCrossbarEngine, chebyshev_steps
+from repro.crossbar.parasitics import WireParasitics
+from repro.crossbar.programming import TemplateProgrammer
+from repro.crossbar.solver import CrossbarSolver
+from repro.devices.memristor import MemristorModel
+
+
+def make_solver(rows, cols, delta_v, r_min, seed):
+    rng = np.random.default_rng(seed)
+    programmer = TemplateProgrammer(
+        memristor=MemristorModel(
+            r_min_ohm=r_min, r_max_ohm=32 * r_min, write_accuracy=0.03, seed=seed
+        )
+    )
+    crossbar = ResistiveCrossbar.from_programmed(
+        programmer.program(rng.integers(0, 32, size=(rows, cols))),
+        parasitics=WireParasitics(cell_pitch_um=0.1),
+    )
+    return CrossbarSolver(crossbar, delta_v=delta_v, termination_resistance=50.0)
+
+
+def drive_for_beta(engine, codes, beta):
+    """DAC conductances for ``codes`` (0..31) whose full-code row has ``beta``."""
+    engine.prepare()
+    return codes / 31.0 * (beta / engine._lambda_max)
+
+
+def dense_reference(engine, dac):
+    """Column and supply currents from one dense ``(I + D W)`` solve per row."""
+    w_matrix, delta_v = engine._w_matrix, engine.delta_v
+    currents = np.empty((dac.shape[0], engine.crossbar.columns))
+    supply = np.empty(dac.shape[0])
+    for b, d in enumerate(dac):
+        injection = d * delta_v
+        base_driven = w_matrix @ injection
+        system = np.eye(d.size) + d[:, None] * w_matrix
+        corrections = np.linalg.solve(system, d * base_driven)
+        v_driven = base_driven - w_matrix @ corrections
+        currents[b] = engine._g_term * (engine._z_outputs @ (injection - corrections))
+        supply[b] = np.sum(d * (delta_v - v_driven))
+    return currents, supply
+
+
+def relative_gap(actual, expected):
+    return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
+
+
+class TestChebyshevAccuracy:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rows=st.integers(min_value=2, max_value=40),
+        cols=st.integers(min_value=2, max_value=8),
+        delta_v=st.floats(min_value=2e-3, max_value=60e-3),
+        r_min=st.floats(min_value=1e3, max_value=16e3),
+        beta=st.floats(min_value=1e-3, max_value=4.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    # The lowest Fig. 9 ΔV with inputs overdriven by 10 %: beta > 1.
+    @example(rows=32, cols=6, delta_v=2e-3, r_min=1e3, beta=2.9, seed=7)
+    @example(rows=40, cols=8, delta_v=30e-3, r_min=16e3, beta=0.56, seed=3)
+    def test_matches_dense_and_direct_solves(
+        self, rows, cols, delta_v, r_min, beta, seed
+    ):
+        solver = make_solver(rows, cols, delta_v, r_min, seed)
+        engine = solver.batch_engine
+        codes = np.random.default_rng(seed + 1).integers(0, 32, size=(6, rows))
+        codes[0] = 31  # one full-drive row sits at the top of the interval
+        dac = drive_for_beta(engine, codes, beta)
+        solution = engine.solve_parasitic_batch(dac)
+
+        dense_currents, dense_supply = dense_reference(engine, dac)
+        assert relative_gap(solution.column_currents, dense_currents) <= 1e-14
+        assert relative_gap(solution.supply_current, dense_supply) <= 1e-14
+
+        scale = np.max(np.abs(solution.column_currents))
+        for b in range(dac.shape[0]):
+            direct = solver.solve(dac[b], include_parasitics=True)
+            gap = np.max(np.abs(solution.column_currents[b] - direct.column_currents))
+            assert gap <= 1e-11 * scale
+            assert solution.supply_current[b] == pytest.approx(
+                direct.supply_current, rel=1e-11
+            )
+            assert int(np.argmax(solution.column_currents[b])) == direct.winner()
+
+    def test_calibrated_module_at_two_millivolts_overdriven(self):
+        """A calibrated module at ΔV = 2 mV with 10 % input overdrive
+        lands above beta = 1, where a Neumann series would diverge."""
+        parameters = dataclasses.replace(
+            default_parameters().with_delta_v(2e-3),
+            template_shape=(8, 8),
+            num_templates=10,
+        )
+        rng = np.random.default_rng(5)
+        amm = AssociativeMemoryModule.from_templates(
+            rng.integers(0, 32, size=(64, 10)), parameters=parameters, seed=5
+        )
+        engine = amm.solver.batch_engine.prepare()
+        dac = 1.1 * amm.input_dacs.conductances(rng.integers(0, 32, size=(8, 64)))
+        assert dac.max() * engine._lambda_max > 1.0
+        solution = engine.solve_parasitic_batch(dac)
+        dense_currents, dense_supply = dense_reference(engine, dac)
+        assert relative_gap(solution.column_currents, dense_currents) <= 1e-14
+        assert relative_gap(solution.supply_current, dense_supply) <= 1e-14
+        assert np.array_equal(
+            solution.column_currents.argmax(axis=1), dense_currents.argmax(axis=1)
+        )
+
+    def test_rows_past_the_step_cap_are_solved_densely(self):
+        solver = make_solver(24, 5, 30e-3, 1e3, seed=2)
+        engine = solver.batch_engine
+        codes = np.random.default_rng(9).integers(1, 32, size=(4, 24))
+        dac = drive_for_beta(engine, codes, 0.1)
+        dac[1] = drive_for_beta(engine, codes[1:2], 5e3)[0]
+        steps = chebyshev_steps(dac.max(axis=1) * engine._lambda_max, engine.CHEBYSHEV_TOL)
+        assert steps[1] > engine.MAX_CHEBYSHEV_STEPS >= steps[[0, 2, 3]].max()
+        solution = engine.solve_parasitic_batch(dac)
+        dense_currents, _ = dense_reference(engine, dac)
+        # kappa ~ 5e3 for the dense row: rounding is amplified to ~1e-13.
+        assert relative_gap(solution.column_currents, dense_currents) <= 1e-11
+        # The dense row does not disturb its batch-mates.
+        alone = engine.solve_parasitic_batch(np.delete(dac, 1, axis=0))
+        assert relative_gap(alone.column_currents, solution.column_currents[[0, 2, 3]]) <= 1e-15
+
+    def test_undriven_rows_give_zero_current(self):
+        engine = make_solver(12, 4, 30e-3, 1e3, seed=1).batch_engine
+        solution = engine.solve_parasitic_batch(np.zeros((3, 12)))
+        assert np.all(solution.column_currents == 0.0)
+        assert np.all(solution.supply_current == 0.0)
+
+
+class TestStepRule:
+    @pytest.mark.parametrize("beta", [1e-6, 0.06, 0.56, 2.17, 2.9, 40.0])
+    def test_step_count_is_the_least_meeting_the_bound(self, beta):
+        tol = BatchedCrossbarEngine.CHEBYSHEV_TOL
+        k = int(chebyshev_steps(np.array([beta]), tol)[0])
+        root = np.sqrt(1.0 + beta)
+        rho = beta / (root + 1.0) ** 2  # = (root - 1) / (root + 1)
+        assert 2.0 * root * rho**k <= tol
+        assert k == 1 or 2.0 * root * rho ** (k - 1) > tol
+
+
+class TestRowInvariance:
+    def test_row_bits_do_not_depend_on_batch_mates(self):
+        """Row 0's answer is bit-identical whether its 15 batch-mates are
+        like it or carry 30x its beta (and so take many more steps).
+
+        Row 0 sits at beta = 1.3, where its corrections are as large as
+        its direct injection, so a batch-wide interval or step count
+        would reach its currents at the last-ulp level.
+        """
+        solver = make_solver(48, 8, 30e-3, 1e3, seed=0)
+        engine = solver.batch_engine
+        codes = np.random.default_rng(12).integers(0, 32, size=(16, 48))
+        codes[:, 0] = 31  # every row reaches full drive: equal beta
+        calm = drive_for_beta(engine, codes, 1.3)
+        loud = calm.copy()
+        loud[1:] *= 30.0
+        beta = calm.max(axis=1) * engine._lambda_max
+        loud_beta = loud.max(axis=1) * engine._lambda_max
+        assert np.all(loud_beta[1:] > 29.0 * beta[0])
+        tol = engine.CHEBYSHEV_TOL
+        loud_steps = chebyshev_steps(loud_beta[1:], tol)
+        # The batch-mates iterate (no dense rows), for many more steps.
+        assert chebyshev_steps(beta[:1], tol)[0] < loud_steps.min()
+        assert loud_steps.max() <= engine.MAX_CHEBYSHEV_STEPS
+
+        first = engine.solve_parasitic_batch(calm)
+        second = engine.solve_parasitic_batch(loud)
+        assert np.array_equal(first.column_currents[0], second.column_currents[0])
+        assert first.supply_current[0] == second.supply_current[0]
+
+
+class TestPrecondition:
+    def test_prepare_refuses_a_non_symmetric_operator(self, monkeypatch):
+        engine = make_solver(10, 3, 30e-3, 1e3, seed=0).batch_engine
+        network = engine._static_network()
+        driven = engine._driven
+        one_way = sparse.csc_matrix(
+            ([0.5 * network[driven[0], driven[0]]], ([driven[0]], [driven[1]])),
+            shape=network.shape,
+        )
+        monkeypatch.setattr(engine, "_static_network", lambda: network + one_way)
+        with pytest.raises(ValueError, match="not symmetric"):
+            engine.prepare()
+        assert not engine.prepared
+
+    def test_prepare_refuses_an_indefinite_operator(self, monkeypatch):
+        engine = make_solver(10, 3, 30e-3, 1e3, seed=0).batch_engine
+        network = engine._static_network()
+        monkeypatch.setattr(engine, "_static_network", lambda: -network)
+        with pytest.raises(ValueError, match="not positive definite"):
+            engine.prepare()
+        assert not engine.prepared
+
+    def test_benchmark_facing_names_survive(self):
+        engine = make_solver(10, 3, 30e-3, 1e3, seed=0).batch_engine
+        assert engine.prepare(autotune_chunk=False).prepared
+        assert engine.chunk_size == 0

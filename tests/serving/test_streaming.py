@@ -84,6 +84,53 @@ class TestStreamRoundTrip:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize("connection", [b"", b"Connection: keep-alive\r\n"])
+    def test_http10_stream_is_close_delimited(
+        self, running_server, request_codes, request_seeds, connection
+    ):
+        """HTTP/1.0 defines no chunked coding: the NDJSON lines arrive
+        unframed, the head says ``Connection: close`` and EOF ends the
+        body -- even when the request asked for keep-alive."""
+        import json as json_module
+        import socket
+
+        body = json_module.dumps(
+            {
+                "codes": request_codes[:3].tolist(),
+                "seeds": [int(seed) for seed in request_seeds[:3]],
+                "stream": True,
+            }
+        ).encode()
+        with socket.create_connection(
+            ("127.0.0.1", running_server.port), timeout=10.0
+        ) as sock:
+            sock.sendall(
+                b"POST /recognise HTTP/1.0\r\n"
+                b"Content-Type: application/json\r\n"
+                + connection
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                + body
+            )
+            received = b""
+            while True:
+                data = sock.recv(65536)
+                if not data:
+                    break  # EOF delimits the body
+                received += data
+        head, _, payload = received.partition(b"\r\n\r\n")
+        head = head.lower()
+        assert b" 200 " in head.split(b"\r\n", 1)[0]
+        assert b"transfer-encoding" not in head
+        assert b"content-length" not in head
+        assert b"connection: close" in head
+        events = [json_module.loads(line) for line in payload.splitlines() if line]
+        assert events[-1] == {"done": True, "count": 3, "ok": 3, "failed": 0}
+        with RecognitionClient("127.0.0.1", running_server.port) as client:
+            buffered = client.recognise_many(
+                request_codes[:3], seeds=request_seeds[:3]
+            )
+        assert [event["result"] for event in events[:-1]] == buffered
+
     def test_single_vector_stream_rejected(self, running_server, request_codes):
         with RecognitionClient("127.0.0.1", running_server.port) as client:
             with pytest.raises(ServerError) as excinfo:

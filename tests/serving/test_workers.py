@@ -92,9 +92,9 @@ class TestDispatch:
                 result = pending.future.result(timeout=20.0)
                 assert result.winner_column == reference[index].winner_column
                 assert result.dom_code == reference[index].dom_code
-                # Analog outputs to solver precision: the replica's
-                # autotuned chunk may take a different BLAS kernel path
-                # than the reference engine in the last few ulps.
+                # Analog outputs to solver precision: a different shard
+                # shape may take a different BLAS kernel path than the
+                # reference engine in the last few ulps.
                 np.testing.assert_allclose(
                     result.column_currents,
                     reference[index].column_currents,
