@@ -139,14 +139,16 @@ def feature_length_sweep(
         amm = AssociativeMemoryModule.from_templates(
             matrix, parameters=point_parameters, seed=rng
         )
-        margins = []
-        static_power = 0.0
-        for column in range(templates):
-            solution = amm.column_solution(matrix[:, column])
-            currents = solution.column_currents
-            others = np.delete(currents, column)
-            margins.append((currents[column] - others.max()) / max(currents[column], 1e-30))
-            static_power = solution.static_power
+        # Every stored pattern in one pass through the engine calibration
+        # factorised; the recorded static power is the last pattern's.
+        solution = amm.column_solution_batch(matrix.T)
+        currents = solution.column_currents
+        diagonal = np.arange(templates)
+        own = currents[diagonal, diagonal]
+        others = currents.copy()
+        others[diagonal, diagonal] = -np.inf
+        margins = (own - others.max(axis=1)) / np.maximum(own, 1e-30)
+        static_power = solution.static_power[-1]
         points.append(
             FeatureLengthPoint(
                 features=int(features),

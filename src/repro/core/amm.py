@@ -349,14 +349,15 @@ class AssociativeMemoryModule:
             programmed, parasitics=parameters.wire_parasitics()
         )
 
-        input_dacs = cls._calibrated_dac_bank(
-            crossbar,
-            parameters,
-            dac_mismatch_sigma,
-            rng,
-            include_parasitics=include_parasitics,
+        bits = parameters.input_bits
+        # Initial guess: full-scale DAC conductance equal to 2 % of G_TS.
+        input_dacs = InputDacBank(
+            rows=rows,
+            bits=bits,
+            unit_conductance=0.02 * crossbar.nominal_row_conductance() / (2**bits - 1),
+            mismatch_sigma=dac_mismatch_sigma,
+            seed=rng,
         )
-
         wta = SpinCmosWta(
             columns=columns,
             resolution_bits=parameters.wta_resolution_bits,
@@ -366,7 +367,7 @@ class AssociativeMemoryModule:
             mtj=parameters.mtj(),
             seed=rng,
         )
-        return cls(
+        module = cls(
             crossbar=crossbar,
             input_dacs=input_dacs,
             wta=wta,
@@ -376,60 +377,40 @@ class AssociativeMemoryModule:
             input_variation=input_variation,
             seed=rng,
         )
+        module.input_dacs = module._calibrated_dac_bank()
+        return module
 
-    @staticmethod
     def _calibrated_dac_bank(
-        crossbar: ResistiveCrossbar,
-        parameters: DesignParameters,
-        dac_mismatch_sigma: float,
-        rng: np.random.Generator,
-        include_parasitics: bool = True,
-        target_fraction: float = 0.95,
-        iterations: int = 4,
+        self, target_fraction: float = 0.95, iterations: int = 4
     ) -> InputDacBank:
         """Size the input DACs so the best-match current fills the WTA range.
 
         The paper chooses the DAC output range so that the maximum
         dot-product current slightly exceeds the WTA full scale (32 µA for
         5 bits with a 1 µA threshold).  Here the self-correlation of the
-        strongest stored template is used as the calibration input, the
-        crossbar is solved through the *same* path used during recognition
+        strongest stored template is used as the calibration input and the
+        DAC unit conductance of :attr:`input_dacs` is fixed-point iterated
+        until the peak column current reaches ``target_fraction`` of full
+        scale.  Each step is a one-row solve on the module's own engine
         (including wire parasitics and the spin-neuron termination when
-        enabled) and the DAC unit conductance is fixed-point iterated until
-        the peak column current reaches ``target_fraction`` of full scale.
+        enabled), so calibration factorises the network that recall and
+        the margin analyses then reuse.  Draws no random numbers.
         """
-        rows = crossbar.rows
-        bits = parameters.input_bits
-        # Initial guess: full-scale DAC conductance equal to 2 % of G_TS.
-        unit_guess = 0.02 * crossbar.nominal_row_conductance() / (2**bits - 1)
-        bank = InputDacBank(
-            rows=rows,
-            bits=bits,
-            unit_conductance=unit_guess,
-            mismatch_sigma=dac_mismatch_sigma,
-            seed=rng,
-        )
         # Calibration input: the stored pattern with the largest ideal
         # self-correlation, reconstructed as input codes from the programmed
         # conductances.
-        memristor = parameters.memristor_model()
-        values = memristor.conductance_to_value(crossbar.conductances)
-        conductance_matrix = crossbar.conductances
+        conductance_matrix = self.crossbar.conductances
+        values = self.parameters.memristor_model().conductance_to_value(conductance_matrix)
         self_correlations = np.einsum("ij,ij->j", values, conductance_matrix)
         best_column = int(np.argmax(self_correlations))
-        max_code = 2**bits - 1
-        calibration_codes = np.rint(values[:, best_column] * max_code).astype(np.int64)
+        bank = self.input_dacs
+        calibration_codes = np.rint(values[:, best_column] * bank.max_code).astype(np.int64)
 
-        solver = CrossbarSolver(
-            crossbar,
-            delta_v=parameters.delta_v,
-            termination_resistance=parameters.dwn_config().device_resistance,
-        )
-        target_current = target_fraction * parameters.wta_full_scale_current
+        target_current = target_fraction * self.parameters.wta_full_scale_current
         for _ in range(iterations):
-            dac_conductances = bank.conductances(calibration_codes)
-            solution = solver.solve(
-                dac_conductances, include_parasitics=include_parasitics
+            solution = self.solver.solve_batch(
+                bank.conductances(calibration_codes[None, :]),
+                include_parasitics=self.include_parasitics,
             )
             peak = float(solution.column_currents.max())
             if peak <= 0:

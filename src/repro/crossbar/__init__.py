@@ -16,6 +16,9 @@ Modules
 :mod:`repro.crossbar.array`
     :class:`~repro.crossbar.array.ResistiveCrossbar` — the programmed
     array with its conductance state.
+:mod:`repro.crossbar.mna`
+    The one vectorised assembler of the static MNA network, shared by
+    the direct and the batched solvers.
 :mod:`repro.crossbar.solver`
     Ideal (analytic) and parasitic-aware (modified nodal analysis) DC
     solvers producing the column output currents.

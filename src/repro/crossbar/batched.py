@@ -13,7 +13,9 @@ depend on the input across the batch:
 * **Parasitic path** (full MNA network): the per-sample MNA matrices
   differ *only* in the DAC source conductances stamped on the ``rows``
   driven nodes — a diagonal, input-dependent update ``D = diag(d)`` of a
-  fixed network ``A0``.  The engine factorises ``A0`` once (sparse LU)
+  fixed network ``A0`` (assembled by
+  :func:`~repro.crossbar.mna.static_network`, the same assembler the
+  direct solve uses).  The engine factorises ``A0`` once (sparse LU)
   and applies the Woodbury identity per sample::
 
       (A0 + U D U^T)^{-1} b  =  A0^{-1} b - Z (I + D W)^{-1} D U^T A0^{-1} b
@@ -56,6 +58,12 @@ GEMM for the whole batch, instead of one dense LU per sample.
   ΔV = 2 mV) is solved by a dense LU of its own ``(I + D W)`` instead.
   That choice, too, depends on the row alone.
 
+A module's engine is factorised when the module is built:
+:meth:`~repro.core.amm.AssociativeMemoryModule.from_templates` calibrates
+its input DACs with one-row solves on the module's own engine, so recall,
+:meth:`BatchedCrossbarEngine.prepare` and the margin analyses reuse that
+one factorisation.
+
 On the reference design ``β ≈ 0.06`` (9 steps); the lowest Fig. 9 ΔV
 point gives ``β ≈ 2–3`` (~30 steps).  The iteration agrees with a dense
 per-sample solve to ~1e-15 relative and with the direct sparse solve to
@@ -68,10 +76,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from repro.crossbar.array import ResistiveCrossbar
+from repro.crossbar.mna import PERMC_SPEC, driven_nodes, output_nodes, static_network
 from repro.utils.validation import check_positive
 
 
@@ -174,11 +182,8 @@ class BatchedCrossbarEngine:
         # Ideal-path state (cheap, always prepared).
         self._conductances = crossbar.conductances
         self._row_totals = crossbar.row_total_conductances()
-        rows, cols = crossbar.rows, crossbar.columns
-        #: MNA nodes the DACs drive (``row_node(i, 0)``) and the spin
-        #: neurons clamp (``col_node(rows - 1, j)``).
-        self._driven = np.arange(rows) * cols
-        self._outputs = rows * cols + (rows - 1) * cols + np.arange(cols)
+        self._driven = driven_nodes(crossbar.rows, crossbar.columns)
+        self._outputs = output_nodes(crossbar.rows, crossbar.columns)
         # Parasitic-path state, built lazily on the first parasitic batch.
         self._woodbury_ready = False
 
@@ -201,7 +206,8 @@ class BatchedCrossbarEngine:
         Long-running services pay the one-time sparse LU + Woodbury
         precomputation at startup (per worker replica) rather than on the
         first request, keeping first-request latency flat.  A no-op when
-        parasitics are disabled or the factorisation already exists.
+        parasitics are disabled or the factorisation already exists, as it
+        does for a module's own engine once DAC calibration has run.
         Raises :class:`ValueError` when ``W`` is not symmetric positive
         definite.  ``autotune_chunk`` is accepted and ignored (the
         benchmark still passes it; a later benchmark change drops it).
@@ -259,46 +265,11 @@ class BatchedCrossbarEngine:
     # ------------------------------------------------------------------ #
     # Parasitic path (Woodbury update of the static network)
     # ------------------------------------------------------------------ #
-    def _static_network(self) -> sparse.csc_matrix:
-        """Assemble ``A0``: the MNA matrix of the network without DAC sources."""
-        crossbar = self.crossbar
-        rows, cols = crossbar.rows, crossbar.columns
-        g_wire = 1.0 / crossbar.parasitics.segment_resistance
-        n_nodes = 2 * rows * cols
-        entries = []  # (row indices, column indices, values) blocks
-
-        def stamp(a: np.ndarray, b, g: np.ndarray) -> None:
-            entries.append((a, a, g))
-            if b is not None:
-                entries.extend([(b, b, g), (a, b, -g), (b, a, -g)])
-
-        # Dummy memristors terminating the driven row ends at the clamp rail.
-        stamp(self._driven, None, np.asarray(crossbar.dummy_conductances, dtype=float))
-        # Row wire segments.
-        row_left = (np.arange(rows)[:, None] * cols + np.arange(cols - 1)[None, :]).ravel()
-        stamp(row_left, row_left + 1, np.full(rows * (cols - 1), g_wire))
-        # Memristors between row and column bars.
-        cross = np.arange(rows * cols)
-        stamp(cross, rows * cols + cross, self._conductances.ravel())
-        # Column wire segments.
-        col_upper = (
-            rows * cols
-            + (np.arange(rows - 1)[:, None] * cols + np.arange(cols)[None, :]).ravel()
-        )
-        stamp(col_upper, col_upper + cols, np.full((rows - 1) * cols, g_wire))
-        # Column terminations (spin-neuron clamp) at the last row end.
-        stamp(self._outputs, None, np.full(cols, 1.0 / self.termination_resistance))
-
-        index_i, index_j, values = (np.concatenate(part) for part in zip(*entries))
-        return sparse.coo_matrix(
-            (values, (index_i, index_j)), shape=(n_nodes, n_nodes)
-        ).tocsc()
-
     def _build_woodbury(self) -> None:
         """Factorise the static network, precompute and check the update operators."""
         rows = self.crossbar.rows
-        base = self._static_network()
-        lu = splu(base)
+        base = static_network(self.crossbar, self.termination_resistance)
+        lu = splu(base, permc_spec=PERMC_SPEC)
         # Z = A0^{-1} U where U selects the driven row-end nodes.
         driven = self._driven
         selector = np.zeros((base.shape[0], rows))

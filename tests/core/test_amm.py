@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.analysis.margins import detection_margins
 from repro.core.amm import AssociativeMemoryModule, InputDacBank
 from repro.core.config import DesignParameters
+from repro.crossbar import batched, solver
 
 
 class TestInputDacBank:
@@ -87,6 +89,56 @@ class TestConstruction:
             AssociativeMemoryModule.from_templates(
                 np.zeros(10, dtype=int), parameters=small_parameters
             )
+
+    def test_calibration_reaches_its_target_under_the_direct_solve(self, small_amm):
+        # The calibration input: the stored pattern with the largest ideal
+        # self-correlation, as codes.
+        conductances = small_amm.crossbar.conductances
+        values = small_amm.parameters.memristor_model().conductance_to_value(conductances)
+        best = int(np.argmax(np.einsum("ij,ij->j", values, conductances)))
+        codes = np.rint(values[:, best] * small_amm.input_dacs.max_code).astype(np.int64)
+        solution = small_amm.solver.solve(
+            small_amm.input_dacs.conductances(codes), include_parasitics=True
+        )
+        target = 0.95 * small_amm.parameters.wta_full_scale_current
+        assert solution.column_currents.max() == pytest.approx(target, rel=1e-3)
+
+
+class TestSetupFactorisesOnce:
+    """Calibration, ``prepare()`` and both margin solves share one factorisation."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"splu": 0, "spsolve": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(batched, "splu", counting("splu", batched.splu))
+        monkeypatch.setattr(solver, "spsolve", counting("spsolve", solver.spsolve))
+        return counts
+
+    @pytest.mark.parametrize("include_parasitics,factorisations", [(True, 1), (False, 0)])
+    def test_build_prepare_and_margins_factorise_once(
+        self, counts, small_template_codes, small_parameters, include_parasitics, factorisations
+    ):
+        amm = AssociativeMemoryModule.from_templates(
+            small_template_codes,
+            parameters=small_parameters,
+            include_parasitics=include_parasitics,
+            seed=3,
+        )
+        amm.solver.batch_engine.prepare(include_parasitics)
+        inputs = small_template_codes.T[:3]
+        columns = np.arange(3)
+        if include_parasitics:
+            detection_margins(amm, inputs, columns, include_parasitics=True)
+        detection_margins(amm, inputs, columns, include_parasitics=False)
+        assert counts == {"splu": factorisations, "spsolve": 0}
 
 
 class TestRecognition:

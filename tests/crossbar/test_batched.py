@@ -16,7 +16,9 @@ from scipy import sparse
 from repro.core.amm import AssociativeMemoryModule
 from repro.core.config import default_parameters
 from repro.crossbar.array import ResistiveCrossbar
+from repro.crossbar import batched
 from repro.crossbar.batched import BatchedCrossbarEngine, chebyshev_steps
+from repro.crossbar.mna import static_network
 from repro.crossbar.parasitics import WireParasitics
 from repro.crossbar.programming import TemplateProgrammer
 from repro.crossbar.solver import CrossbarSolver
@@ -191,21 +193,21 @@ class TestRowInvariance:
 class TestPrecondition:
     def test_prepare_refuses_a_non_symmetric_operator(self, monkeypatch):
         engine = make_solver(10, 3, 30e-3, 1e3, seed=0).batch_engine
-        network = engine._static_network()
+        network = static_network(engine.crossbar, engine.termination_resistance)
         driven = engine._driven
         one_way = sparse.csc_matrix(
             ([0.5 * network[driven[0], driven[0]]], ([driven[0]], [driven[1]])),
             shape=network.shape,
         )
-        monkeypatch.setattr(engine, "_static_network", lambda: network + one_way)
+        monkeypatch.setattr(batched, "static_network", lambda *args: network + one_way)
         with pytest.raises(ValueError, match="not symmetric"):
             engine.prepare()
         assert not engine.prepared
 
     def test_prepare_refuses_an_indefinite_operator(self, monkeypatch):
         engine = make_solver(10, 3, 30e-3, 1e3, seed=0).batch_engine
-        network = engine._static_network()
-        monkeypatch.setattr(engine, "_static_network", lambda: -network)
+        network = static_network(engine.crossbar, engine.termination_resistance)
+        monkeypatch.setattr(batched, "static_network", lambda *args: -network)
         with pytest.raises(ValueError, match="not positive definite"):
             engine.prepare()
         assert not engine.prepared
