@@ -389,15 +389,16 @@ def spec_from_wire(header: dict, arrays: Dict[str, np.ndarray]) -> EngineSpec:
         parasitics=WireParasitics(**header["parasitics"]),
     )
     dac_header = header["dac_bank"]
-    # Bypass the constructor's fresh mismatch draw: the parent's exact
-    # per-bit conductances (including its mismatch realisation) are the
-    # programmed state, shipped raw (the same trick as ``rescaled``).
-    bank = InputDacBank.__new__(InputDacBank)
-    bank.rows = int(dac_header["rows"])
-    bank.bits = int(dac_header["bits"])
-    bank.unit_conductance = float(dac_header["unit_conductance"])
-    bank.mismatch_sigma = float(dac_header["mismatch_sigma"])
-    bank.bit_conductances = np.array(arrays["bit_conductances"], dtype=float)
+    # No fresh mismatch draw: the parent's exact per-bit conductances
+    # (including its mismatch realisation) are the programmed state,
+    # shipped raw.
+    bank = InputDacBank.from_bit_conductances(
+        arrays["bit_conductances"],
+        unit_conductance=float(dac_header["unit_conductance"]),
+        mismatch_sigma=float(dac_header["mismatch_sigma"]),
+    )
+    if (bank.rows, bank.bits) != (int(dac_header["rows"]), int(dac_header["bits"])):
+        raise ValueError("dac_bank rows/bits do not match its bit_conductances")
     wta_header = header["wta"]
     mtj = MagneticTunnelJunction(
         r_parallel_ohm=wta_header["mtj"]["r_parallel_ohm"],

@@ -26,16 +26,17 @@ from repro.crossbar.array import ResistiveCrossbar
 from repro.crossbar.batched import BatchCrossbarSolution
 from repro.crossbar.programming import TemplateProgrammer
 from repro.crossbar.solver import CrossbarSolution, CrossbarSolver
-from repro.utils.rng import RandomState, ensure_rng
+from repro.utils.rng import RandomState, ensure_rng, substream_standard_normal
 from repro.utils.validation import check_integer, check_positive, check_shape
 
 
 class InputDacBank:
     """One binary-weighted DTCS DAC per crossbar row.
 
-    Each row's DAC has independently drawn per-bit conductance mismatch;
-    the bank exposes a vectorised code→conductance conversion so a full
-    128-row input vector is converted in one call.
+    Each row's DAC has independently drawn per-bit conductance mismatch.
+    Each row takes one of only ``2**bits`` codes, so the bank holds every
+    row's conductance at every code in a ``(2**bits, rows)`` table and
+    converts a full input vector, or a batch of them, with one gather.
 
     Parameters
     ----------
@@ -51,6 +52,10 @@ class InputDacBank:
         Seed or generator for the mismatch draws.
     """
 
+    #: Largest supported resolution: the code table holds ``2**bits``
+    #: conductances per row.
+    MAX_BITS = 12
+
     def __init__(
         self,
         rows: int,
@@ -64,10 +69,6 @@ class InputDacBank:
         check_positive("unit_conductance", unit_conductance)
         if mismatch_sigma < 0 or mismatch_sigma > 0.5:
             raise ValueError(f"mismatch_sigma must be in [0, 0.5], got {mismatch_sigma}")
-        self.rows = rows
-        self.bits = bits
-        self.unit_conductance = unit_conductance
-        self.mismatch_sigma = mismatch_sigma
         rng = ensure_rng(seed)
         weights = 2.0 ** np.arange(bits)
         nominal = unit_conductance * weights
@@ -75,8 +76,55 @@ class InputDacBank:
             errors = rng.normal(0.0, mismatch_sigma, size=(rows, bits))
         else:
             errors = np.zeros((rows, bits))
+        self._program(nominal[None, :] * (1.0 + errors), unit_conductance, mismatch_sigma)
+
+    @classmethod
+    def from_bit_conductances(
+        cls,
+        bit_conductances: np.ndarray,
+        unit_conductance: float,
+        mismatch_sigma: float = 0.0,
+    ) -> "InputDacBank":
+        """A bank with the given per-row, per-bit conductances; draws nothing.
+
+        Restores an exact programmed state, mismatch realisation included:
+        a calibrated (:meth:`rescaled`) bank or a replica decoded from the
+        wire.
+        """
+        bank = cls.__new__(cls)
+        bank._program(
+            np.array(bit_conductances, dtype=float), unit_conductance, mismatch_sigma
+        )
+        return bank
+
+    def _program(
+        self, bit_conductances: np.ndarray, unit_conductance: float, mismatch_sigma: float
+    ) -> None:
+        """Set the bank's state and build its code table (every constructor ends here)."""
+        if bit_conductances.ndim != 2:
+            raise ValueError(
+                f"bit_conductances must be 2-D (rows x bits), got {bit_conductances.shape}"
+            )
+        rows, bits = bit_conductances.shape
+        if rows < 1 or not 1 <= bits <= self.MAX_BITS:
+            raise ValueError(
+                f"bit_conductances must have >= 1 row and 1..{self.MAX_BITS} bits, "
+                f"got shape {bit_conductances.shape}"
+            )
+        self.rows, self.bits = rows, bits
+        self.unit_conductance = float(unit_conductance)
+        self.mismatch_sigma = float(mismatch_sigma)
         #: Per-row, per-bit conductances (S), shape ``(rows, bits)``.
-        self.bit_conductances = nominal[None, :] * (1.0 + errors)
+        self.bit_conductances = bit_conductances
+        # _table[code, row] is the masked sum of the row's bit conductances,
+        # the same expression (and so the same bits) as converting the code
+        # directly.  Column-major storage makes each row's 2**bits entries
+        # contiguous, so a code batch converts with one flat ``take``.
+        levels = 2**bits
+        codes = np.broadcast_to(np.arange(levels)[:, None], (levels, rows))
+        masks = ((codes[:, :, None] >> np.arange(bits)) & 1).astype(float)
+        self._table = np.asfortranarray(np.sum(masks * bit_conductances[None, :, :], axis=2))
+        self._row_offsets = np.arange(rows) * levels
 
     @property
     def max_code(self) -> int:
@@ -87,9 +135,9 @@ class InputDacBank:
         """Per-row DAC conductances (S) for integer input codes.
 
         Accepts a single ``(rows,)`` code vector or a batch of shape
-        ``(B, rows)``; the returned array has the same shape.  The batched
-        conversion is element-wise identical to converting each sample
-        separately.
+        ``(B, rows)``; the returned array has the same shape.  Every entry
+        is the code's masked sum of the row's bit conductances, looked up
+        in the bank's code table.
         """
         codes = np.asarray(codes, dtype=np.int64)
         if codes.ndim == 2:
@@ -97,15 +145,12 @@ class InputDacBank:
                 raise ValueError(
                     f"codes must have shape (B, {self.rows}), got {codes.shape}"
                 )
-            if np.any(codes < 0) or np.any(codes > self.max_code):
-                raise ValueError(f"codes must be in [0, {self.max_code}]")
-            masks = ((codes[:, :, None] >> np.arange(self.bits)) & 1).astype(float)
-            return np.sum(masks * self.bit_conductances[None, :, :], axis=2)
-        check_shape("codes", codes, (self.rows,))
-        if np.any(codes < 0) or np.any(codes > self.max_code):
+        else:
+            check_shape("codes", codes, (self.rows,))
+        # Every code lies in [0, max_code] exactly when their bitwise OR does.
+        if not 0 <= np.bitwise_or.reduce(codes, axis=None) <= self.max_code:
             raise ValueError(f"codes must be in [0, {self.max_code}]")
-        masks = ((codes[:, None] >> np.arange(self.bits)) & 1).astype(float)
-        return np.sum(masks * self.bit_conductances, axis=1)
+        return self._table.ravel(order="F").take(codes + self._row_offsets)
 
     def full_scale_conductance(self) -> float:
         """Nominal conductance at the maximum code (S)."""
@@ -114,13 +159,11 @@ class InputDacBank:
     def rescaled(self, factor: float) -> "InputDacBank":
         """Return a bank with all conductances scaled by ``factor`` (calibration)."""
         check_positive("factor", factor)
-        bank = InputDacBank.__new__(InputDacBank)
-        bank.rows = self.rows
-        bank.bits = self.bits
-        bank.unit_conductance = self.unit_conductance * factor
-        bank.mismatch_sigma = self.mismatch_sigma
-        bank.bit_conductances = self.bit_conductances * factor
-        return bank
+        return InputDacBank.from_bit_conductances(
+            self.bit_conductances * factor,
+            self.unit_conductance * factor,
+            self.mismatch_sigma,
+        )
 
 
 @dataclass(frozen=True)
@@ -432,16 +475,19 @@ class AssociativeMemoryModule:
         )
 
     def _varied_conductances(
-        self, conductances: np.ndarray, rng: np.random.Generator
+        self, conductances: np.ndarray, unit_noise: np.ndarray
     ) -> np.ndarray:
-        """One evaluation's input-variation draw applied to a ``(rows,)`` vector.
+        """Input variation applied to DAC conductances, element by element.
 
-        The single definition of the noise model shared by the sequential
+        ``unit_noise`` holds one standard normal draw per conductance.  The
+        single definition of the noise model shared by the sequential
         scalar/batch paths (drawing from the module's stream) and the
-        seeded serving path (drawing from a per-request substream), so the
-        paths cannot drift apart.
+        seeded serving path (drawing from per-request substreams), so the
+        paths cannot drift apart.  ``input_variation * unit_noise`` is
+        bit-identical to ``normal(0.0, input_variation)`` on the same
+        stream.
         """
-        noise = rng.normal(0.0, self.input_variation, size=conductances.shape)
+        noise = self.input_variation * unit_noise
         return np.clip(conductances * (1.0 + noise), 0.0, None)
 
     def column_solution(self, input_codes: np.ndarray) -> CrossbarSolution:
@@ -450,7 +496,9 @@ class AssociativeMemoryModule:
         check_shape("input_codes", input_codes, (self.crossbar.rows,))
         conductances = self.input_dacs.conductances(input_codes)
         if self.input_variation > 0.0:
-            conductances = self._varied_conductances(conductances, self._rng)
+            conductances = self._varied_conductances(
+                conductances, self._rng.standard_normal(conductances.shape)
+            )
         return self.solver.solve(
             conductances, include_parasitics=self.include_parasitics
         )
@@ -535,16 +583,15 @@ class AssociativeMemoryModule:
     def _batch_input_conductances(self, input_codes_batch: np.ndarray) -> np.ndarray:
         """DAC conductances for a code batch, with per-evaluation variation.
 
-        The variation noise is drawn sample by sample, in batch order,
-        from the same generator :meth:`column_solution` uses — so a batch
-        consumes the random stream exactly as a per-sample loop would.
+        The variation noise is drawn in batch order (row-major) from the
+        same generator :meth:`column_solution` uses, so a batch consumes
+        the random stream exactly as a per-sample loop would.
         """
         conductances = self.input_dacs.conductances(input_codes_batch)
         if self.input_variation > 0.0:
-            for index in range(conductances.shape[0]):
-                conductances[index] = self._varied_conductances(
-                    conductances[index], self._rng
-                )
+            conductances = self._varied_conductances(
+                conductances, self._rng.standard_normal(conductances.shape)
+            )
         return conductances
 
     def recognise_batch(self, input_codes_batch: np.ndarray) -> BatchRecognitionResult:
@@ -592,7 +639,11 @@ class AssociativeMemoryModule:
 
         * input-variation noise is drawn from a per-request substream
           seeded by ``request_seeds[i]`` (spawn key 0) instead of the
-          module's sequential stream;
+          module's sequential stream.  The draws come from
+          :func:`~repro.utils.rng.substream_standard_normal`, bit-identical
+          to ``default_rng(SeedSequence(entropy=seed,
+          spawn_key=(INPUT_STREAM_KEY,)))`` per sample, with the seed hash
+          vectorised over the batch;
         * the WTA conversion draws its latch offsets from the matching
           per-request substream (spawn key 1) and leaves the neurons'
           magnetic state and switch counters untouched;
@@ -621,16 +672,12 @@ class AssociativeMemoryModule:
             raise ValueError("request_seeds must be non-negative")
         conductances = self.input_dacs.conductances(input_codes_batch)
         if self.input_variation > 0.0:
-            for index in range(conductances.shape[0]):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(
-                        entropy=int(seeds[index]),
-                        spawn_key=(self.INPUT_STREAM_KEY,),
-                    )
-                )
-                conductances[index] = self._varied_conductances(
-                    conductances[index], rng
-                )
+            conductances = self._varied_conductances(
+                conductances,
+                substream_standard_normal(
+                    seeds, self.INPUT_STREAM_KEY, (conductances.shape[1],)
+                ),
+            )
         if engine is None:
             engine = self.solver.batch_engine
         solution = engine.solve_batch(

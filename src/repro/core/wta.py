@@ -39,7 +39,12 @@ from repro.core.sar import SuccessiveApproximationRegister
 from repro.devices.dwn import DomainWallNeuron, DwnConfig
 from repro.devices.latch import DynamicCmosLatch
 from repro.devices.mtj import MagneticTunnelJunction
-from repro.utils.rng import RandomState, ensure_rng, spawn_children
+from repro.utils.rng import (
+    RandomState,
+    ensure_rng,
+    spawn_children,
+    substream_standard_normal,
+)
 from repro.utils.validation import check_integer, check_positive
 
 
@@ -357,9 +362,13 @@ class SpinCmosWta:
         must not depend on how many conversions this WTA has run before,
         how requests were grouped, or which worker replica converted them.
         Sample ``i``'s latch offsets are therefore drawn from a dedicated
-        generator seeded by ``request_seeds[i]`` (instead of the neurons'
-        sequential streams) and no neuron state is mutated; the
-        switching-event counters assume each request enters with its
+        substream of ``request_seeds[i]`` (instead of the neurons'
+        sequential streams) and no neuron state is mutated.  The offsets
+        come from :func:`~repro.utils.rng.substream_standard_normal`,
+        bit-identical to ``default_rng(SeedSequence(entropy=seed,
+        spawn_key=(LATCH_STREAM_KEY,))).normal(0.0, sigma, (columns,
+        bits))`` per sample, with the seed hash vectorised over the batch.
+        The switching-event counters assume each request enters with its
         neurons in the ``-1`` preset state, making every field of the
         result a pure function of ``(wta, currents, seed)``.
 
@@ -388,20 +397,14 @@ class SpinCmosWta:
                 "seeded conversion requires deterministic neurons "
                 "(stochastic switching off, per-cycle preset on)"
             )
-        batch = currents.shape[0]
         sigma = self.neurons[0].latch.offset_sigma_ohm
-        offsets = np.zeros((batch, self.columns, self.resolution_bits))
         if sigma > 0.0:
-            for index in range(batch):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(
-                        entropy=int(seeds[index]),
-                        spawn_key=(self.LATCH_STREAM_KEY,),
-                    )
-                )
-                offsets[index] = rng.normal(
-                    0.0, sigma, size=(self.columns, self.resolution_bits)
-                )
+            offsets = substream_standard_normal(
+                seeds, self.LATCH_STREAM_KEY, (self.columns, self.resolution_bits)
+            )
+            offsets *= sigma
+        else:
+            offsets = np.zeros((currents.shape[0], self.columns, self.resolution_bits))
         return self._convert_batch_fast(currents, offsets=offsets, commit_state=False)
 
     def _convert_batch_fast(
@@ -446,11 +449,11 @@ class SpinCmosWta:
 
         # SAR register state, replicated from SuccessiveApproximationRegister.
         code = np.full((batch, columns), 1 << (bits - 1), dtype=np.int64)
-        previous_trial = code.copy()
         tracking = np.ones((batch, columns), dtype=bool)
-        #: per-cycle post-evaluation neuron states (+1 == True), (B, C, bits)
-        driven_high = np.empty((batch, columns, bits), dtype=bool)
-        toggle_counts = np.zeros(batch, dtype=np.int64)
+        #: per neuron: cycles that left it driven high (state +1)
+        high_cycles = np.zeros((batch, columns), dtype=np.int64)
+        #: per neuron: SAR trial-code bits toggled
+        toggled_bits = np.zeros((batch, columns), dtype=np.int64)
         discharge_counts = np.zeros(batch, dtype=np.int64)
 
         for cycle in range(bits):
@@ -458,47 +461,40 @@ class SpinCmosWta:
             dac_currents = (code * self.lsb_current) * self._dac_gains[None, :]
             delta = currents - dac_currents
             high = delta >= threshold
-            driven_high[:, :, cycle] = high
+            high_cycles += high
             device_resistance = np.where(high, r_parallel, r_antiparallel)
             keep = (device_resistance + offsets[:, :, cycle]) < r_reference
             next_code = np.where(keep, code, code & ~np.int64(1 << bit_index))
             if bit_index - 1 >= 0:
                 next_code = next_code | np.int64(1 << (bit_index - 1))
-            toggle_counts += np.bitwise_count(previous_trial ^ next_code).sum(
-                axis=1, dtype=np.int64
-            )
-            previous_trial = next_code
+            toggled_bits += np.bitwise_count(code ^ next_code)
             code = next_code
             discharge = tracking & keep
             fired = discharge.any(axis=1)
             discharge_counts += fired
             tracking = np.where(fired[:, None], discharge, tracking)
+        final_high = high
 
         # Switching-event accounting: the per-cycle preset flips the state
         # back to -1 whenever the previous cycle drove it high, and the
-        # evaluation flips it high whenever the drive exceeds threshold.
+        # evaluation flips it high whenever the drive exceeds threshold, so
+        # a neuron switches twice per high cycle except after the last one.
         # The carry into each sample's first cycle is the neuron state left
         # by the previous sample (or the neuron's state at batch entry);
         # uncommitted (seeded) conversions count each sample from a fresh
         # -1 preset instead, so its events are batch-order independent.
-        carry = np.zeros((batch, columns), dtype=bool)
+        flips = 2 * high_cycles - final_high
         if commit_state:
-            carry[0] = np.array([neuron.state == 1 for neuron in self.neurons])
-            if batch > 1:
-                carry[1:] = driven_high[:-1, :, -1]
-        reset_flips = carry.astype(np.int64) + driven_high[:, :, :-1].sum(
-            axis=2, dtype=np.int64
-        )
-        apply_flips = driven_high.sum(axis=2, dtype=np.int64)
-        per_sample_switches = (reset_flips + apply_flips).sum(axis=1)
-        final_high = driven_high[:, :, -1]
-        if commit_state:
-            per_neuron_switches = (reset_flips + apply_flips).sum(axis=0)
+            flips[0] += np.array([neuron.state == 1 for neuron in self.neurons])
+            flips[1:] += final_high[:-1]
+            per_neuron_switches = flips.sum(axis=0)
             for index, neuron in enumerate(self.neurons):
                 neuron.apply_batch_outcome(
                     1 if final_high[-1, index] else -1,
                     int(per_neuron_switches[index]),
                 )
+        per_sample_switches = flips.sum(axis=1)
+        toggle_counts = toggled_bits.sum(axis=1)
 
         survivors = tracking
         masked = np.where(survivors, code, np.int64(-1))
@@ -508,14 +504,18 @@ class SpinCmosWta:
         events = [
             {
                 "latch_senses": columns * bits,
-                "sar_bit_writes": columns + int(toggle_counts[index]),
-                "dac_transitions": int(toggle_counts[index]),
-                "dwn_switches": int(per_sample_switches[index]),
-                "tracking_writes": int(discharge_counts[index]),
-                "detection_discharges": int(discharge_counts[index]),
+                "sar_bit_writes": columns + toggles,
+                "dac_transitions": toggles,
+                "dwn_switches": switches,
+                "tracking_writes": discharges,
+                "detection_discharges": discharges,
                 "detection_precharges": bits,
             }
-            for index in range(batch)
+            for toggles, switches, discharges in zip(
+                toggle_counts.tolist(),
+                per_sample_switches.tolist(),
+                discharge_counts.tolist(),
+            )
         ]
         return BatchWtaResult(
             winner=winner,

@@ -14,11 +14,12 @@ This checker builds the project call graph from every function named
 ``recognise_batch_seeded`` / ``convert_batch_seeded`` and flags, in any
 reachable function:
 
-* calls into ``numpy.random.*`` other than explicitly-seeded
-  constructions (``default_rng(seed)``, ``SeedSequence``, generator
+* calls into ``numpy.random.*`` other than seeded constructions
+  (``default_rng``, ``Generator``, ``SeedSequence``, the bit-generator
   classes) — these draw from or mutate the module-global stream;
-* ``default_rng()`` / ``Generator()`` with no arguments — an unseeded
-  generator is fresh OS entropy, unreproducible by construction.
+* any of those constructions called with no arguments — an argless
+  ``default_rng()``, ``PCG64()`` or ``SeedSequence()`` is fresh OS
+  entropy, unreproducible by construction.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from repro.devtools.lint.registry import Checker, register
 #: Entry points whose whole call tree must stay seed-pure.
 SEEDED_ROOTS = ("recognise_batch_seeded", "convert_batch_seeded")
 
-#: ``numpy.random`` attributes that are fine to *construct* with — they
-#: only produce deterministic streams when given explicit entropy (the
-#: no-argument case is flagged separately).
-ALLOWED_RANDOM_ATTRS = {
+#: ``numpy.random`` constructors allowed on the seeded path.  Each yields a
+#: deterministic stream only when given explicit entropy, so every one of
+#: them must be called with an argument.
+SEEDED_CONSTRUCTORS = {
     "default_rng",
     "Generator",
     "SeedSequence",
@@ -49,9 +50,6 @@ ALLOWED_RANDOM_ATTRS = {
     "SFC64",
     "MT19937",
 }
-
-#: Spellings that demand an explicit seed argument.
-SEED_REQUIRED = {"numpy.random.default_rng", "numpy.random.Generator"}
 
 
 @register
@@ -114,18 +112,16 @@ class SeededRecallRngChecker(Checker):
         dotted = dotted_call_target(call, imports)
         if dotted is None:
             return None
-        if dotted in SEED_REQUIRED:
-            if not call.args and not call.keywords:
-                return (
-                    f"{dotted}() without a seed draws fresh OS entropy — "
-                    "unreproducible by construction"
-                )
+        if not dotted.startswith("numpy.random."):
             return None
-        if dotted.startswith("numpy.random."):
-            attr = dotted.split(".")[-1]
-            if attr not in ALLOWED_RANDOM_ATTRS:
-                return (
-                    f"{dotted} draws from (or mutates) the module-global "
-                    "numpy random stream"
-                )
+        if dotted.split(".")[-1] not in SEEDED_CONSTRUCTORS:
+            return (
+                f"{dotted} draws from (or mutates) the module-global "
+                "numpy random stream"
+            )
+        if not call.args and not call.keywords:
+            return (
+                f"{dotted}() without a seed draws fresh OS entropy — "
+                "unreproducible by construction"
+            )
         return None

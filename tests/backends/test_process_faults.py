@@ -65,7 +65,8 @@ class TestWorkerCrash:
         """SIGKILL racing an in-flight batch either completes or fails fast."""
         import threading
 
-        big_codes = np.tile(request_codes, (12, 1))
+        # Several dispatch rounds (~25 ms), so the kill 5 ms in lands in flight.
+        big_codes = np.tile(request_codes, (48, 1))
         big_seeds = np.arange(big_codes.shape[0], dtype=np.int64)
         pid = pool._handles[0].process.pid
         killer = threading.Thread(

@@ -1,9 +1,13 @@
 """Tests for the associative memory module (Section 4 system)."""
 
+import socket
+
 import numpy as np
 import pytest
 
 from repro.analysis.margins import detection_margins
+from repro.backends import wire
+from repro.backends.base import EngineSpec
 from repro.core.amm import AssociativeMemoryModule, InputDacBank
 from repro.core.config import DesignParameters
 from repro.crossbar import batched, solver
@@ -32,14 +36,70 @@ class TestInputDacBank:
 
     def test_code_validation(self):
         bank = InputDacBank(rows=2, bits=5, unit_conductance=1e-6)
-        with pytest.raises(ValueError):
-            bank.conductances(np.array([0, 32]))
+        for bad in ([0, 32], [-1, 3], [[0, 1], [2**40, 0]], [[0, 1], [-2**40, 0]]):
+            with pytest.raises(ValueError, match="codes must be in"):
+                bank.conductances(np.array(bad))
         with pytest.raises(ValueError):
             bank.conductances(np.array([0]))
+        with pytest.raises(ValueError):
+            InputDacBank.from_bit_conductances(np.ones((2, InputDacBank.MAX_BITS + 1)), 1e-6)
 
     def test_full_scale_conductance(self):
         bank = InputDacBank(rows=2, bits=5, unit_conductance=1e-6)
         assert bank.full_scale_conductance() == pytest.approx(31e-6)
+
+
+def masked_sum(bank, codes):
+    """The direct code-to-conductance formula the code table must equal."""
+    masks = ((codes[:, :, None] >> np.arange(bank.bits)) & 1).astype(float)
+    return np.sum(masks * bank.bit_conductances[None, :, :], axis=2)
+
+
+def wire_round_trip(module):
+    """The module a remote or fleet replica rebuilds from its SPEC frame."""
+    header, arrays = wire.spec_to_wire(EngineSpec.from_module(module))
+    left, right = socket.socketpair()
+    with left, right:
+        wire.send_frame(left, wire.SPEC, header, arrays)
+        _, _, header, arrays = wire.recv_frame(right)
+    return wire.spec_from_wire(header, arrays).module
+
+
+class TestDacCodeTable:
+    """Every construction path converts through a table that equals the
+    masked-sum formula bit for bit, for all 32 codes on every row."""
+
+    @staticmethod
+    def all_code_batches(bank):
+        rng = np.random.default_rng(5)
+        every_code = np.repeat(np.arange(2**bank.bits)[:, None], bank.rows, axis=1)
+        shuffled = np.stack([rng.permutation(every_code[:, 0]) for _ in range(bank.rows)], axis=1)
+        return every_code, shuffled
+
+    def assert_table_exact(self, bank):
+        for codes in self.all_code_batches(bank):
+            expected = masked_sum(bank, codes)
+            np.testing.assert_array_equal(bank.conductances(codes), expected)
+            for vector, row in zip(codes, expected):
+                np.testing.assert_array_equal(bank.conductances(vector), row)
+
+    def test_init_rescaled_and_wire_paths(self):
+        rng = np.random.default_rng(8)
+        templates = rng.integers(0, 32, size=(16, 4))
+        module = AssociativeMemoryModule.from_templates(
+            templates, dac_mismatch_sigma=0.05, include_parasitics=False, seed=8
+        )
+        drawn = InputDacBank(rows=16, bits=5, unit_conductance=1e-6, mismatch_sigma=0.05, seed=3)
+        rescaled = drawn.rescaled(1.7)
+        replica = wire_round_trip(module).input_dacs
+        np.testing.assert_array_equal(
+            replica.bit_conductances, module.input_dacs.bit_conductances
+        )
+        # from_templates calibrates its bank through rescaled().
+        for bank in (drawn, rescaled, module.input_dacs, replica):
+            mismatch = bank.bit_conductances / bank.bit_conductances[0]
+            assert np.ptp(mismatch, axis=0).max() > 0  # rows differ
+            self.assert_table_exact(bank)
 
 
 class TestConstruction:

@@ -33,6 +33,19 @@ class TestRng001:
         ), report.findings
         assert len(lines) == 2  # exactly the two bad helpers
 
+    def test_argless_bit_generators_and_seed_sequences_flagged(self):
+        report = lint_fixture("rng_bitgen_bad", ["RNG001"])
+        flagged = {
+            (f.symbol.rsplit(".", 1)[-1], f.message.split("()")[0])
+            for f in report.findings
+        }
+        assert flagged == {
+            ("_fresh_bitgen", "numpy.random.PCG64"),
+            ("_fresh_sequence", "numpy.random.SeedSequence"),
+            ("_fresh_philox", "numpy.random.Philox"),
+        }, report.findings
+        assert all("without a seed" in f.message for f in report.findings)
+
 
 class TestWire001:
     def test_pickle_import_and_spec_field_flagged(self):
