@@ -215,7 +215,8 @@ class BatchRecognitionResult:
     ``static_power`` have shape ``(B,)``, ``codes`` and
     ``column_currents`` have shape ``(B, columns)`` and ``events`` holds
     one counter dictionary per sample.  Indexing recovers the scalar
-    :class:`RecognitionResult` of one sample.
+    :class:`RecognitionResult` of one sample; slicing returns the
+    :class:`BatchRecognitionResult` of a contiguous run of samples.
     """
 
     winner_column: np.ndarray
@@ -231,7 +232,19 @@ class BatchRecognitionResult:
     def __len__(self) -> int:
         return self.codes.shape[0]
 
-    def __getitem__(self, index: int) -> RecognitionResult:
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return BatchRecognitionResult(
+                winner_column=self.winner_column[index],
+                winner=self.winner[index],
+                dom_code=self.dom_code[index],
+                accepted=self.accepted[index],
+                tie=self.tie[index],
+                codes=self.codes[index],
+                column_currents=self.column_currents[index],
+                static_power=self.static_power[index],
+                events=self.events[index],
+            )
         return RecognitionResult(
             winner_column=int(self.winner_column[index]),
             winner=int(self.winner[index]),
@@ -246,6 +259,21 @@ class BatchRecognitionResult:
 
     def __iter__(self):
         return (self[index] for index in range(len(self)))
+
+    @classmethod
+    def stack(cls, results: Sequence[RecognitionResult]) -> "BatchRecognitionResult":
+        """The batch form of scalar results (e.g. from per-sample recalls)."""
+        return cls(
+            winner_column=np.array([result.winner_column for result in results]),
+            winner=np.array([result.winner for result in results]),
+            dom_code=np.array([result.dom_code for result in results]),
+            accepted=np.array([result.accepted for result in results], dtype=bool),
+            tie=np.array([result.tie for result in results], dtype=bool),
+            codes=np.stack([result.codes for result in results]),
+            column_currents=np.stack([result.column_currents for result in results]),
+            static_power=np.array([result.static_power for result in results], dtype=float),
+            events=[result.events for result in results],
+        )
 
 
 def concatenate_batch_results(chunks) -> BatchRecognitionResult:

@@ -24,7 +24,7 @@ the system benchmark cross-checks the analytic estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.config import DesignParameters, default_parameters
 from repro.devices.latch import DynamicCmosLatch
@@ -150,6 +150,7 @@ class SpinAmmPowerModel:
             node_capacitance=latch_capacitance,
         )
         self.detection_line_capacitance = detection_line_capacitance
+        self._coefficient_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------ #
     # Static components
@@ -250,24 +251,63 @@ class SpinAmmPowerModel:
     # ------------------------------------------------------------------ #
     # Measured-activity path
     # ------------------------------------------------------------------ #
+    def _event_coefficients(self) -> Tuple[float, float, int, float, float, float]:
+        """Per-event energy terms of the measured-activity path.
+
+        ``(sense energy, inverter energy, columns, detection-line
+        capacitance, supply voltage squared, SAR-DAC static power)``,
+        computed once per distinct set of inputs: a model is costed once
+        per recognised row, and re-deriving the technology terms dominated
+        that cost.  The inputs are compared on every call, so replacing
+        ``technology``, ``parameters``, ``latch``,
+        ``detection_line_capacitance`` or ``sar_utilization`` after
+        construction still takes effect.
+        """
+        inputs = (
+            self.technology,
+            self.parameters,
+            self.latch,
+            self.detection_line_capacitance,
+            self.sar_utilization,
+        )
+        cached = self._coefficient_cache
+        if cached is None or cached[0] != inputs:
+            cached = self._coefficient_cache = (
+                inputs,
+                (
+                    self.latch.sense_energy(),
+                    self.technology.inverter_switching_energy(),
+                    self.parameters.num_templates,
+                    self.detection_line_capacitance,
+                    self.technology.supply_voltage**2,
+                    self.sar_dac_static_power(),
+                ),
+            )
+        return cached[1]
+
     def dynamic_energy_from_events(self, events: Dict[str, int]) -> float:
         """Dynamic energy (J) of one conversion from measured event counters.
 
         Uses the switching-activity dictionary produced by
         :meth:`repro.core.wta.SpinCmosWta.convert`, so that the power
         reported for an actual workload reflects its real bit activity
-        rather than the average activity factors.
+        rather than the average activity factors.  Every product keeps
+        its left-to-right operand order (``events * columns * inverter``
+        is ``(events * columns) * inverter``), so the cached coefficients
+        change no bit of the result.
         """
-        inverter = self.technology.inverter_switching_energy()
+        sense, inverter, columns, detection_capacitance, supply_squared, _ = (
+            self._event_coefficients()
+        )
         energy = 0.0
-        energy += events.get("latch_senses", 0) * self.latch.sense_energy()
+        energy += events.get("latch_senses", 0) * sense
         energy += events.get("sar_bit_writes", 0) * 2.0 * inverter
         energy += events.get("dac_transitions", 0) * inverter
-        energy += events.get("tracking_writes", 0) * self.parameters.num_templates * inverter
+        energy += events.get("tracking_writes", 0) * columns * inverter
         energy += (
             events.get("detection_precharges", 0)
-            * self.detection_line_capacitance
-            * self.technology.supply_voltage**2
+            * detection_capacitance
+            * supply_squared
         )
         return energy
 
@@ -276,13 +316,10 @@ class SpinAmmPowerModel:
     ) -> PowerBreakdown:
         """Combine a measured crossbar static power with measured WTA activity."""
         check_positive("static_power", static_power, allow_zero=True)
-        dynamic = (
-            self.dynamic_energy_from_events(events)
-            * self.parameters.clock_frequency_hz
-        )
+        frequency = self.parameters.clock_frequency_hz
         return PowerBreakdown(
             static_rcm=static_power,
-            static_sar_dac=self.sar_dac_static_power(),
-            dynamic=dynamic,
-            frequency=self.parameters.clock_frequency_hz,
+            static_sar_dac=self._event_coefficients()[5],
+            dynamic=self.dynamic_energy_from_events(events) * frequency,
+            frequency=frequency,
         )

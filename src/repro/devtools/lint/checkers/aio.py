@@ -60,7 +60,7 @@ BLOCKING_CALLS = {
     "select.select": "select.select blocks the loop — the loop already selects",
     "concurrent.futures.wait": (
         "concurrent.futures.wait blocks the loop — bridge through a "
-        "done-callback (see _OutcomeDrain)"
+        "deliver callback (see _OutcomeBridge)"
     ),
 }
 

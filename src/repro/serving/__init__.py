@@ -8,11 +8,14 @@ traffic, where callers arrive one image at a time:
 
 ``service``
     :class:`~repro.serving.service.RecognitionService` — the
-    micro-batching front end.  Concurrent single recalls land in a
-    bounded queue; a batcher thread coalesces them into batches of up to
-    ``max_batch_size``, waiting at most ``max_wait`` after the first
-    arrival, and each caller's future resolves with its own
-    :class:`~repro.core.amm.RecognitionResult` slice.  A full queue
+    micro-batching front end.  Concurrent submissions (one or many rows
+    each) land in a bounded queue as one entry each; a batcher thread
+    cuts contiguous row ranges of them (segments) into batches of up to
+    ``max_batch_size`` rows, waiting at most ``max_wait`` after the
+    oldest queued arrival, and each segment resolves with one outcome —
+    its :class:`~repro.core.amm.BatchRecognitionResult` slice or an
+    error (``submit``/``submit_many`` keep a per-row-future API on top
+    of the same queue).  A full queue
     rejects immediately with
     :class:`~repro.serving.service.BackpressureError` (HTTP 429) rather
     than buffering without bound.
@@ -25,7 +28,7 @@ traffic, where callers arrive one image at a time:
     pool; ``backend="processes"`` runs them on a pool of worker
     processes (own interpreters, shared-memory I/O) that scales the
     whole recall across cores; ``backend="serial"`` is the single-engine
-    reference.  Deadline-expired requests are dropped here, before any
+    reference.  Deadline-expired segments are dropped here, before any
     engine time is spent.
 
 ``protocol`` / ``aio`` / ``client``
@@ -44,7 +47,7 @@ traffic, where callers arrive one image at a time:
     :func:`~repro.serving.client.run_connection_load` load generators
     behind ``python -m repro serve`` and ``python -m repro loadtest``.
     Large multi-image requests can set ``"stream": true`` for a chunked
-    NDJSON response: one line per row as its future resolves, per-row
+    NDJSON response: one line per row as its segment resolves, per-row
     error objects on partial failure, and a terminal summary line —
     served with bounded buffering however many rows the request holds.
 
@@ -69,7 +72,7 @@ Every request carries a ``priority`` (0–9, default 0).  The pending
 queue drains highest-priority-first (FIFO within a level), the worker
 pool's dispatch slots are consumed in the same order, and when the
 bounded queue is full an arriving request sheds queued *lower*-priority
-requests (their futures fail with ``BackpressureError``, counted under
+submissions whole (their rows fail with ``BackpressureError``, counted under
 ``requests.shed``) before it is ever rejected itself.  Priorities
 reorder and shed work; they never change answers — the determinism
 contract below is priority-independent.
@@ -131,7 +134,7 @@ from repro.serving.service import (
     MIN_PRIORITY,
     RecognitionService,
 )
-from repro.serving.workers import PendingRequest, ShardedWorkerPool
+from repro.serving.workers import FutureSubmission, ShardedWorkerPool, Submission
 
 __all__ = [
     "ANONYMOUS_CLIENT",
@@ -142,10 +145,10 @@ __all__ = [
     "ClientQuotas",
     "DEFAULT_PRIORITY",
     "DeadlineExceededError",
+    "FutureSubmission",
     "LoadReport",
     "MAX_PRIORITY",
     "MIN_PRIORITY",
-    "PendingRequest",
     "QuotaConfig",
     "QuotaExceededError",
     "RecognitionClient",
@@ -154,6 +157,7 @@ __all__ = [
     "ServiceClosedError",
     "ServiceMetrics",
     "ShardedWorkerPool",
+    "Submission",
     "latency_summary",
     "percentile",
     "result_to_json",

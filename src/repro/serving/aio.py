@@ -10,14 +10,14 @@ framing so bulk clients never pay JSON per row:
 
 * **HTTP** — ``POST /recognise`` for one request (``{"codes": [...],
   "seed": 0}``) or several (``{"codes": [[...], ...], "seeds": [...]}``),
-  each row submitted to the service individually so it coalesces with
-  concurrent traffic.  Optional fields: ``"timeout_ms"`` (dispatch
+  each submitted to the service as one batch-granular submission whose
+  rows coalesce with concurrent traffic.  Optional fields: ``"timeout_ms"`` (dispatch
   deadline — a row still queued when it expires is dropped unsolved and
   answered 504), ``"priority"`` (0–9, higher dispatches first and
   survives shedding), ``"client_id"`` (also the ``X-Client-Id`` header;
   quota admission and per-client stats) and ``"stream"``: a
   ``Transfer-Encoding: chunked`` ``application/x-ndjson`` response with
-  one line per row as it resolves (``{"index": i, "result": {...}}`` or
+  one line per row, written as the row's segment resolves (``{"index": i, "result": {...}}`` or
   ``{"index": i, "error": {...}}``) and a ``{"done": true, "count": n,
   "ok": k, "failed": m}`` summary (close-delimited instead of chunked
   for an HTTP/1.0 request).  ``GET /healthz`` is liveness and
@@ -43,16 +43,21 @@ framing so bulk clients never pay JSON per row:
 Thread-bridge rule
 ------------------
 
-The service resolves futures on its worker threads.  Every result
-crosses into the loop via ``loop.call_soon_threadsafe`` from a future
-done-callback (:class:`_OutcomeDrain`, which coalesces a whole batch of
-resolutions into one loop wakeup) — **no thread-per-request, no
-blocking ``.result()`` anywhere on the async path**.  A *cancelled*
-service future (an abandoned row) is surfaced as an ordinary
-``concurrent.futures.CancelledError`` *outcome*, never by cancelling
-anything on the loop: asyncio cancellation means "this handler task is
-being torn down" and must stay distinguishable from "this row was
-cancelled", which is an ordinary per-row outcome (503 ``cancelled``).
+The service resolves one outcome per *segment* — a contiguous row range
+of a submission that rode one micro-batch — on its worker threads.
+Every outcome crosses into the loop via ``loop.call_soon_threadsafe``
+from the submissions' ``deliver`` callbacks (:class:`_OutcomeBridge`,
+which coalesces every segment a micro-batch settles into one loop
+wakeup)
+— **no thread-per-request, no per-row future, no blocking ``.result()``
+anywhere on the async path**.  Response bodies, NDJSON lines and
+``ROWS`` frames are built straight from the segments' result arrays.
+A handler that gives up on a request (client gone, wait budget spent,
+an earlier row failed) calls :meth:`~repro.serving.workers.Submission.cancel`,
+which never touches the loop: the submission's undispatched rows are
+skipped by the service and their quota slots released at once.
+asyncio cancellation keeps meaning "this handler task is being torn
+down" only.
 
 :func:`start_async_server` runs the loop on a dedicated daemon thread
 (the rest of the process stays synchronous); :func:`stop_async_server`
@@ -72,6 +77,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.backends import wire
+from repro.core.amm import BatchRecognitionResult
 from repro.serving import protocol
 from repro.serving.errors import (
     BackpressureError,
@@ -88,10 +94,11 @@ from repro.serving.protocol import (
     StreamLineEncoder,
     classify_error,
     error_payload,
-    result_to_json,
+    result_rows,
 )
 from repro.serving.quotas import validate_client_id
 from repro.serving.service import RecognitionService
+from repro.serving.workers import Submission
 
 __all__ = [
     "AsyncRecognitionServer",
@@ -101,68 +108,85 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------- #
-# Thread-world -> loop-world future bridge
+# Thread-world -> loop-world outcome bridge
 # ---------------------------------------------------------------------- #
-class _OutcomeDrain:
-    """Coalesced bridge for many service futures at once.
+class _OutcomeBridge:
+    """The server's one crossing from worker threads into the loop.
 
     A per-row awaitable bridge costs one loop wakeup plus a
     ``shield``/``wait_for`` allocation per row — ~60 us/row of pure
     event-loop machinery, which at engine rates is the difference
-    between the front end tracking the crossbar and trailing it.  Here
-    every service future gets one cheap done-callback that appends ``(key, outcome)`` to a plain list under
-    a lock and schedules **at most one** pending loop wakeup for the
-    whole batch; the awaiting coroutine takes everything resolved so far
-    in a single drain.  Exceptions are retrieved inside the callback, so
-    abandoned rows never log "exception was never retrieved".
-
-    ``drained`` may return an empty batch (a stale wakeup after a
-    racing drain); callers keep their own deadline clock and simply loop.
+    between the front end tracking the crossbar and trailing it.  Here a
+    submission's ``deliver`` callback (:meth:`sink`) appends
+    ``(drain, start, stop, outcome)`` to one plain list under a lock and
+    returns the deferred :meth:`_wake` only when no wakeup is pending:
+    the worker pool runs it once after settling a whole micro-batch, so
+    every segment of every request in that batch crosses in one
+    ``call_soon_threadsafe``.  On the loop, :meth:`_hand_out` passes
+    each outcome to its request's :class:`_SegmentDrain`.
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
         self._loop = loop
         self._lock = threading.Lock()
-        self._resolved: List[tuple] = []
-        self._event = asyncio.Event()
+        self._resolved: List[Tuple["_SegmentDrain", int, int, object]] = []
         self._wake_scheduled = False
 
-    def watch(self, key, cfut: concurrent.futures.Future) -> None:
-        def copy(cf: concurrent.futures.Future, key=key) -> None:
-            if cf.cancelled():
-                outcome: object = concurrent.futures.CancelledError(
-                    "request cancelled"
-                )
-            else:
-                error = cf.exception()
-                outcome = error if error is not None else cf.result()
+    def sink(self, drain: "_SegmentDrain", offset: int):
+        def deliver(start: int, stop: int, outcome: object):
             with self._lock:
-                self._resolved.append((key, outcome))
-                wake = not self._wake_scheduled
+                self._resolved.append((drain, offset + start, offset + stop, outcome))
+                if self._wake_scheduled:
+                    return None
                 self._wake_scheduled = True
-            if wake:
-                try:
-                    self._loop.call_soon_threadsafe(self._event.set)
-                except RuntimeError:  # pragma: no cover - shutdown race
-                    pass
+            return self._wake
 
-        cfut.add_done_callback(copy)
+        return deliver
 
-    async def drained(self, timeout: float) -> List[tuple]:
-        """Outcomes resolved since the last drain; waits up to ``timeout``
-        for at least one (empty list = timed out or stale wakeup)."""
+    def _wake(self) -> None:
+        try:
+            self._loop.call_soon_threadsafe(self._hand_out)
+        except RuntimeError:  # pragma: no cover - shutdown race
+            pass
+
+    def _hand_out(self) -> None:
         with self._lock:
-            waiting = not self._resolved
-        if waiting:
-            try:
-                await asyncio.wait_for(self._event.wait(), max(timeout, 0.0))
-            except (asyncio.TimeoutError, TimeoutError):
-                pass  # a racing callback may still have landed one
-        with self._lock:
-            batch = self._resolved
+            resolved = self._resolved
             self._resolved = []
             self._wake_scheduled = False
-        self._event.clear()
+        for drain, start, stop, outcome in resolved:
+            drain.resolved.append((start, stop, outcome))
+            drain.event.set()
+
+
+class _SegmentDrain:
+    """The segment outcomes of one request, on the loop side.
+
+    ``sink(offset)`` is the ``deliver`` callback of a submission holding
+    the request's rows from ``offset`` on; outcomes arrive with row
+    indices of the whole request.  ``drained`` may return an empty batch
+    (timed out); callers keep their own deadline clock and simply loop.
+    """
+
+    def __init__(self, bridge: _OutcomeBridge) -> None:
+        self._bridge = bridge
+        self.resolved: List[Tuple[int, int, object]] = []
+        self.event = asyncio.Event()
+
+    def sink(self, offset: int):
+        return self._bridge.sink(self, offset)
+
+    async def drained(self, timeout: float) -> List[Tuple[int, int, object]]:
+        """Segments resolved since the last drain; waits up to ``timeout``
+        for at least one (empty list = timed out)."""
+        if not self.resolved:
+            try:
+                await asyncio.wait_for(self.event.wait(), max(timeout, 0.0))
+            except (asyncio.TimeoutError, TimeoutError):
+                pass
+        batch = self.resolved
+        self.resolved = []
+        self.event.clear()
         return batch
 
 
@@ -236,6 +260,7 @@ class AsyncRecognitionServer:
         #: ``None`` disables the binary endpoint entirely.
         self.binary_port = binary_port
         self.loop: Optional[asyncio.AbstractEventLoop] = None
+        self._bridge: Optional[_OutcomeBridge] = None
         self.serve_thread: Optional[threading.Thread] = None
         self._http_server: Optional[asyncio.AbstractServer] = None
         self._binary_server: Optional[asyncio.AbstractServer] = None
@@ -252,6 +277,7 @@ class AsyncRecognitionServer:
     # ------------------------------------------------------------------ #
     def start(self) -> "AsyncRecognitionServer":
         self.loop = asyncio.new_event_loop()
+        self._bridge = _OutcomeBridge(self.loop)
         self.serve_thread = threading.Thread(
             target=self._run_loop, name="recognition-aio", daemon=True
         )
@@ -495,10 +521,12 @@ class AsyncRecognitionServer:
         wait = protocol.wait_budget(
             parsed.timeout_ms, default=DEFAULT_REQUEST_TIMEOUT
         )
+        drain = _SegmentDrain(self._bridge)
         try:
-            futures = self.service.submit_many(
+            submission = self.service.submit_batch(
                 parsed.codes,
-                seeds=parsed.seeds,
+                parsed.seeds,
+                drain.sink(0),
                 timeout_ms=parsed.timeout_ms,
                 priority=parsed.priority,
                 client_id=parsed.client_id,
@@ -506,13 +534,10 @@ class AsyncRecognitionServer:
         except Exception as error:  # noqa: BLE001 — admission/validation
             await self._respond_error(writer, error, close=close_after)
             return close_after
-        total = len(futures)
-        drain = _OutcomeDrain(loop)
-        for index, cfut in enumerate(futures):
-            drain.watch(index, cfut)
+        total = len(submission)
         deadline = loop.time() + wait
-        outcomes: Dict[int, object] = {}
-        results: List[object] = []
+        resolved: Dict[int, Tuple[int, object]] = {}  # start -> (stop, outcome)
+        results: List[dict] = []
         # Scanned in row order (not arrival order) so a multi-row failure
         # reports the lowest failed row, exactly like the sequential
         # gather of ``RecognitionService.recognise_many``; the moment that
@@ -522,20 +547,20 @@ class AsyncRecognitionServer:
             while next_scan < total:
                 remaining = deadline - loop.time()
                 batch = await drain.drained(remaining)
-                for key, outcome in batch:
-                    outcomes[key] = outcome
-                while next_scan < total and next_scan in outcomes:
-                    outcome = outcomes.pop(next_scan)
+                for start, stop, outcome in batch:
+                    resolved[start] = (stop, outcome)
+                while next_scan in resolved:
+                    stop, outcome = resolved.pop(next_scan)
                     if isinstance(outcome, BaseException):
-                        RecognitionService._abandon(futures)
+                        submission.cancel()
                         await self._respond_error(
                             writer, outcome, close=close_after
                         )
                         return close_after
-                    results.append(outcome)
-                    next_scan += 1
+                    results.extend(result_rows(outcome))
+                    next_scan = stop
                 if next_scan < total and not batch and remaining <= 0:
-                    RecognitionService._abandon(futures)
+                    submission.cancel()
                     await self._respond(
                         writer,
                         504,
@@ -547,14 +572,11 @@ class AsyncRecognitionServer:
                     )
                     return close_after
         except asyncio.CancelledError:
-            RecognitionService._abandon(futures)
+            submission.cancel()
             raise
-        body = {
-            "count": len(results),
-            "results": [result_to_json(result) for result in results],
-        }
+        body = {"count": len(results), "results": results}
         if parsed.single:
-            body["result"] = body["results"][0]
+            body["result"] = results[0]
         await self._respond(writer, 200, body, close=close_after)
         return close_after
 
@@ -594,9 +616,9 @@ class AsyncRecognitionServer:
         total = parsed.codes.shape[0]
         window = service.stream_window()
         deadline = loop.time() + MAX_REQUEST_TIMEOUT
-        drain = _OutcomeDrain(loop)
-        watched: Dict[int, concurrent.futures.Future] = {}  # unresolved rows
-        outcomes: Dict[int, object] = {}  # resolved, not yet emitted
+        drain = _SegmentDrain(self._bridge)
+        inflight: List[Submission] = []
+        resolved: Dict[int, Tuple[int, object]] = {}  # start -> (stop, outcome)
         next_row = 0  # rows submitted so far
         next_emit = 0  # in-order NDJSON emission pointer
         admission_error: Optional[BaseException] = None
@@ -604,23 +626,24 @@ class AsyncRecognitionServer:
         committed = False
 
         def abandon_inflight() -> None:
-            RecognitionService._abandon(watched.values())
-            watched.clear()
+            for submission in inflight:
+                submission.cancel()
+            inflight.clear()
 
         async def write_lines(lines: List[bytes]) -> None:
             writer.write(b"".join(frame(line) for line in lines))
             await writer.drain()
 
-        def take(batch: List[tuple]) -> List[bytes]:
+        def take(batch: List[Tuple[int, int, object]]) -> List[bytes]:
             """Fold a drained batch in, return the emittable prefix."""
             nonlocal next_emit
-            for key, outcome in batch:
-                outcomes[key] = outcome
-                watched.pop(key, None)
+            for start, stop, outcome in batch:
+                resolved[start] = (stop, outcome)
             lines: List[bytes] = []
-            while next_emit in outcomes:
-                lines.append(encoder.line(next_emit, outcomes.pop(next_emit)))
-                next_emit += 1
+            while next_emit in resolved:
+                stop, outcome = resolved.pop(next_emit)
+                lines.extend(encoder.segment(next_emit, stop, outcome))
+                next_emit = stop
             return lines
 
         try:
@@ -635,9 +658,10 @@ class AsyncRecognitionServer:
                 ):
                     end = min(next_row + (window - (next_row - next_emit)), total)
                     try:
-                        futures = service.submit_many(
+                        submission = service.submit_batch(
                             parsed.codes[next_row:end],
-                            seeds=list(parsed.seeds[next_row:end]),
+                            parsed.seeds[next_row:end],
+                            drain.sink(next_row),
                             timeout_ms=parsed.timeout_ms,
                             priority=parsed.priority,
                             client_id=parsed.client_id,
@@ -660,9 +684,7 @@ class AsyncRecognitionServer:
                         delay = min(delay, 0.25, remaining)
                         await asyncio.sleep(max(delay, 1e-4))
                         continue
-                    for offset, cfut in enumerate(futures):
-                        watched[next_row + offset] = cfut
-                        drain.watch(next_row + offset, cfut)
+                    inflight.append(submission)
                     next_row = end
                 if not committed:
                     committed = True
@@ -682,12 +704,7 @@ class AsyncRecognitionServer:
                         f"stream not served within {MAX_REQUEST_TIMEOUT} s"
                     )
                     abandon_inflight()
-                    await write_lines(
-                        [
-                            encoder.line(index, timeout_error)
-                            for index in range(next_emit, total)
-                        ]
-                    )
+                    await write_lines(encoder.segment(next_emit, total, timeout_error))
                     next_emit = next_row = total
                     break
             if not committed:
@@ -695,12 +712,7 @@ class AsyncRecognitionServer:
                 committed = True
                 writer.write(head)
             if admission_error is not None and next_row < total:
-                await write_lines(
-                    [
-                        encoder.line(unsubmitted, admission_error)
-                        for unsubmitted in range(next_row, total)
-                    ]
-                )
+                await write_lines(encoder.segment(next_row, total, admission_error))
             writer.write(frame(encoder.summary()) + body_end)
             await writer.drain()
             return close_after
@@ -855,18 +867,19 @@ class AsyncRecognitionServer:
         # ``timeout_ms`` is a per-row dispatch deadline, exactly as on
         # the HTTP stream path; the whole answer gets the hard ceiling.
         deadline = loop.time() + MAX_REQUEST_TIMEOUT
-        drain = _OutcomeDrain(loop)
-        watched: Dict[int, concurrent.futures.Future] = {}  # unresolved rows
+        drain = _SegmentDrain(self._bridge)
+        inflight: List[Submission] = []
+        done = np.zeros(total, dtype=bool)  # rows whose outcome is in a chunk
         next_row = 0  # rows submitted so far
         resolved = 0  # rows whose outcome has landed in a chunk
         admission_error: Optional[BaseException] = None
-        ok = failed = 0
         committed = False
-        chunk = _RowChunk(request_id)
+        chunk = _RowsFrame(request_id)
 
         def abandon_inflight() -> None:
-            RecognitionService._abandon(watched.values())
-            watched.clear()
+            for submission in inflight:
+                submission.cancel()
+            inflight.clear()
 
         try:
             while resolved < total:
@@ -880,9 +893,10 @@ class AsyncRecognitionServer:
                 ):
                     end = min(next_row + (window - (next_row - resolved)), total)
                     try:
-                        futures = service.submit_many(
+                        submission = service.submit_batch(
                             parsed.codes[next_row:end],
-                            seeds=list(parsed.seeds[next_row:end]),
+                            parsed.seeds[next_row:end],
+                            drain.sink(next_row),
                             timeout_ms=parsed.timeout_ms,
                             priority=parsed.priority,
                             client_id=parsed.client_id,
@@ -919,9 +933,7 @@ class AsyncRecognitionServer:
                             return True
                         admission_error = error
                         break
-                    for offset, cfut in enumerate(futures):
-                        watched[next_row + offset] = cfut
-                        drain.watch(next_row + offset, cfut)
+                    inflight.append(submission)
                     next_row = end
                 if resolved >= next_row:
                     break  # done, or admission gave out with nothing queued
@@ -932,25 +944,16 @@ class AsyncRecognitionServer:
                     timeout_error = concurrent.futures.TimeoutError(
                         "request not served within its wait budget"
                     )
-                    stale = sorted(watched)
                     abandon_inflight()
-                    for stale_index in stale:
-                        chunk.add_error(stale_index, timeout_error)
-                        failed += 1
-                    for unsubmitted in range(next_row, total):
-                        chunk.add_error(unsubmitted, timeout_error)
-                        failed += 1
+                    for stale_index in np.flatnonzero(~done[:next_row]).tolist():
+                        chunk.add(stale_index, stale_index + 1, timeout_error)
+                    chunk.add(next_row, total, timeout_error)
                     resolved = next_row = total
                     break
-                for index, outcome in batch:
-                    watched.pop(index, None)
-                    resolved += 1
-                    if isinstance(outcome, BaseException):
-                        chunk.add_error(index, outcome)
-                        failed += 1
-                    else:
-                        chunk.add_result(index, outcome)
-                        ok += 1
+                for start, stop, outcome in batch:
+                    done[start:stop] = True
+                    resolved += stop - start
+                    chunk.add(start, stop, outcome)
                     # Flush greedily: resolved rows go out in amortised
                     # ROWS frames — live progress without per-row frames.
                     if chunk.rows >= _ROWS_FLUSH:
@@ -958,9 +961,7 @@ class AsyncRecognitionServer:
                 if chunk.rows and resolved >= next_row:
                     await _write_frame(writer, wire.ROWS, *chunk.flush())
             if admission_error is not None:
-                for unsubmitted in range(next_row, total):
-                    chunk.add_error(unsubmitted, admission_error)
-                    failed += 1
+                chunk.add(next_row, total, admission_error)
             if chunk.rows:
                 await _write_frame(writer, wire.ROWS, *chunk.flush())
             await _write_frame(
@@ -969,8 +970,8 @@ class AsyncRecognitionServer:
                 header={
                     "id": request_id,
                     "count": total,
-                    "ok": ok,
-                    "failed": failed,
+                    "ok": chunk.ok,
+                    "failed": chunk.failed,
                 },
             )
             return True
@@ -989,37 +990,39 @@ _REJECTED = object()
 _ROWS_FLUSH = 256
 
 
-class _RowChunk:
-    """Accumulates resolved rows into one ROWS frame's header + arrays."""
+class _RowsFrame:
+    """Accumulates resolved segments into one ROWS frame's header + arrays,
+    and counts the request's ok/failed rows across frames."""
 
     def __init__(self, request_id) -> None:
         self.request_id = request_id
+        self.ok = 0
+        self.failed = 0
         self.reset()
 
     def reset(self) -> None:
-        self.indices: List[int] = []
-        self.winner: List[int] = []
-        self.winner_column: List[int] = []
-        self.dom_code: List[int] = []
-        self.accepted: List[int] = []
-        self.tie: List[int] = []
-        self.static_power: List[float] = []
+        self.indices: List[np.ndarray] = []
+        self.results: List[BatchRecognitionResult] = []
         self.errors: List[dict] = []
         self.rows = 0
 
-    def add_result(self, index: int, result) -> None:
-        self.indices.append(index)
-        self.winner.append(result.winner)
-        self.winner_column.append(result.winner_column)
-        self.dom_code.append(result.dom_code)
-        self.accepted.append(int(result.accepted))
-        self.tie.append(int(result.tie))
-        self.static_power.append(result.static_power)
-        self.rows += 1
+    def add(self, start: int, stop: int, outcome: object) -> None:
+        """Rows ``[start, stop)`` resolved with one outcome."""
+        if isinstance(outcome, BaseException):
+            self.errors.extend(
+                protocol.row_error_to_json(index, outcome)
+                for index in range(start, stop)
+            )
+            self.failed += stop - start
+        else:
+            self.indices.append(np.arange(start, stop, dtype=np.int32))
+            self.results.append(outcome)
+            self.ok += stop - start
+        self.rows += stop - start
 
-    def add_error(self, index: int, error: BaseException) -> None:
-        self.errors.append(protocol.row_error_to_json(index, error))
-        self.rows += 1
+    def column(self, name: str, dtype: type) -> np.ndarray:
+        parts = [getattr(result, name) for result in self.results]
+        return np.concatenate(parts).astype(dtype) if parts else np.zeros(0, dtype)
 
     def flush(self) -> Tuple[dict, Dict[str, np.ndarray]]:
         # int32 on the wire: row indices, class winners, crossbar columns
@@ -1028,13 +1031,17 @@ class _RowChunk:
         # result payload for no information.
         header = {"id": self.request_id, "errors": self.errors}
         arrays = {
-            "index": np.asarray(self.indices, dtype=np.int32),
-            "winner": np.asarray(self.winner, dtype=np.int32),
-            "winner_column": np.asarray(self.winner_column, dtype=np.int32),
-            "dom_code": np.asarray(self.dom_code, dtype=np.int32),
-            "accepted": np.asarray(self.accepted, dtype=np.uint8),
-            "tie": np.asarray(self.tie, dtype=np.uint8),
-            "static_power_w": np.asarray(self.static_power, dtype=np.float64),
+            "index": (
+                np.concatenate(self.indices)
+                if self.indices
+                else np.zeros(0, dtype=np.int32)
+            ),
+            "winner": self.column("winner", np.int32),
+            "winner_column": self.column("winner_column", np.int32),
+            "dom_code": self.column("dom_code", np.int32),
+            "accepted": self.column("accepted", np.uint8),
+            "tie": self.column("tie", np.uint8),
+            "static_power_w": self.column("static_power", np.float64),
         }
         self.reset()
         return header, arrays
@@ -1058,14 +1065,14 @@ def _parse_binary_recognise(
     codes = protocol.integral_array("codes", codes)
     seeds_array = arrays.get("seeds")
     if seeds_array is not None:
-        seeds = [int(seed) for seed in protocol.integral_array("seeds", seeds_array)]
-        if len(seeds) != codes.shape[0]:
+        seeds = protocol.integral_array("seeds", seeds_array)
+        if seeds.shape != (codes.shape[0],):
             raise ValueError(
-                f"seeds must have length {codes.shape[0]}, got {len(seeds)}"
+                f"seeds must have length {codes.shape[0]}, got {seeds.size}"
             )
     else:
         seed = protocol.integral_scalar("seed", header.get("seed", 0))
-        seeds = [seed] * codes.shape[0]
+        seeds = np.full(codes.shape[0], seed, dtype=np.int64)
     timeout_ms = header.get("timeout_ms")
     if timeout_ms is not None:
         timeout_ms = float(timeout_ms)

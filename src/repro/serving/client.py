@@ -202,7 +202,8 @@ class RecognitionClient:
         priority: Optional[int] = None,
         client_id: Optional[str] = None,
     ) -> List[dict]:
-        """Recall a ``(B, features)`` batch; each row is one queued request."""
+        """Recall a ``(B, features)`` batch, queued server-side as one
+        submission whose rows coalesce with concurrent traffic."""
         payload: Dict[str, object] = {"codes": _code_rows(codes_batch)}
         if seeds is not None:
             payload["seeds"] = [int(seed) for seed in seeds]

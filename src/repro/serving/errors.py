@@ -29,8 +29,8 @@ class BackpressureError(RuntimeError):
     Raised synchronously by ``RecognitionService.submit*`` so that an
     overloaded service sheds load at the front door with a clean error
     (mapped to HTTP 429 by the server) instead of deadlocking or growing
-    its queue without bound.  Also used to resolve the futures of queued
-    low-priority requests that were *shed* to admit higher-priority
+    its queue without bound.  Also the outcome of queued low-priority
+    submissions that were *shed* to admit higher-priority
     traffic (counted separately under ``requests.shed``).
     """
 
@@ -59,8 +59,8 @@ class DeadlineExceededError(RuntimeError):
 
     Requests may carry a ``timeout_ms`` budget; one that is still queued
     when the budget runs out is dropped *before* dispatch (no engine time
-    is spent on an answer nobody is waiting for) and its future resolves
-    with this error — mapped to HTTP 504 by the server and counted under
+    is spent on an answer nobody is waiting for) and resolves with this
+    error — mapped to HTTP 504 by the server and counted under
     ``requests.expired`` in ``GET /stats``.
     """
 

@@ -4,9 +4,10 @@
 component reports into: the front end counts submissions, rejections,
 quota denials and priority sheds, the micro-batcher records queue depth,
 the worker pool records dispatched batch fill and completions with
-per-request latencies.  ``snapshot()`` renders the whole state as a
-JSON-serialisable dictionary — the payload of the HTTP ``GET /stats``
-endpoint and of the load-test summaries.
+per-segment latencies (every row of a segment counts as one completion
+and one latency sample, so the counts stay per row).  ``snapshot()``
+renders the whole state as a JSON-serialisable dictionary — the payload
+of the HTTP ``GET /stats`` endpoint and of the load-test summaries.
 
 Latencies are kept in bounded reservoirs (most recent
 ``max_latency_samples`` completions, one shared reservoir plus one per
@@ -173,7 +174,7 @@ class ServiceMetrics:
             self.expired += count
 
     def record_cancelled(self, count: int = 1) -> None:
-        """Count requests whose futures were cancelled before dispatch."""
+        """Count rows cancelled before dispatch (never solved)."""
         with self._lock:
             self.cancelled += count
 
@@ -200,26 +201,30 @@ class ServiceMetrics:
         latencies: Sequence[float],
         priorities: Optional[Sequence[int]] = None,
         client_ids: Optional[Sequence[Optional[str]]] = None,
+        counts: Optional[Sequence[int]] = None,
     ) -> None:
         """Count resolved requests with their queue-to-response latencies (s).
 
         ``priorities`` / ``client_ids`` (parallel to ``latencies``, when
         given) segment the completion counters and latency reservoirs so
         ``/stats`` can show per-priority percentiles and per-client
-        throughput.
+        throughput.  ``counts`` (parallel too) is the number of rows each
+        latency stands for — a segment of rows that resolved together;
+        every row counts as completed and as one latency sample.
         """
+        if counts is None:
+            counts = [1] * len(latencies)
         with self._lock:
-            self.completed += len(latencies)
-            self._latencies.extend(latencies)
-            if priorities is not None:
-                for priority, latency in zip(priorities, latencies):
-                    stats = self._priority_stats(priority)
-                    stats.completed += 1
-                    stats.latencies.append(latency)
-            if client_ids is not None:
-                for client_id in client_ids:
-                    if client_id is not None:
-                        self._client_counter(client_id)["completed"] += 1
+            for index, (latency, count) in enumerate(zip(latencies, counts)):
+                samples = [latency] * count
+                self.completed += count
+                self._latencies.extend(samples)
+                if priorities is not None:
+                    stats = self._priority_stats(priorities[index])
+                    stats.completed += count
+                    stats.latencies.extend(samples)
+                if client_ids is not None and client_ids[index] is not None:
+                    self._client_counter(client_ids[index])["completed"] += count
 
     def record_failed(self, count: int = 1) -> None:
         """Count requests resolved with an error."""

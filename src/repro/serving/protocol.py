@@ -7,7 +7,8 @@ deadline plumbing and the same stream-windowing policy.  This module is
 that contract in one place, so an endpoint can only differ in transport
 — never in semantics:
 
-* **Result / error projection** — :func:`result_to_json`,
+* **Result / error projection** — :func:`result_to_json` (one row) and
+  :func:`result_rows` (every row of a batch result, from whole columns),
   :func:`classify_error`, :func:`row_error_to_json` and
   :func:`error_payload` define the one mapping from engine results and
   exceptions to the JSON the client sees (whole-request statuses and
@@ -37,12 +38,12 @@ import concurrent.futures
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.backends.base import WorkerCrashedError
-from repro.core.amm import RecognitionResult
+from repro.core.amm import BatchRecognitionResult, RecognitionResult
 from repro.serving.errors import (
     BackpressureError,
     DeadlineExceededError,
@@ -93,6 +94,33 @@ def result_to_json(result: RecognitionResult) -> dict:
         "tie": result.tie,
         "static_power_w": result.static_power,
     }
+
+
+def result_rows(results: BatchRecognitionResult) -> List[Dict[str, Any]]:
+    """:func:`result_to_json` of every row of a batch result, in order.
+
+    Built from whole columns (one ``tolist()`` each) instead of a scalar
+    :class:`~repro.core.amm.RecognitionResult` per row; the dictionaries
+    and their JSON bytes are identical to the row-by-row projection.
+    """
+    return [
+        {
+            "winner": winner,
+            "winner_column": winner_column,
+            "dom_code": dom_code,
+            "accepted": accepted,
+            "tie": tie,
+            "static_power_w": static_power,
+        }
+        for winner, winner_column, dom_code, accepted, tie, static_power in zip(
+            results.winner.tolist(),
+            results.winner_column.tolist(),
+            results.dom_code.tolist(),
+            results.accepted.tolist(),
+            results.tie.tolist(),
+            results.static_power.tolist(),
+        )
+    ]
 
 
 def classify_error(error: BaseException) -> Tuple[int, str]:
@@ -203,14 +231,15 @@ def integral_scalar(name: str, value: object) -> int:
 class ParsedRecognise:
     """One validated ``POST /recognise`` request, transport-independent.
 
-    ``codes`` is always a 2-D ``(B, features)`` batch; ``single`` records
+    ``codes`` is always a 2-D ``(B, features)`` batch and ``seeds`` its
+    ``(B,)`` int64 seeds; ``single`` records
     whether the client posted the 1-D single-image form (its response
     carries a ``"result"`` convenience field).  ``wait`` is the front
     end's whole-request wait budget in seconds (see :func:`wait_budget`).
     """
 
     codes: np.ndarray
-    seeds: List[int]
+    seeds: np.ndarray
     single: bool
     stream: bool
     timeout_ms: Optional[float]
@@ -238,22 +267,21 @@ def wait_budget(
 
 def parse_seeds(
     payload: dict, count: int, single: bool
-) -> List[int]:
+) -> np.ndarray:
     """The seed-selection rule shared by every request form.
 
     Single requests read ``"seed"``; batch requests read ``"seeds"``
     (one per row) or broadcast ``"seed"`` (default 0) across the batch.
+    Returns the ``(count,)`` int64 seeds.
     """
-    if single:
-        return [integral_scalar("seed", payload.get("seed", 0))]
     seeds = payload.get("seeds")
-    if seeds is None:
+    if single or seeds is None:
         seed = integral_scalar("seed", payload.get("seed", 0))
-        return [seed] * count
-    seeds = [int(value) for value in integral_array("seeds", seeds)]
-    if len(seeds) != count:
-        raise ValueError(f"seeds must have length {count}, got {len(seeds)}")
-    return seeds
+        return np.full(1 if single else count, seed, dtype=np.int64)
+    array = integral_array("seeds", seeds)
+    if array.shape != (count,):
+        raise ValueError(f"seeds must have length {count}, got {array.size}")
+    return array
 
 
 def parse_recognise(
@@ -353,12 +381,12 @@ class SlowBodyError(RuntimeError):
 class StreamLineEncoder:
     """NDJSON line encoder for one streamed request, counting outcomes.
 
-    The chunked-response writer feeds its ``(index, outcome)`` events
-    through one of these: :meth:`line`
-    renders a row event, :meth:`summary` the clean terminal line and
-    :meth:`abnormal_summary` the terminal line of a stream whose event
-    source blew up mid-way (the remaining rows are counted as failed, so
-    the client's tallies always add up to ``count``).
+    The chunked-response writer feeds each resolved segment through one
+    of these: :meth:`segment` renders its row lines, :meth:`summary` the
+    clean terminal line and :meth:`abnormal_summary` the terminal line
+    of a stream whose event source blew up mid-way (the remaining rows
+    are counted as failed, so the client's tallies always add up to
+    ``count``).
     """
 
     def __init__(self, total: int) -> None:
@@ -366,16 +394,26 @@ class StreamLineEncoder:
         self.ok = 0
         self.failed = 0
 
-    def line(
-        self, index: int, outcome: Union[RecognitionResult, BaseException]
-    ) -> bytes:
+    def segment(
+        self,
+        start: int,
+        stop: int,
+        outcome: Union[BatchRecognitionResult, BaseException],
+    ) -> List[bytes]:
+        """The lines of rows ``[start, stop)``, resolved with one outcome
+        (their batch-result slice, or the error that failed them all)."""
         if isinstance(outcome, BaseException):
-            payload = row_error_to_json(index, outcome)
-            self.failed += 1
-        else:
-            payload = {"index": index, "result": result_to_json(outcome)}
-            self.ok += 1
-        return encode_json(payload) + b"\n"
+            self.failed += stop - start
+            return [
+                encode_json(row_error_to_json(index, outcome)) + b"\n"
+                for index in range(start, stop)
+            ]
+        rows = result_rows(outcome)
+        self.ok += len(rows)
+        return [
+            encode_json({"index": index, "result": row}) + b"\n"
+            for index, row in enumerate(rows, start)
+        ]
 
     def summary(self) -> bytes:
         return (

@@ -10,8 +10,9 @@ service's submit path, before a request occupies queue capacity):
   tokens per second, one token per code vector (row), so a multi-image
   request spends as many tokens as rows it submits; and
 * an **in-flight cap** — at most ``max_inflight`` rows queued or being
-  solved per client at any instant (released as each row's future
-  resolves, whatever the outcome).
+  solved per client at any instant (released as each row settles,
+  whatever the outcome, or as soon as its abandoned request is
+  cancelled).
 
 Denials raise :class:`~repro.serving.errors.QuotaExceededError`, which
 the HTTP front end maps to 429 with a ``Retry-After`` hint and which is
@@ -212,7 +213,7 @@ class ClientQuotas:
         """Return tokens for admitted rows that were shed before service.
 
         The in-flight slots are *not* touched here — they are released
-        through the rows' futures resolving (with the shed error).
+        as the shed rows settle (with the shed error).
         """
         client = ANONYMOUS_CLIENT if client_id is None else client_id
         with self._lock:
@@ -221,7 +222,7 @@ class ClientQuotas:
                 bucket.tokens = min(float(self.config.burst), bucket.tokens + rows)
 
     def release(self, client_id: Optional[str], rows: int = 1) -> None:
-        """Release in-flight slots as a row's future resolves."""
+        """Release in-flight slots as rows settle (or are cancelled)."""
         client = ANONYMOUS_CLIENT if client_id is None else client_id
         with self._lock:
             bucket = self._buckets.get(client)

@@ -1,30 +1,40 @@
 """Micro-batching front end of the recognition service.
 
-:class:`RecognitionService` accepts *single* recall requests from many
-concurrent callers and turns them into efficient work for the batched
-recall engine:
+:class:`RecognitionService` accepts recall requests of one or many rows
+from many concurrent callers and turns them into efficient work for the
+batched recall engine.  It is batch-granular throughout: one submit call
+is one queue entry, and its rows resolve in segments, not one by one.
 
-1. ``submit()`` validates the request in the caller's thread, checks the
-   caller's per-client quota (when configured) and places the request on
-   a bounded, priority-ordered queue — when the queue is full the caller
-   gets an immediate :class:`BackpressureError` instead of unbounded
-   buffering, unless enough *lower*-priority requests are queued, in
-   which case those are shed (their futures fail with
-   :class:`BackpressureError`) to admit the higher-priority arrival;
-2. a micro-batcher thread coalesces queued requests into batches of up to
-   ``max_batch_size``, draining strictly highest-priority-first (FIFO
-   within a priority) and waiting at most ``max_wait`` seconds after the
-   first request of a batch arrives (the classic latency/throughput
-   window knob);
+1. ``submit_batch()`` validates the rows in the caller's thread, checks
+   the caller's per-client quota (when configured) and places them on a
+   bounded, priority-ordered queue as one
+   :class:`~repro.serving.workers.Submission` (codes block, seeds array,
+   deadline, priority, client id), sized in rows — when the queue is
+   full the caller gets an immediate :class:`BackpressureError` instead
+   of unbounded buffering, unless enough *lower*-priority rows are
+   queued, in which case whole lower-priority submissions are shed
+   (their rows fail with :class:`BackpressureError`) to admit the
+   higher-priority arrival;
+2. a micro-batcher thread cuts contiguous row ranges of the queued
+   submissions (segments) into batches of up to ``max_batch_size`` rows,
+   draining strictly highest-priority-first (FIFO within a priority)
+   and waiting at most ``max_wait`` seconds after the oldest queued
+   submission arrived (the classic latency/throughput window knob);
 3. the batch goes to the :class:`~repro.serving.workers.ShardedWorkerPool`,
    whose workers solve it through their pre-factorised crossbar engines
-   and resolve each caller's future with its own
-   :class:`~repro.core.amm.RecognitionResult` slice.
+   and resolve each segment with one outcome: its
+   :class:`~repro.core.amm.BatchRecognitionResult` slice, or the error
+   that failed it.
+
+``submit`` / ``submit_many`` / ``recognise_many`` are the per-row-future
+API on the same queue (a :class:`~repro.serving.workers.FutureSubmission`
+resolves each row's future from its segment's outcome) for in-process
+callers that want one future per row.
 
 Very large multi-image requests stream: the asyncio front end
 (:mod:`repro.serving.aio`) submits their rows in bounded windows of
-:meth:`RecognitionService.stream_window` rows and writes each row's
-outcome as its future resolves, so a 1000-image request is served
+:meth:`RecognitionService.stream_window` rows and writes each segment's
+rows as its outcome arrives, so a 1000-image request is served
 incrementally with flat server-side memory.
 
 Every request carries a seed for its private random substream (see
@@ -38,11 +48,10 @@ pool runs — priorities and quotas reorder and shed *work*, never change
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
 import threading
 import time
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,7 +71,15 @@ from repro.serving.quotas import (
     QuotaConfig,
     validate_client_id,
 )
-from repro.serving.workers import PendingRequest, ShardedWorkerPool
+from repro.serving.workers import (
+    Deliver,
+    FutureSubmission,
+    Segment,
+    ShardedWorkerPool,
+    Submission,
+    claim_segments,
+    fail_claimed,
+)
 from repro.utils.validation import check_integer
 
 #: Admission-priority range: higher dispatches (and survives shedding)
@@ -79,87 +96,118 @@ def _consume_outcome(future: concurrent.futures.Future) -> None:
 
 
 class _PriorityPending:
-    """The service's pending queue: FIFO per priority, drained high-first.
+    """The service's pending queue: one entry per submission, FIFO per
+    priority, drained high-first, sized in rows.
 
-    Also supports shedding — evicting queued low-priority requests
-    (newest first, lowest priority first) to admit a higher-priority
-    arrival when the queue is full.
+    A micro-batch is cut as contiguous row ranges (segments) of the
+    entries at the head of the highest levels; an entry leaves the queue
+    once its last row is cut.  Also supports shedding — evicting queued
+    low-priority submissions whole (newest first, lowest priority first)
+    to admit a higher-priority arrival when the queue is full.
     """
 
     def __init__(self) -> None:
-        self._levels: Dict[int, deque] = {}
+        self._levels: Dict[int, Deque[Submission]] = {}
+        self._rows: Dict[int, int] = {}  # queued rows per level
         self._count = 0
 
     def __len__(self) -> int:
         return self._count
 
-    def extend(self, batch: Iterable[PendingRequest]) -> None:
-        for pending in batch:
-            level = self._levels.get(pending.priority)
-            if level is None:
-                level = self._levels[pending.priority] = deque()
-            level.append(pending)
-            self._count += 1
+    def append(self, submission: Submission) -> None:
+        if not len(submission):
+            return  # nothing to cut; an empty entry would never leave
+        priority = submission.priority
+        level = self._levels.get(priority)
+        if level is None:
+            level = self._levels[priority] = deque()
+            self._rows[priority] = 0
+        level.append(submission)
+        self._rows[priority] += len(submission)
+        self._count += len(submission)
 
-    def pop_batch(self, limit: int) -> List[PendingRequest]:
-        """Drain up to ``limit`` requests, highest priority first."""
-        batch: List[PendingRequest] = []
+    def _take(self, priority: int, rows: int) -> None:
+        self._rows[priority] -= rows
+        self._count -= rows
+        if not self._levels[priority]:
+            del self._levels[priority]
+            del self._rows[priority]
+
+    def oldest_enqueued_at(self) -> float:
+        """Arrival time of the longest-waiting queued submission."""
+        return min(level[0].enqueued_at for level in self._levels.values())
+
+    def pop_batch(self, limit: int) -> Tuple[List[Segment], int]:
+        """Cut up to ``limit`` rows, highest priority first.
+
+        Returns the segments and the number of queued rows dropped
+        because their submission was cancelled (never dispatched).
+        """
+        batch: List[Segment] = []
+        taken = dropped = 0
         for priority in sorted(self._levels, reverse=True):
             level = self._levels[priority]
-            while level and len(batch) < limit:
-                batch.append(level.popleft())
-                self._count -= 1
-            if not level:
-                del self._levels[priority]
-            if len(batch) >= limit:
+            cut = 0
+            while level and taken < limit:
+                submission = level[0]
+                start = submission.queued_from
+                if submission.cancelled:
+                    stop = len(submission)
+                    dropped += stop - start
+                else:
+                    stop = min(len(submission), start + limit - taken)
+                    batch.append((submission, start, stop))
+                    taken += stop - start
+                cut += stop - start
+                submission.queued_from = stop
+                if stop == len(submission):
+                    level.popleft()
+            self._take(priority, cut)
+            if taken >= limit:
                 break
-        return batch
+        return batch, dropped
 
     def count_below(self, priority: int) -> int:
-        """Queued requests strictly below ``priority`` (shed candidates)."""
+        """Queued rows strictly below ``priority`` (shed candidates)."""
         return sum(
-            len(level)
-            for level_priority, level in self._levels.items()
-            if level_priority < priority
+            rows for level_priority, rows in self._rows.items() if level_priority < priority
         )
 
-    def evict_below(self, priority: int, count: int) -> List[PendingRequest]:
-        """Remove at least ``count`` requests below ``priority``: lowest
-        priority first, newest first within a priority (they have waited
-        least).  A victim's whole submission group is evicted with it —
-        the caller's gather fails on the first shed row anyway, so
-        leaving siblings queued would only spend engine time on results
-        a retrying caller discards."""
-        evicted: List[PendingRequest] = []
+    def evict_below(self, priority: int, count: int) -> List[Segment]:
+        """Remove whole submissions below ``priority`` until at least
+        ``count`` rows are freed: lowest priority first, newest first
+        within a priority (they have waited least).  A submission is
+        never split by shedding — the caller's gather fails on the first
+        shed row anyway, so leaving part of it queued would only spend
+        engine time on results a retrying caller discards."""
+        evicted: List[Segment] = []
+        freed = 0
         for level_priority in sorted(self._levels):
-            if level_priority >= priority or len(evicted) >= count:
+            if level_priority >= priority or freed >= count:
                 break
             level = self._levels[level_priority]
-            while level and len(evicted) < count:
-                victim = level.pop()
-                evicted.append(victim)
-                self._count -= 1
-                if victim.group is not None:
-                    siblings = [
-                        pending for pending in level if pending.group == victim.group
-                    ]
-                    if siblings:
-                        survivors = [
-                            pending
-                            for pending in level
-                            if pending.group != victim.group
-                        ]
-                        level.clear()
-                        level.extend(survivors)
-                        evicted.extend(siblings)
-                        self._count -= len(siblings)
-            if not level:
-                del self._levels[level_priority]
+            rows = 0
+            while level and freed + rows < count:
+                submission = level.pop()
+                start, stop = submission.queued_from, len(submission)
+                submission.queued_from = stop
+                evicted.append((submission, start, stop))
+                rows += stop - start
+            freed += rows
+            self._take(level_priority, rows)
         return evicted
 
-    def drain(self) -> List[PendingRequest]:
+    def drain(self) -> List[Segment]:
         """Remove and return everything (highest priority first)."""
-        return self.pop_batch(self._count)
+        segments: List[Segment] = []
+        for priority in sorted(self._levels, reverse=True):
+            for submission in self._levels[priority]:
+                segments.append((submission, submission.queued_from, len(submission)))
+                submission.queued_from = len(submission)
+        self._levels.clear()
+        self._rows.clear()
+        self._count = 0
+        return segments
 
 
 class RecognitionService:
@@ -207,6 +255,10 @@ class RecognitionService:
         clock).  ``None`` (default) disables quotas; requests without a
         ``client_id`` then share no budget at all, and with quotas they
         share the anonymous bucket.
+    clock:
+        Monotonic time source of arrival stamps, deadlines and the
+        batching window (shared with the worker pool); injectable for
+        tests.
     """
 
     def __init__(
@@ -221,6 +273,7 @@ class RecognitionService:
         backend: str = "threads",
         backend_options: Optional[dict] = None,
         quota: Union[QuotaConfig, ClientQuotas, None] = None,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         check_integer("max_batch_size", max_batch_size, minimum=1)
         check_integer("max_queue_depth", max_queue_depth, minimum=1)
@@ -247,9 +300,10 @@ class RecognitionService:
             legacy_per_sample=legacy_per_sample,
             backend=backend,
             backend_options=backend_options,
+            clock=clock,
         )
+        self._clock = clock
         self._pending = _PriorityPending()
-        self._group_ids = itertools.count(1)
         self._state_lock = threading.Lock()
         self._arrived = threading.Condition(self._state_lock)
         self._closed = False
@@ -308,24 +362,68 @@ class RecognitionService:
         results its (retrying) caller will discard.  ``timeout_ms``
         applies the same dispatch deadline, and ``priority`` /
         ``client_id`` the same ordering and quota accounting, to every
-        row.
+        row.  The rows are queued as one :class:`FutureSubmission`, the
+        per-row-future flavour of :meth:`submit_batch`.
         """
+        submission = self._admit(
+            FutureSubmission, codes_batch, seeds, None, timeout_ms, priority, client_id
+        )
+        return submission.futures
+
+    def submit_batch(
+        self,
+        codes_batch: np.ndarray,
+        seeds: Optional[Sequence[int]],
+        deliver: Deliver,
+        timeout_ms: Optional[float] = None,
+        priority: int = DEFAULT_PRIORITY,
+        client_id: Optional[str] = None,
+    ) -> Submission:
+        """Queue several rows atomically as one batch-granular submission.
+
+        Admission, validation and semantics are those of
+        :meth:`submit_many`, but no per-row future exists: the rows are
+        resolved in segments (contiguous row ranges that rode the same
+        micro-batch), each with one ``deliver(start, stop, outcome)``
+        call on a worker thread — ``outcome`` is the segment's
+        :class:`~repro.core.amm.BatchRecognitionResult` slice or the
+        exception that failed all of its rows (expired deadline, shed,
+        crashed worker, closed service).  Every row is delivered exactly
+        once unless the returned submission is cancelled first
+        (:meth:`Submission.cancel`), which abandons the rows not yet
+        dispatched and releases their quota slots at once.
+        """
+        return self._admit(
+            Submission, codes_batch, seeds, deliver, timeout_ms, priority, client_id
+        )
+
+    def _admit(
+        self,
+        kind: type,
+        codes_batch: np.ndarray,
+        seeds: Optional[Sequence[int]],
+        deliver: Optional[Deliver],
+        timeout_ms: Optional[float],
+        priority: int,
+        client_id: Optional[str],
+    ):
+        """Validate, then queue one submission of ``kind`` (or raise)."""
         codes_batch = np.asarray(codes_batch, dtype=np.int64)
         if codes_batch.ndim != 2 or codes_batch.shape[1] != self.amm.crossbar.rows:
             raise ValueError(
                 f"codes_batch must have shape (B, {self.amm.crossbar.rows}), "
                 f"got {codes_batch.shape}"
             )
+        rows = codes_batch.shape[0]
         if seeds is None:
-            seeds = [0] * codes_batch.shape[0]
-        if len(seeds) != codes_batch.shape[0]:
-            raise ValueError(
-                f"seeds must have length {codes_batch.shape[0]}, got {len(seeds)}"
-            )
+            seeds = np.zeros(rows, dtype=np.int64)
+        if len(seeds) != rows:
+            raise ValueError(f"seeds must have length {rows}, got {len(seeds)}")
+        seeds = np.asarray(seeds, dtype=np.int64)
         max_code = self.amm.input_dacs.max_code
         if np.any(codes_batch < 0) or np.any(codes_batch > max_code):
             raise ValueError(f"codes must be in [0, {max_code}]")
-        if any(seed < 0 for seed in seeds):
+        if np.any(seeds < 0):
             raise ValueError("seeds must be non-negative")
         check_integer("priority", priority, minimum=MIN_PRIORITY)
         if priority > MAX_PRIORITY:
@@ -335,69 +433,57 @@ class RecognitionService:
         validate_client_id(client_id)
         if timeout_ms is not None and not timeout_ms > 0:
             raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
-        if codes_batch.shape[0] > self.max_queue_depth:
+        if rows > self.max_queue_depth:
             # Never admittable, even on an idle service: a permanent-error
             # ValueError (HTTP 400), not a retry-later BackpressureError.
             raise ValueError(
-                f"request holds {codes_batch.shape[0]} rows but the queue admits "
+                f"request holds {rows} rows but the queue admits "
                 f"at most {self.max_queue_depth}; split (or stream) the request"
             )
-        deadline = (
-            None if timeout_ms is None else time.monotonic() + timeout_ms * 1e-3
-        )
         metric_client = client_id if client_id is not None else ANONYMOUS_CLIENT
-        # Rows of one multi-row submission share a group id so shedding
-        # evicts the submission whole, never a partial request.
-        group = next(self._group_ids) if codes_batch.shape[0] > 1 else None
-        batch = [
-            PendingRequest(
-                codes=codes,
-                seed=int(seed),
-                future=concurrent.futures.Future(),
-                deadline=deadline,
-                priority=priority,
-                client_id=metric_client,
-                group=group,
-            )
-            for codes, seed in zip(codes_batch, seeds)
-        ]
-        shed: List[PendingRequest] = []
+        submission = kind(
+            codes_batch,
+            seeds,
+            deliver=deliver,
+            priority=priority,
+            client_id=metric_client,
+        )
+        shed: List[Segment] = []
         with self._arrived:
             if self._closed:
                 raise ServiceClosedError("service is closed")
             if self.quotas is not None:
                 try:
-                    self.quotas.admit(client_id, len(batch))
+                    self.quotas.admit(client_id, rows)
                 except QuotaExceededError:
-                    self.metrics.record_quota_rejected(len(batch), metric_client)
+                    self.metrics.record_quota_rejected(rows, metric_client)
                     raise
-                # From here on the rows own their in-flight slots; each
-                # row releases its slot as its future resolves.
-                for pending in batch:
-                    pending.future.add_done_callback(
-                        lambda future, client=client_id: self.quotas.release(client, 1)
-                    )
-            overflow = len(self._pending) + len(batch) - self.max_queue_depth
+            overflow = len(self._pending) + rows - self.max_queue_depth
             if overflow > 0:
                 if self._pending.count_below(priority) >= overflow:
                     shed = self._pending.evict_below(priority, overflow)
                 else:
                     if self.quotas is not None:
                         # The rows never entered the queue: return the
-                        # tokens and the in-flight slots in one step (the
-                        # done callbacks of these unresolved futures will
-                        # never fire).
-                        self.quotas.cancel_admission(client_id, len(batch))
-                    self.metrics.record_rejected(len(batch))
+                        # tokens and the in-flight slots in one step.
+                        self.quotas.cancel_admission(client_id, rows)
+                    self.metrics.record_rejected(rows)
                     raise BackpressureError(
-                        f"request queue cannot admit {len(batch)} more requests "
+                        f"request queue cannot admit {rows} more requests "
                         f"({len(self._pending)}/{self.max_queue_depth} pending); "
                         "retry later"
                     )
+            if self.quotas is not None:
+                # From here on the rows own their in-flight slots; each
+                # row releases its slot as it settles.
+                submission.hold_quota(self.quotas, client_id)
+            submission.enqueued_at = self._clock()
+            if timeout_ms is not None:
+                submission.deadline = submission.enqueued_at + timeout_ms * 1e-3
             was_empty = not self._pending
-            self._pending.extend(batch)
+            self._pending.append(submission)
             self.metrics.record_submitted(
-                len(batch), priority=priority, client_id=metric_client
+                rows, priority=priority, client_id=metric_client
             )
             self.metrics.record_queue_depth(len(self._pending))
             # Wake the batcher only when it can act on the wakeup: the
@@ -410,20 +496,22 @@ class RecognitionService:
             if was_empty or len(self._pending) >= self.max_batch_size:
                 self._arrived.notify()
         if shed:
-            # Outside the lock: resolving futures runs caller callbacks.
-            error = BackpressureError(
-                "request shed from the queue to admit higher-priority traffic; "
-                "retry later"
+            # Outside the lock: settling runs caller callbacks.
+            self.metrics.record_shed(sum(stop - start for _, start, stop in shed))
+            if self.quotas is not None:
+                # Shed rows did no work: give their tokens back (the
+                # in-flight slots come back as the rows settle).
+                for victim, start, stop in shed:
+                    self.quotas.refund_tokens(victim.client_id, stop - start)
+            claimed, _cancelled = claim_segments(shed)
+            fail_claimed(
+                claimed,
+                BackpressureError(
+                    "request shed from the queue to admit higher-priority "
+                    "traffic; retry later"
+                ),
             )
-            self.metrics.record_shed(len(shed))
-            for pending in shed:
-                if self.quotas is not None:
-                    # Shed rows did no work: give their tokens back (the
-                    # in-flight slot is released by the done callback).
-                    self.quotas.refund_tokens(pending.client_id, 1)
-                if pending.future.set_running_or_notify_cancel():
-                    pending.future.set_exception(error)
-        return [pending.future for pending in batch]
+        return submission
 
     def recognise(
         self,
@@ -540,43 +628,47 @@ class RecognitionService:
                 self.pool.dispatch(batch)
             except ServiceClosedError:
                 # The pool was closed underneath us (direct pool.close());
-                # dispatch() already failed the batch's futures.
+                # dispatch() already failed the batch's segments.
                 continue
 
-    def _collect_batch(self) -> Optional[List[PendingRequest]]:
-        """Wait for traffic, then drain one micro-batch from the queue.
+    def _collect_batch(self) -> Optional[List[Segment]]:
+        """Wait for traffic, then cut one micro-batch from the queue.
 
         Returns ``None`` when the service is closed and the queue is
-        drained (the batcher's exit signal).  After the first request of
-        a batch arrives, keeps collecting until the batch is full or
-        ``max_wait`` has elapsed; the drain is highest-priority-first,
-        so a high-priority arrival inside the window jumps ahead of
-        every queued lower-priority request.
+        drained (the batcher's exit signal).  Keeps collecting until the
+        batch is full or ``max_wait`` has elapsed since the oldest queued
+        submission arrived — rows left over from a cut batch, or queued
+        while the batcher was blocked on a full pool, have already
+        waited, so they do not wait a fresh window.  The cut is
+        highest-priority-first, so a high-priority arrival inside the
+        window jumps ahead of every queued lower-priority request.
         """
         with self._arrived:
             while not self._pending:
                 if self._closed:
                     return None
                 self._arrived.wait()
-            deadline = time.monotonic() + self.max_wait
+            deadline = self._pending.oldest_enqueued_at() + self.max_wait
             while (
                 len(self._pending) < self.max_batch_size
                 and not self._closed
             ):
-                remaining = deadline - time.monotonic()
+                remaining = deadline - self._clock()
                 if remaining <= 0:
                     break
                 self._arrived.wait(remaining)
-            batch = self._pending.pop_batch(self.max_batch_size)
+            batch, dropped = self._pending.pop_batch(self.max_batch_size)
             self.metrics.record_queue_depth(len(self._pending))
-            return batch
+        if dropped:
+            self.metrics.record_cancelled(dropped)
+        return batch
 
     # ------------------------------------------------------------------ #
     # Introspection / lifecycle
     # ------------------------------------------------------------------ #
     @property
     def queue_depth(self) -> int:
-        """Requests currently waiting for dispatch."""
+        """Rows currently waiting for dispatch."""
         with self._state_lock:
             return len(self._pending)
 
@@ -621,9 +713,9 @@ class RecognitionService:
 
         Queued requests are still served; new submissions fail with
         :class:`ServiceClosedError`.  When the graceful drain exceeds
-        ``timeout``, the requests still waiting in the queue are failed
-        with :class:`ServiceClosedError` (so no caller hangs on an
-        unresolvable future) and only in-flight batches finish.
+        ``timeout``, the rows still waiting in the queue are failed
+        with :class:`ServiceClosedError` (so no caller waits on an
+        outcome nobody will deliver) and only in-flight batches finish.
         Idempotent.
         """
         with self._arrived:
@@ -637,18 +729,13 @@ class RecognitionService:
                 abandoned = self._pending.drain()
                 self.metrics.record_queue_depth(0)
                 self._arrived.notify_all()
-            error = ServiceClosedError(
-                "service closed before the request was dispatched"
+            # Cancelled rows must not be resolved again.
+            claimed, _cancelled = claim_segments(abandoned)
+            self.metrics.record_failed(sum(entry[4] for entry in claimed))
+            fail_claimed(
+                claimed,
+                ServiceClosedError("service closed before the request was dispatched"),
             )
-            # A cancelled future must not be resolved again.
-            claimed = [
-                pending
-                for pending in abandoned
-                if pending.future.set_running_or_notify_cancel()
-            ]
-            self.metrics.record_failed(len(claimed))
-            for pending in claimed:
-                pending.future.set_exception(error)
             # With the queue empty the batcher exits after at most one
             # dispatch cycle; the pool is still consuming, so this join
             # is bounded by the in-flight work.

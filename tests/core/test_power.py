@@ -1,9 +1,14 @@
 """Tests for the spin-CMOS AMM power model (Fig. 13a, Table 1 column 1)."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core.config import default_parameters
-from repro.core.power import SpinAmmPowerModel
+from repro.core.power import PowerBreakdown, SpinAmmPowerModel
+from repro.devices.latch import DynamicCmosLatch
+from repro.devices.transistor import TechnologyParameters
 
 @pytest.fixture(scope="module")
 def model():
@@ -104,6 +109,82 @@ class TestMeasuredActivityPath:
     def test_invalid_static_power_rejected(self, model):
         with pytest.raises(ValueError):
             model.power_from_measurement(-1.0, {})
+
+
+def uncached_dynamic_energy(model, events):
+    """The measured-activity formula, every term re-derived per call."""
+    inverter = model.technology.inverter_switching_energy()
+    energy = 0.0
+    energy += events.get("latch_senses", 0) * model.latch.sense_energy()
+    energy += events.get("sar_bit_writes", 0) * 2.0 * inverter
+    energy += events.get("dac_transitions", 0) * inverter
+    energy += events.get("tracking_writes", 0) * model.parameters.num_templates * inverter
+    energy += (
+        events.get("detection_precharges", 0)
+        * model.detection_line_capacitance
+        * model.technology.supply_voltage**2
+    )
+    return energy
+
+
+def uncached_power_from_measurement(model, static_power, events):
+    return PowerBreakdown(
+        static_rcm=static_power,
+        static_sar_dac=model.sar_dac_static_power(),
+        dynamic=uncached_dynamic_energy(model, events)
+        * model.parameters.clock_frequency_hz,
+        frequency=model.parameters.clock_frequency_hz,
+    )
+
+
+EVENT_KEYS = (
+    "latch_senses",
+    "sar_bit_writes",
+    "dac_transitions",
+    "tracking_writes",
+    "detection_precharges",
+)
+
+
+def random_events(rng):
+    events = {}
+    for key in EVENT_KEYS:
+        if rng.random() < 0.8:
+            value = int(rng.integers(0, 10 ** int(rng.integers(1, 8))))
+            events[key] = np.int64(value) if rng.random() < 0.5 else value
+    return events
+
+
+class TestCachedEventCoefficients:
+    @pytest.mark.parametrize("num_templates", [3, 40, 77])
+    def test_bit_identical_to_uncached_formula(self, num_templates):
+        rng = np.random.default_rng(num_templates)
+        parameters = dataclasses.replace(
+            default_parameters(), num_templates=num_templates
+        )
+        model = SpinAmmPowerModel(parameters)
+        for _ in range(300):
+            events = random_events(rng)
+            static_power = float(rng.random()) * 1e-4
+            got = model.power_from_measurement(static_power, events)
+            want = uncached_power_from_measurement(model, static_power, events)
+            assert got == want  # every field, at rtol=0
+            assert model.dynamic_energy_from_events(
+                events
+            ) == uncached_dynamic_energy(model, events)
+
+    def test_attribute_changes_after_construction_take_effect(self):
+        model = SpinAmmPowerModel(default_parameters())
+        events = {key: 1000 for key in EVENT_KEYS}
+        before = model.power_from_measurement(1e-6, events)
+        model.technology = TechnologyParameters(supply_voltage=0.8)
+        model.latch = DynamicCmosLatch(supply_voltage=0.8, node_capacitance=2e-15)
+        model.detection_line_capacitance = 8e-15
+        model.sar_utilization = 0.25
+        model.parameters = model.parameters.with_delta_v(60e-3)
+        after = model.power_from_measurement(1e-6, events)
+        assert after != before
+        assert after == uncached_power_from_measurement(model, 1e-6, events)
 
 
 class TestValidation:

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.serving import (
-    PendingRequest,
+    FutureSubmission,
     RecognitionService,
     ServiceClosedError,
     ShardedWorkerPool,
@@ -95,17 +95,14 @@ class TestDispatchCloseRace:
         now every future fails with ServiceClosedError (and dispatch raises)."""
         pool = ShardedWorkerPool(serving_amm, workers=1)
         pool.close()
-        batch = [
-            PendingRequest(
-                codes=np.asarray(request_codes[0], dtype=np.int64),
-                seed=1,
-                future=concurrent.futures.Future(),
-            )
-        ]
+        submission = FutureSubmission(
+            np.asarray(request_codes[:1], dtype=np.int64),
+            np.array([1], dtype=np.int64),
+        )
         with pytest.raises(ServiceClosedError):
-            pool.dispatch(batch)
+            pool.dispatch([(submission, 0, 1)])
         with pytest.raises(ServiceClosedError):
-            batch[0].future.result(timeout=1.0)
+            submission.futures[0].result(timeout=1.0)
         assert pool.metrics.failed == 1
 
     def test_service_survives_pool_closed_underneath(
@@ -224,6 +221,38 @@ class TestBatchFillHistogram:
             total_batched = sum(int(size) * count for size, count in fill.items())
             assert total_batched == stats["requests"]["completed"] == 3
             assert stats["requests"]["expired"] == 2
+        finally:
+            gate.set()
+            service.close()
+
+
+class TestBatchWindow:
+    def test_leftover_rows_do_not_wait_a_fresh_window(
+        self, serving_amm, request_codes, recall_gate
+    ):
+        """The batching window opens when the oldest queued submission
+        arrived, not when the batcher wakes: a row left over from a cut
+        batch, queued while the batcher was blocked on a full pool, must
+        not wait another whole ``max_wait`` once the pool frees up."""
+        gate, _ = recall_gate
+        offset = [0.0]
+
+        def clock():
+            return time.monotonic() + offset[0]
+
+        service = RecognitionService(
+            serving_amm, max_batch_size=2, max_wait=30.0, workers=1, clock=clock
+        )
+        try:
+            futures = service.submit_many(request_codes[:9], seeds=list(range(1, 10)))
+            # Three full batches fill the gated pipeline (one in flight,
+            # two in the dispatch slots) and the batcher blocks handing
+            # over the fourth, with one row left in the queue.
+            assert wait_for(lambda: service.queue_depth == 1)
+            offset[0] = 30.0  # the leftover row's window has now closed
+            gate.set()
+            for future in futures:
+                assert future.result(timeout=10.0) is not None
         finally:
             gate.set()
             service.close()

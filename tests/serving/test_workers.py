@@ -1,6 +1,5 @@
 """Dispatch-adapter tests: backend wiring, error propagation, deadlines."""
 
-import concurrent.futures
 import time
 
 import numpy as np
@@ -9,16 +8,24 @@ import pytest
 from repro.backends import SerialBackend, ThreadedBackend
 from repro.serving.metrics import ServiceMetrics
 from repro.serving.service import DeadlineExceededError
-from repro.serving.workers import PendingRequest, ShardedWorkerPool
+from repro.serving.workers import FutureSubmission, ShardedWorkerPool
 
 
-def make_pending(codes, seed, deadline=None):
-    return PendingRequest(
-        codes=np.asarray(codes, dtype=np.int64),
-        seed=seed,
-        future=concurrent.futures.Future(),
-        deadline=deadline,
-    )
+class Pending:
+    """A one-row submission, its segment and its row's future."""
+
+    def __init__(self, codes, seed, deadline=None):
+        self.submission = FutureSubmission(
+            np.asarray(codes, dtype=np.int64)[None, :],
+            np.array([seed], dtype=np.int64),
+            deadline=deadline,
+        )
+        self.future = self.submission.futures[0]
+        self.segment = (self.submission, 0, 1)
+
+
+def segments(batch):
+    return [pending.segment for pending in batch]
 
 
 class TestBackendWiring:
@@ -62,10 +69,10 @@ class TestDispatch:
         pool = ShardedWorkerPool(serving_amm, workers=2)
         try:
             batch = [
-                make_pending(codes, int(seed))
+                Pending(codes, int(seed))
                 for codes, seed in zip(request_codes, request_seeds)
             ]
-            pool.dispatch(batch)
+            pool.dispatch(segments(batch))
             reference = serving_amm.recognise_batch_seeded(request_codes, request_seeds)
             for index, pending in enumerate(batch):
                 result = pending.future.result(timeout=20.0)
@@ -84,10 +91,10 @@ class TestDispatch:
         )
         try:
             batch = [
-                make_pending(codes, int(seed))
+                Pending(codes, int(seed))
                 for codes, seed in zip(request_codes, request_seeds)
             ]
-            pool.dispatch(batch)
+            pool.dispatch(segments(batch))
             for index, pending in enumerate(batch):
                 result = pending.future.result(timeout=20.0)
                 assert result.winner_column == reference[index].winner_column
@@ -109,8 +116,8 @@ class TestDispatch:
         amm = build_amm(include_parasitics=True)
         pool = ShardedWorkerPool(amm, workers=1, legacy_per_sample=True)
         try:
-            batch = [make_pending(codes, 1) for codes in request_codes[:3]]
-            pool.dispatch(batch)
+            batch = [Pending(codes, 1) for codes in request_codes[:3]]
+            pool.dispatch(segments(batch))
             results = [pending.future.result(timeout=20.0) for pending in batch]
         finally:
             pool.close()
@@ -123,14 +130,14 @@ class TestDispatch:
     def test_worker_error_propagates_to_futures(self, serving_amm, request_codes):
         pool = ShardedWorkerPool(serving_amm, workers=1)
         try:
-            bad = [make_pending(np.full(32, 99), 1)]  # out-of-range codes
-            pool.dispatch(bad)
+            bad = [Pending(np.full(32, 99), 1)]  # out-of-range codes
+            pool.dispatch(segments(bad))
             with pytest.raises(ValueError):
                 bad[0].future.result(timeout=20.0)
             assert pool.metrics.failed == 1
             # The dispatcher thread survives the error and serves the next batch.
-            good = [make_pending(request_codes[0], 1)]
-            pool.dispatch(good)
+            good = [Pending(request_codes[0], 1)]
+            pool.dispatch(segments(good))
             good[0].future.result(timeout=20.0)
         finally:
             pool.close()
@@ -140,20 +147,20 @@ class TestDispatch:
         pool.close()
         pool.close()
         with pytest.raises(RuntimeError):
-            pool.dispatch([make_pending(request_codes[0], 1)])
+            pool.dispatch([Pending(request_codes[0], 1).segment])
 
     def test_cancelled_future_does_not_kill_dispatcher(self, serving_amm, request_codes):
         pool = ShardedWorkerPool(serving_amm, workers=1)
         try:
-            cancelled = make_pending(request_codes[0], 1)
+            cancelled = Pending(request_codes[0], 1)
             assert cancelled.future.cancel()
-            survivor = make_pending(request_codes[1], 2)
-            pool.dispatch([cancelled, survivor])
+            survivor = Pending(request_codes[1], 2)
+            pool.dispatch(segments([cancelled, survivor]))
             # The dispatcher must skip the cancelled future, serve the
             # rest, and stay alive for later batches.
             assert survivor.future.result(timeout=20.0) is not None
-            later = make_pending(request_codes[2], 3)
-            pool.dispatch([later])
+            later = Pending(request_codes[2], 3)
+            pool.dispatch(segments([later]))
             assert later.future.result(timeout=20.0) is not None
         finally:
             pool.close()
@@ -173,11 +180,11 @@ class TestDeadlines:
         metrics = ServiceMetrics()
         pool = ShardedWorkerPool(serving_amm, workers=1, metrics=metrics)
         try:
-            expired = make_pending(
+            expired = Pending(
                 request_codes[0], 1, deadline=time.monotonic() - 0.01
             )
-            live = make_pending(request_codes[1], 2)
-            pool.dispatch([expired, live])
+            live = Pending(request_codes[1], 2)
+            pool.dispatch(segments([expired, live]))
             with pytest.raises(DeadlineExceededError):
                 expired.future.result(timeout=20.0)
             assert live.future.result(timeout=20.0) is not None
@@ -189,10 +196,10 @@ class TestDeadlines:
     def test_unexpired_deadline_served_normally(self, serving_amm, request_codes):
         pool = ShardedWorkerPool(serving_amm, workers=1)
         try:
-            pending = make_pending(
+            pending = Pending(
                 request_codes[0], 1, deadline=time.monotonic() + 30.0
             )
-            pool.dispatch([pending])
+            pool.dispatch(segments([pending]))
             assert pending.future.result(timeout=20.0) is not None
             assert pool.metrics.expired == 0
         finally:
