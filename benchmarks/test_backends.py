@@ -1,5 +1,4 @@
-"""Execution-backend benchmark: serial vs threads vs processes vs remote,
-plus the ``auto`` cost-model router.
+"""Execution-backend benchmark: serial vs processes vs remote.
 
 Recalls the reference 128x40 corpus through each registered execution
 backend at 1, 2 and all-cores worker counts (parasitic path, per-request
@@ -9,17 +8,14 @@ root, uploaded as a CI artifact next to the recall and serving
 trajectories.  The ``remote`` section runs against real
 ``python -m repro worker`` agents spawned on localhost (1 and 2
 replicas), so the trajectory includes the wire-protocol overhead a
-cross-host deployment pays per dispatch.  A second benchmark calibrates
-the ``auto`` router on the same corpus and records its fitted cost
-models, the chosen dispatch plan and the auto-vs-serial throughput ratio
-(floor: 0.9x) into an ``"auto"`` section of the same file.
+cross-host deployment pays per dispatch.
 
 The benchmark also re-asserts the cross-backend contract on the timed
 inputs (identical winners and DOM codes for identical seeds) and, on
-multi-core hosts, that the process pool actually escapes the GIL: at
-least ``REQUIRED_PROCESS_SPEEDUP`` x the threaded throughput with all
-cores (a reduced bound on 2-3-core hosts, recording-only on one core,
-where a process pool is pure IPC overhead).
+multi-core hosts, that the process pool pays for itself: at least
+``REQUIRED_PROCESS_SPEEDUP`` x the serial throughput with all cores (a
+reduced bound on 2-3-core hosts, recording-only on one core, where a
+process pool is pure IPC overhead).
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ IMAGES_PER_POINT = 400
 #: Recall batch handed to the backend per call (the serving max batch).
 DISPATCH_BATCH = 64
 
-#: The acceptance bound: process pool vs thread pool at all cores.
+#: The acceptance bound: process pool vs the serial engine at all cores.
 REQUIRED_PROCESS_SPEEDUP = 2.0
 #: Softer bound applied on 2-3-core hosts.
 REDUCED_PROCESS_SPEEDUP = 1.2
@@ -105,7 +101,6 @@ def test_backend_throughput_matrix(full_pipeline, recall_codes, request_seeds, w
     addresses = [address for _, address in agents]
     plan = [
         ("serial", [1]),
-        ("threads", sweep),
         ("processes", sweep),
         ("remote", list(range(1, REMOTE_AGENTS + 1))),
     ]
@@ -155,11 +150,8 @@ def test_backend_throughput_matrix(full_pipeline, recall_codes, request_seeds, w
         return max(trajectory[name], key=lambda p: p["images_per_second"])
 
     serial_ips = trajectory["serial"][0]["images_per_second"]
-    thread_best = best("threads")
     process_best = best("processes")
-    process_vs_threads = (
-        process_best["images_per_second"] / thread_best["images_per_second"]
-    )
+    process_vs_serial = process_best["images_per_second"] / serial_ips
     payload = {
         "cores": cores,
         "array": {"rows": amm.crossbar.rows, "columns": amm.crossbar.columns},
@@ -169,11 +161,10 @@ def test_backend_throughput_matrix(full_pipeline, recall_codes, request_seeds, w
         "serial_images_per_second": serial_ips,
         "remote_agents": REMOTE_AGENTS,
         "best": {
-            "threads": thread_best,
             "processes": process_best,
             "remote": best("remote"),
         },
-        "process_vs_threads_speedup": process_vs_threads,
+        "process_vs_serial_speedup": process_vs_serial,
         "remote_vs_serial_speedup": (
             best("remote")["images_per_second"] / serial_ips
         ),
@@ -186,113 +177,25 @@ def test_backend_throughput_matrix(full_pipeline, recall_codes, request_seeds, w
     OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     lines = [f"cores={cores}  serial: {serial_ips:8.1f} images/s"]
-    for name in ("threads", "processes", "remote"):
+    for name in ("processes", "remote"):
         for point in trajectory[name]:
             lines.append(
                 f"{name:<10s} x{point['workers']:<2d} "
                 f"{point['images_per_second']:8.1f} images/s"
             )
-    lines.append(f"processes vs threads (best): {process_vs_threads:.2f}x")
+    lines.append(f"processes vs serial (best): {process_vs_serial:.2f}x")
     write_result("backends", "\n".join(lines))
 
     # Perf acceptance only where the hardware can express it: on a
     # single core a process pool is pure IPC overhead by construction.
     if cores >= 4:
-        assert process_vs_threads >= REQUIRED_PROCESS_SPEEDUP, (
-            f"process pool reached only {process_vs_threads:.2f}x the threaded "
+        assert process_vs_serial >= REQUIRED_PROCESS_SPEEDUP, (
+            f"process pool reached only {process_vs_serial:.2f}x the serial "
             f"throughput on {cores} cores (required {REQUIRED_PROCESS_SPEEDUP}x)"
         )
     elif cores >= 2:
-        assert process_vs_threads >= REDUCED_PROCESS_SPEEDUP, (
-            f"process pool reached only {process_vs_threads:.2f}x the threaded "
+        assert process_vs_serial >= REDUCED_PROCESS_SPEEDUP, (
+            f"process pool reached only {process_vs_serial:.2f}x the serial "
             f"throughput on {cores} cores (required {REDUCED_PROCESS_SPEEDUP}x)"
         )
 
-
-#: The auto router may never cost more than this fraction of serial
-#: throughput — parallelism has to pay, or stay home.
-AUTO_VS_SERIAL_FLOOR = 0.9
-
-
-def test_auto_backend_cost_model(full_pipeline, recall_codes, request_seeds, write_result):
-    """Calibrate the ``auto`` router on the reference corpus, record the
-    fitted cost models and the plan it chose for the serving batch size,
-    and hold it to the acceptance bar: never more than 10% below serial.
-
-    Runs after the matrix benchmark and merges an ``"auto"`` section into
-    the same ``BENCH_backends.json`` (creating a fresh file when run
-    standalone)."""
-    amm = full_pipeline.amm
-    cores = os.cpu_count() or 1
-    workers = max(2, min(cores, 4))
-
-    serial = create_backend("serial", amm)
-    auto = create_backend(
-        "auto", amm, workers=workers, min_shard_size=DISPATCH_BATCH // 4
-    )
-    try:
-        # Interleave best-of-3 rounds: both backends see the same host
-        # load drift, so the ratio compares plans rather than weather
-        # (a single sequential pass each swings ±15% on a busy host).
-        serial_point = measure(serial, recall_codes, request_seeds)
-        auto_point = measure(auto, recall_codes, request_seeds)
-        for _ in range(2):
-            contender = measure(serial, recall_codes, request_seeds)
-            if contender["seconds"] < serial_point["seconds"]:
-                serial_point = contender
-            contender = measure(auto, recall_codes, request_seeds)
-            if contender["seconds"] < auto_point["seconds"]:
-                auto_point = contender
-        cost_models = {
-            name: model.to_dict() for name, model in auto.cost_models.items()
-        }
-        dispatch_plan = auto.plan_for(DISPATCH_BATCH).to_dict()
-        plan_counts = dict(auto.plan_counts)
-    finally:
-        serial.close()
-        auto.close()
-
-    assert np.array_equal(auto_point["winners"], serial_point["winners"]), (
-        "auto disagrees with the serial reference winners"
-    )
-    assert np.array_equal(auto_point["dom_codes"], serial_point["dom_codes"]), (
-        "auto disagrees with the serial reference DOM codes"
-    )
-
-    ratio = auto_point["images_per_second"] / serial_point["images_per_second"]
-    section = {
-        "workers": workers,
-        "images": auto_point["images"],
-        "seconds": auto_point["seconds"],
-        "images_per_second": auto_point["images_per_second"],
-        "serial_images_per_second": serial_point["images_per_second"],
-        "auto_vs_serial": ratio,
-        "cost_models": cost_models,
-        "dispatch_plan": dispatch_plan,
-        "plan_counts": plan_counts,
-    }
-    payload = (
-        json.loads(OUTPUT_PATH.read_text()) if OUTPUT_PATH.exists() else {"cores": cores}
-    )
-    payload["auto"] = section
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-
-    lines = [
-        f"auto x{workers}: {auto_point['images_per_second']:8.1f} images/s "
-        f"({ratio:.2f}x serial)",
-        f"plan@{DISPATCH_BATCH}: {dispatch_plan['backend']} "
-        f"x{dispatch_plan['shards']} shards",
-    ]
-    for name, model in sorted(cost_models.items()):
-        lines.append(
-            f"model {name:<10s} fixed={model['fixed_seconds']:.3e}s "
-            f"marginal={model['marginal_seconds_per_image']:.3e}s/img "
-            f"speedup={model['parallel_speedup']:.2f}"
-        )
-    write_result("backends_auto", "\n".join(lines))
-
-    assert ratio >= AUTO_VS_SERIAL_FLOOR, (
-        f"auto reached only {ratio:.2f}x serial throughput "
-        f"(floor {AUTO_VS_SERIAL_FLOOR}x): the cost model routed into a "
-        "plan that does not pay on this host"
-    )

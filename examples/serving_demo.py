@@ -35,11 +35,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--requests", type=int, default=48, help="images to classify")
     parser.add_argument("--concurrency", type=int, default=4, help="client threads")
     parser.add_argument("--seed", type=int, default=2013)
-    from repro.backends import backend_names
+    from repro.backends import DEFAULT_BACKEND, backend_names
 
     parser.add_argument(
         "--backend",
-        default="threads",
+        default=DEFAULT_BACKEND,
         choices=backend_names(),
         help="execution backend for the recall engine pool",
     )
@@ -54,7 +54,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         pipeline.amm,
         max_batch_size=16,
         max_wait=2e-3,
-        workers=2,
+        # serial runs one engine; the multi-unit backends get two.
+        workers=1 if arguments.backend == "serial" else 2,
         backend=arguments.backend,
     )
     server = start_async_server(service, port=0)

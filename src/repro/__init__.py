@@ -36,12 +36,12 @@ The package is organised around the systems described in the paper:
 ``repro.backends``
     Pluggable execution backends for batched recall, selected by name
     through one registry: ``serial`` (one pre-factorised engine, the
-    equivalence reference), ``threads`` (contiguous shards over engine
-    replicas on a thread pool) and ``processes`` (a multi-process engine
-    pool — each worker rebuilds its own factorisation from a picklable
-    ``EngineSpec`` and exchanges batches over shared memory, scaling
-    recall across cores instead of contending for one GIL).  Results are
-    seed-pure and therefore identical for every backend choice.
+    equivalence reference and the default), ``processes`` (a
+    multi-process engine pool — each worker rebuilds its own
+    factorisation from a picklable ``EngineSpec`` and exchanges batches
+    over shared memory) and ``remote``/``fleet`` (worker agents over a
+    pickle-free TCP protocol).  Results are seed-pure and therefore
+    identical for every backend choice.
 
 ``repro.serving``
     The online-traffic layer: a micro-batching recognition service over

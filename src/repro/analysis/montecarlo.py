@@ -6,18 +6,10 @@ and summarise the spread.  :class:`MonteCarloRunner` centralises the seed
 management (one master seed → independent child generators per trial) so
 that every study in the analysis layer is reproducible and its trials are
 statistically independent.
-
-Trial chunks can execute through the same backend vocabulary as the
-recall engine (``serial`` / ``threads`` / ``processes``, the
-:mod:`repro.backends` registry names): the per-trial generators are
-derived once from the master seed and chunk results are gathered in
-chunk order, so the summary is invariant under the execution strategy —
-parallelism only changes the wall clock.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -93,22 +85,7 @@ class MonteCarloRunner:
         passes all of them in one call.  Chunking never changes the
         result: the per-trial generators are derived once from the master
         seed, so the summary is invariant under any ``chunk_size``.
-    backend:
-        Execution strategy for the trial chunks — ``None``/``"serial"``
-        runs them on the calling thread (the default and reference),
-        ``"threads"`` on a thread pool (useful when trials release the
-        GIL, e.g. through the batched recall engine), ``"processes"`` on
-        a process pool (the trial callables must then be picklable, i.e.
-        module-level functions).  The vocabulary matches the
-        :mod:`repro.backends` registry; summaries are identical for every
-        choice.
-    workers:
-        Concurrent chunk executions for the parallel backends.
     """
-
-    #: Execution strategies understood by ``backend=`` (the serial /
-    #: threads / processes vocabulary of the repro.backends registry).
-    EXECUTION_BACKENDS = ("serial", "threads", "processes")
 
     def __init__(
         self,
@@ -119,83 +96,36 @@ class MonteCarloRunner:
             Callable[[Sequence[np.random.Generator]], Sequence[float]]
         ] = None,
         chunk_size: Optional[int] = None,
-        backend: Optional[str] = None,
-        workers: int = 1,
     ) -> None:
         check_integer("trials", trials, minimum=1)
-        check_integer("workers", workers, minimum=1)
         if trial is None and batch_trial is None:
             raise ValueError("either trial or batch_trial must be provided")
         if chunk_size is not None:
             check_integer("chunk_size", chunk_size, minimum=1)
-        if backend is not None and backend not in self.EXECUTION_BACKENDS:
-            known = ", ".join(self.EXECUTION_BACKENDS)
-            raise ValueError(f"unknown backend {backend!r}; expected one of: {known}")
         self.trial = trial
         self.batch_trial = batch_trial
         self.trials = trials
         self.chunk_size = chunk_size
-        self.backend = backend
-        self.workers = workers
         self._rng = ensure_rng(seed)
 
-    def _run_chunks(self, chunks: List[list], run_chunk) -> List[float]:
-        """Execute ``run_chunk`` over every chunk, gathering in chunk order."""
-        if self.backend in (None, "serial") or self.workers == 1 or len(chunks) == 1:
-            gathered = [run_chunk(chunk) for chunk in chunks]
-        else:
-            executor_type = (
-                concurrent.futures.ProcessPoolExecutor
-                if self.backend == "processes"
-                else concurrent.futures.ThreadPoolExecutor
-            )
-            with executor_type(max_workers=self.workers) as executor:
-                gathered = list(executor.map(run_chunk, chunks))
+    def run(self) -> MonteCarloSummary:
+        """Execute all trials and return the summary statistics."""
+        generators = spawn_children(self._rng, self.trials)
+        # One call (batch) or one chunk (scalar) by default, so batch
+        # setup is amortised over every trial.
+        step = self.chunk_size or self.trials
         values: List[float] = []
-        for chunk, outcomes in zip(chunks, gathered):
-            outcomes = list(outcomes)
+        for start in range(0, self.trials, step):
+            chunk = generators[start : start + step]
+            if self.batch_trial is None:
+                outcomes = [self.trial(generator) for generator in chunk]
+            else:
+                outcomes = list(self.batch_trial(chunk))
             if len(outcomes) != len(chunk):
                 raise ValueError(
                     f"batch_trial returned {len(outcomes)} values for a "
                     f"chunk of {len(chunk)} trials"
                 )
             values.extend(float(value) for value in outcomes)
-        return values
-
-    def run(self) -> MonteCarloSummary:
-        """Execute all trials and return the summary statistics."""
-        generators = spawn_children(self._rng, self.trials)
-        # Without an explicit chunk_size, a parallel backend defaults to
-        # one chunk per worker — a single all-trials chunk would take
-        # _run_chunks' serial short-circuit and silently waste the
-        # requested workers; the serial default stays one call (batch) or
-        # one chunk (scalar) so batch setup amortisation is unchanged.
-        parallel = self.backend in ("threads", "processes") and self.workers > 1
-        default_step = -(-self.trials // self.workers) if parallel else self.trials
-        step = self.chunk_size or default_step
-        run_chunk = (
-            self.batch_trial
-            if self.batch_trial is not None
-            else _ScalarTrialChunk(self.trial)
-        )
-        chunks = [
-            generators[start : start + step]
-            for start in range(0, self.trials, step)
-        ]
-        values = self._run_chunks(chunks, run_chunk)
         return MonteCarloSummary.from_values(values)
 
-
-class _ScalarTrialChunk:
-    """Adapter running a scalar trial over one chunk of generators.
-
-    A class (not a closure) so scalar trials remain usable with the
-    ``processes`` backend, where the callable must be picklable — it is,
-    whenever the wrapped trial function itself is.
-    """
-
-    def __init__(self, trial: Callable[[np.random.Generator], float]) -> None:
-        self.trial = trial
-
-    def __call__(self, generators: Sequence[np.random.Generator]) -> List[float]:
-        return [float(self.trial(generator)) for generator in generators]

@@ -5,13 +5,10 @@ compute; this package owns *where and how* it executes:
 
 ``serial``
     :class:`~repro.backends.serial.SerialBackend` — one pre-factorised
-    engine on the caller's thread.  The equivalence reference.
-
-``threads``
-    :class:`~repro.backends.threaded.ThreadedBackend` — PR 2's sharded
-    thread pool, extracted from the serving layer: contiguous shards over
-    per-slot engine replicas; the BLAS solves overlap (they release the
-    GIL) but the Python glue still serialises.
+    engine on the caller's thread.  The equivalence reference, and the
+    default (:data:`~repro.backends.registry.DEFAULT_BACKEND`) of every
+    consumer: the batched engine already keeps the host's BLAS threads
+    busy, so nothing in-process has been measured to beat it.
 
 ``processes``
     :class:`~repro.backends.process.ProcessPoolBackend` — N worker
@@ -47,16 +44,6 @@ compute; this package owns *where and how* it executes:
     :class:`~repro.backends.fleet.FleetAdminClient` and
     ``python -m repro admin``).
 
-``auto``
-    :class:`~repro.backends.auto.AutoBackend` — a router, not an
-    executor: it prepares the candidates above, calibrates a measured
-    :class:`~repro.backends.costmodel.CostModel` for each (per-shard
-    fixed cost + per-image marginal cost + effective parallel speedup)
-    and sends every batch to whichever candidate the model predicts
-    cheapest for that batch size.  Every candidate's engine answers a
-    row independently of its batch-mates, so the routing decision never
-    changes a result bit.
-
 All backends execute the *seeded* recall path, so results are a pure
 function of ``(module, codes, seed)`` — invariant across backend choice,
 worker count and shard boundaries (``tests/backends/``), which is what
@@ -66,7 +53,6 @@ Consumers select a backend by name through the registry
 this directory for the protocol and the custom-backend recipe.
 """
 
-from repro.backends.auto import AutoBackend
 from repro.backends.base import (
     EVENT_KEYS,
     BackendCapabilities,
@@ -97,23 +83,9 @@ from repro.backends.remote import (
     spawn_local_worker,
 )
 from repro.backends.serial import SerialBackend
-from repro.backends.threaded import ThreadedBackend
-
-from repro.backends.costmodel import (
-    CostModel,
-    DispatchPlan,
-    DispatchPlanner,
-    ShardRule,
-    calibrate_backend,
-)
 
 __all__ = [
-    "AutoBackend",
     "BackendCapabilities",
-    "CostModel",
-    "DispatchPlan",
-    "DispatchPlanner",
-    "ShardRule",
     "DEFAULT_BACKEND",
     "EVENT_KEYS",
     "EngineSpec",
@@ -124,12 +96,10 @@ __all__ = [
     "RecallBackend",
     "RemoteBackend",
     "SerialBackend",
-    "ThreadedBackend",
     "UnknownBackendError",
     "WorkerCrashedError",
     "WorkerServer",
     "backend_names",
-    "calibrate_backend",
     "contiguous_shards",
     "create_backend",
     "parse_worker_addresses",

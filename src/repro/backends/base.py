@@ -1,7 +1,7 @@
 """The execution-backend contract of the recall engine.
 
 A :class:`RecallBackend` owns *how* batched recalls execute — one
-in-process engine, a sharded thread pool, or a pool of worker processes —
+in-process engine, a pool of worker processes or remote worker agents —
 while the physics stays in :class:`~repro.core.amm.AssociativeMemoryModule`
 and :class:`~repro.crossbar.batched.BatchedCrossbarEngine`.  Everything a
 backend runs goes through the *seeded* recall path, so results are a pure
@@ -60,7 +60,7 @@ class BackendCapabilities:
     Attributes
     ----------
     name:
-        Registry name of the backend ("serial", "threads", "processes", …).
+        Registry name of the backend ("serial", "processes", "fleet", …).
     workers:
         Number of independent execution units (engine replicas).
     shards_batches:
@@ -213,7 +213,7 @@ def contiguous_shards(
     are seed-pure and order-preserving by construction) and performance
     behaviour stay consistent across backends.
 
-    Guarantees, relied on by the ``auto`` cost model and pinned by
+    Guarantees, pinned by
     ``tests/backends/test_sharding.py``:
 
     * shards partition ``[0, count)`` exactly, in order, no empties;

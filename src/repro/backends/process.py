@@ -1,9 +1,9 @@
 """The process-pool backend: engine replicas on separate interpreters.
 
-The threaded backend overlaps the BLAS solves, but everything else —
-DAC conversion, per-request substream derivation, the vectorised WTA —
-competes for one GIL, so multi-core hosts serve barely faster than one
-core.  :class:`ProcessPoolBackend` forks ``workers`` OS processes, each of
+In one interpreter only the BLAS calls run in parallel; everything
+else — DAC conversion, per-request substream derivation, the vectorised
+WTA — competes for one GIL.  :class:`ProcessPoolBackend` forks
+``workers`` OS processes, each of
 which rebuilds its **own** pre-factorised
 :class:`~repro.crossbar.batched.BatchedCrossbarEngine` from a picklable
 :class:`~repro.backends.base.EngineSpec` (module configuration +
@@ -16,7 +16,7 @@ DAC-conductance) batches into, and an output block the worker writes the
 full recognition result arrays into — with only a tiny ``("recall", n)``
 command crossing the control pipe.  Because every recall goes through the
 seeded path, results are a pure function of ``(module, codes, seed)`` and
-identical to the serial and threaded backends.
+identical to the serial backend.
 
 Fault handling: a worker that dies mid-batch is detected by the control
 pipe, its in-flight shard fails with the retryable

@@ -23,12 +23,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Union
 
-from repro.backends.auto import AutoBackend
 from repro.backends.base import RecallBackend
 from repro.backends.fleet import FleetSupervisor, RemoteBackend
 from repro.backends.process import ProcessPoolBackend
 from repro.backends.serial import SerialBackend
-from repro.backends.threaded import ThreadedBackend
 
 #: The default backend name used when a caller asks for "a backend".
 DEFAULT_BACKEND = "serial"
@@ -108,8 +106,6 @@ def resolve_backend(
 
 
 register_backend("serial", SerialBackend)
-register_backend("threads", ThreadedBackend)
 register_backend("processes", ProcessPoolBackend)
 register_backend("remote", RemoteBackend)
 register_backend("fleet", FleetSupervisor)
-register_backend("auto", AutoBackend)

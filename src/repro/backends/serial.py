@@ -1,10 +1,13 @@
-"""The serial backend: one engine, the caller's thread, no concurrency.
+"""The serial backend: one engine on the caller's thread.
 
 This is the equivalence reference every other backend is pinned against:
 it recalls through exactly the per-batch seeded path of the module with a
 single private pre-factorised engine replica.  Because the seeded path is
 a pure function of ``(module, codes, seed)``, any backend that matches the
 serial backend sample-for-sample is correct by definition.
+
+It is also the default backend.  Concurrent callers share the one engine
+without a lock: once factorised, a solve only reads it.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ without writing any code:
   1 = legacy per-sample loop);
 * ``throughput`` — evaluate the corpus through the batched recall engine
   and report images/second (``--backend
-  auto|serial|threads|processes|remote`` recalls through a named
-  execution backend with ``--workers`` units — ``auto``, the default,
-  routes each batch by a calibrated cost model; ``--backend none`` keeps
-  the legacy engine path without a backend);
+  serial|processes|remote|fleet`` recalls through a named execution
+  backend — ``serial``, the default, on one engine, the others with
+  ``--workers`` units; ``--backend none`` keeps the legacy engine path
+  without a backend);
 * ``worker`` — run a remote recall worker agent
   (``python -m repro worker --listen HOST:PORT``) that backends created
   with ``--backend remote --workers host:port,...`` dispatch shards to
@@ -139,17 +139,20 @@ def _command_recognise(arguments: argparse.Namespace) -> str:
 
 
 def _command_throughput(arguments: argparse.Namespace) -> str:
+    use_backend = arguments.backend not in (None, "none")
+    if use_backend:
+        # Reject a bad --workers before paying for the pipeline build.
+        workers, backend_options = _resolve_workers(arguments)
     dataset = load_default_dataset(seed=arguments.seed)
     pipeline = build_pipeline(dataset, seed=arguments.seed)
     images = dataset.test_images[: arguments.images]
     labels = dataset.test_labels[: arguments.images]
     codes = pipeline.extractor.extract_many(images)
-    if arguments.backend not in (None, "none"):
+    if use_backend:
         # Seeded recall through a named execution backend; the engine
-        # pool (and, for processes, the workers) is built before timing.
+        # (and, for processes, the workers) is built before timing.
         from repro.backends import create_backend
 
-        workers, backend_options = _resolve_workers(arguments)
         backend = create_backend(
             arguments.backend, pipeline.amm, workers=workers, **backend_options
         ).prepare()
@@ -191,21 +194,24 @@ def _resolve_workers(arguments: argparse.Namespace) -> tuple:
     ``fleet``) names the worker agents and implies their count.  Returns
     ``(worker_count, backend_options)``.
     """
-    value = arguments.workers
-    if isinstance(value, int):
-        return value, {}
-    text = str(value).strip()
+    backend = getattr(arguments, "backend", None)
+    text = str(arguments.workers).strip()
     if ":" not in text:
         try:
-            return int(text), {}
+            count = int(text)
         except ValueError:
             raise SystemExit(
                 f"--workers must be an integer or a host:port list, got {text!r}"
             ) from None
-    if getattr(arguments, "backend", None) not in ("remote", "fleet", "auto"):
+        if backend == "serial" and count > 1:
+            raise SystemExit(
+                f"--workers {count} needs a multi-unit backend: serial runs one "
+                "engine; use --backend processes (or fleet)"
+            )
+        return count, {}
+    if backend not in ("remote", "fleet"):
         raise SystemExit(
-            "--workers with host:port addresses requires --backend remote "
-            "or fleet (or auto, which then includes a remote candidate)"
+            "--workers with host:port addresses requires --backend remote or fleet"
         )
     from repro.backends import parse_worker_addresses
 
@@ -508,25 +514,20 @@ def _command_lint(arguments: argparse.Namespace) -> tuple:
     return lint_runner.execute(arguments)
 
 
-def _add_backend_option(
-    parser: argparse.ArgumentParser,
-    default: str = "auto",
-    allow_none: bool = False,
-) -> None:
-    from repro.backends import backend_names
+def _add_backend_option(parser: argparse.ArgumentParser, allow_none: bool = False) -> None:
+    from repro.backends import DEFAULT_BACKEND, backend_names
 
     choices = list(backend_names())
     if allow_none:
         # "none" keeps the legacy engine path (no backend at all)
-        # reachable now that "auto" is the default.
+        # reachable while a backend is the default.
         choices.append("none")
     parser.add_argument(
         "--backend",
-        default=default,
+        default=DEFAULT_BACKEND,
         choices=choices,
         help="execution backend for the recall engine "
-        "(auto = cost-model routing over the others [default], "
-        "serial = one engine, threads = sharded thread pool, "
+        "(serial = one engine [default], "
         "processes = multi-process engine pool, remote = worker agents "
         "named by --workers host:port,..., fleet = supervised replica "
         "set with health-weighted routing and a --control admin socket"
@@ -550,7 +551,8 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         default=1,
-        help="worker pool shards (an integer), or with --backend remote a "
+        help="execution units (an integer; more than 1 needs --backend "
+        "processes or fleet), or with --backend remote/fleet a "
         "comma-separated worker agent list (host:port,host:port)",
     )
     parser.add_argument(
@@ -640,10 +642,11 @@ def build_parser() -> argparse.ArgumentParser:
     throughput.add_argument(
         "--workers",
         default=1,
-        help="execution units for --backend (an integer), or with "
-        "--backend remote a comma-separated agent list (host:port,...)",
+        help="execution units for --backend (an integer; more than 1 needs "
+        "--backend processes or fleet), or with --backend remote/fleet a "
+        "comma-separated agent list (host:port,...)",
     )
-    _add_backend_option(throughput, default="auto", allow_none=True)
+    _add_backend_option(throughput, allow_none=True)
     throughput.set_defaults(handler=_command_throughput)
 
     worker = subparsers.add_parser(

@@ -23,13 +23,13 @@ traffic, where callers arrive one image at a time:
 ``workers``
     :class:`~repro.serving.workers.ShardedWorkerPool` — the dispatch
     adapter between the micro-batcher and the pluggable execution
-    backends of :mod:`repro.backends`.  ``backend="threads"`` (default)
-    shards micro-batches across per-slot engine replicas on a thread
-    pool; ``backend="processes"`` runs them on a pool of worker
-    processes (own interpreters, shared-memory I/O) that scales the
-    whole recall across cores; ``backend="serial"`` is the single-engine
-    reference.  Deadline-expired segments are dropped here, before any
-    engine time is spent.
+    backends of :mod:`repro.backends`.  ``backend="serial"`` (default)
+    runs each micro-batch on one pre-factorised engine whose BLAS calls
+    already use the host's cores; ``backend="processes"`` runs them on a
+    pool of worker processes (own interpreters, shared-memory I/O), and
+    ``"remote"``/``"fleet"`` on worker agents over TCP.
+    Deadline-expired segments are dropped here, before any engine time
+    is spent.
 
 ``protocol`` / ``aio`` / ``client``
     One front end over a shared request-protocol module.

@@ -55,6 +55,7 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tu
 
 import numpy as np
 
+from repro.backends.base import RecallBackend
 from repro.core.amm import AssociativeMemoryModule, RecognitionResult
 from repro.serving.errors import (
     BackpressureError,
@@ -230,8 +231,8 @@ class RecognitionService:
         raises :class:`BackpressureError` — unless the arrival outranks
         enough queued requests, which are then shed to make room.
     workers:
-        Execution units in the pool (engine replicas — threads or
-        processes, depending on the backend).
+        Execution units requested from the backend (worker processes or
+        agents); the single-engine ``serial`` backend has one.
     legacy_per_sample:
         Dispatch through the legacy per-sample sparse solve instead of
         the batched engine (the ``batch_size=1`` benchmark reference).
@@ -239,8 +240,8 @@ class RecognitionService:
         Metric sink; a fresh :class:`ServiceMetrics` when omitted.
     backend:
         Execution backend for the recalls — a :mod:`repro.backends`
-        registry name (``"serial"``, ``"threads"``, ``"processes"``,
-        ``"remote"``) or a prepared
+        registry name (``"serial"``, ``"processes"``, ``"remote"``,
+        ``"fleet"``; ``None`` selects ``"serial"``) or a prepared
         :class:`~repro.backends.base.RecallBackend` instance.  Because
         every request carries its own seed, the served results are
         identical for every backend choice.
@@ -270,7 +271,7 @@ class RecognitionService:
         workers: int = 1,
         legacy_per_sample: bool = False,
         metrics: Optional[ServiceMetrics] = None,
-        backend: str = "threads",
+        backend: Union[str, RecallBackend, None] = None,
         backend_options: Optional[dict] = None,
         quota: Union[QuotaConfig, ClientQuotas, None] = None,
         clock: Callable[[], float] = time.monotonic,

@@ -1,8 +1,8 @@
 """Dispatch adapter between the micro-batcher and the execution backends.
 
 PR 2's sharded thread pool lived here; the execution strategy has since
-been extracted into :mod:`repro.backends` (serial / threads / processes,
-chosen by name through the registry) so offline sweeps can use it too.
+been extracted into :mod:`repro.backends` (serial / processes / remote /
+fleet, chosen by name through the registry) so offline sweeps can use it too.
 What remains is the *serving* half of the old pool, everything about
 request lifecycle rather than execution.  Work is batch-granular from
 end to end: the service queues one :class:`Submission` per submit call
@@ -307,8 +307,9 @@ class ShardedWorkerPool:
         its network.  Must use deterministic neurons — the seeded recall
         path refuses stochastic DWN.
     workers:
-        Execution units requested from the backend (engine replicas /
-        threads / processes) and concurrent dispatcher threads.
+        Execution units requested from the backend (worker processes or
+        agents); the pool runs one dispatcher thread per unit the
+        backend reports.
     metrics:
         Sink for completion counts and latencies.
     legacy_per_sample:
@@ -320,7 +321,8 @@ class ShardedWorkerPool:
         many requests each.
     backend:
         A :mod:`repro.backends` registry name (``"serial"``,
-        ``"threads"``, ``"processes"``, ``"remote"``) — the pool then
+        ``"processes"``, ``"remote"``, ``"fleet"``; ``None`` selects
+        :data:`~repro.backends.registry.DEFAULT_BACKEND`) — the pool then
         owns and closes the created backend — or an already-prepared
         :class:`~repro.backends.base.RecallBackend` shared with other
         consumers (left open on :meth:`close`).
@@ -344,7 +346,7 @@ class ShardedWorkerPool:
         metrics: Optional[ServiceMetrics] = None,
         legacy_per_sample: bool = False,
         min_shard_size: int = 16,
-        backend: Union[str, RecallBackend, None] = "threads",
+        backend: Union[str, RecallBackend, None] = None,
         backend_options: Optional[dict] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -358,9 +360,7 @@ class ShardedWorkerPool:
         # module's shared numpy Generator and mutates neuron state —
         # neither is thread-safe, so per-sample recalls serialise.
         self._legacy_lock = threading.Lock()
-        if backend is None:
-            backend = "threads"
-        if legacy_per_sample and isinstance(backend, str):
+        if legacy_per_sample and (backend is None or isinstance(backend, str)):
             # The legacy path never touches a backend (every request is
             # one locked amm.recognise() sparse solve); keep an unprepared
             # serial backend for the capability surface instead of paying
@@ -397,22 +397,6 @@ class ShardedWorkerPool:
 
     def __len__(self) -> int:
         return self.workers
-
-    @property
-    def min_shard_size(self) -> int:
-        """The backend's live sharding threshold (1 when it never shards)."""
-        return getattr(self.backend, "min_shard_size", 1)
-
-    @min_shard_size.setter
-    def min_shard_size(self, value: int) -> None:
-        # Sharding lives in the backend now; keep the pre-refactor pool
-        # attribute as a delegating alias rather than a silent no-op.
-        check_integer("min_shard_size", value, minimum=1)
-        if not hasattr(self.backend, "min_shard_size"):
-            raise AttributeError(
-                f"backend {self.backend.capabilities().name!r} does not shard"
-            )
-        self.backend.min_shard_size = value
 
     # ------------------------------------------------------------------ #
     # Dispatch

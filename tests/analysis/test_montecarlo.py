@@ -50,62 +50,24 @@ class TestRunner:
         assert summary.std == pytest.approx(1.0, rel=0.2)
 
 
-def _module_level_trial(rng):
-    """Picklable trial for the processes execution backend."""
-    return float(rng.normal(2.0, 0.5))
+class TestChunks:
+    """Chunked batch trials: ``chunk_size`` only changes the call sizes."""
 
-
-class TestExecutionBackends:
-    """Trial chunks through the serial/threads/processes vocabulary."""
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            MonteCarloRunner(lambda rng: 0.0, backend="fibers")
-
-    def test_threads_backend_matches_serial(self):
-        def batch(generators):
-            return [float(rng.random()) for rng in generators]
-
-        serial = MonteCarloRunner(
-            batch_trial=batch, trials=24, chunk_size=4, seed=9
-        ).run()
-        threaded = MonteCarloRunner(
-            batch_trial=batch, trials=24, chunk_size=4, seed=9,
-            backend="threads", workers=3,
-        ).run()
-        assert np.array_equal(serial.values, threaded.values)
-
-    def test_parallel_batch_default_chunks_per_worker(self):
-        """Without chunk_size a parallel backend must still fan out (one
-        chunk per worker), not degrade to a single serial chunk."""
+    def test_default_is_one_batch_call(self):
         seen_chunks = []
 
         def batch(generators):
             seen_chunks.append(len(generators))
             return [float(rng.random()) for rng in generators]
 
-        serial = MonteCarloRunner(batch_trial=batch, trials=24, seed=9).run()
+        whole = MonteCarloRunner(batch_trial=batch, trials=24, seed=9).run()
         assert seen_chunks == [24]
         seen_chunks.clear()
-        threaded = MonteCarloRunner(
-            batch_trial=batch, trials=24, seed=9, backend="threads", workers=3
+        chunked = MonteCarloRunner(
+            batch_trial=batch, trials=24, chunk_size=7, seed=9
         ).run()
-        assert len(seen_chunks) == 3
-        assert np.array_equal(serial.values, threaded.values)
-
-    def test_threads_backend_scalar_trial(self):
-        serial = MonteCarloRunner(_module_level_trial, trials=12, seed=5).run()
-        threaded = MonteCarloRunner(
-            _module_level_trial, trials=12, seed=5, backend="threads", workers=4
-        ).run()
-        assert np.array_equal(serial.values, threaded.values)
-
-    def test_processes_backend_matches_serial(self):
-        serial = MonteCarloRunner(_module_level_trial, trials=8, seed=6).run()
-        processed = MonteCarloRunner(
-            _module_level_trial, trials=8, seed=6, backend="processes", workers=2
-        ).run()
-        assert np.array_equal(serial.values, processed.values)
+        assert seen_chunks == [7, 7, 7, 3]
+        assert np.array_equal(whole.values, chunked.values)
 
     def test_chunk_length_mismatch_detected(self):
         with pytest.raises(ValueError, match="returned"):

@@ -1,8 +1,8 @@
 """Cross-backend equivalence matrix.
 
 The acceptance contract of the pluggable-backend refactor: for the same
-per-request seeds, every backend — serial, threaded (any worker count,
-any shard boundary) and process-pool — returns *identical* winner codes,
+per-request seeds, every backend — serial (however many callers share
+it) and process-pool (any shard boundary) — returns *identical* winner codes,
 DOM codes, acceptance/tie flags and event counters, and
 solver-precision-equal analog outputs.  The reference is the module's own
 seeded engine; all backends run the same arithmetic on replicas of the
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import SerialBackend, ThreadedBackend, contiguous_shards
+from repro.backends import SerialBackend, contiguous_shards
 
 
 def assert_results_equal(result, reference, rtol=1e-12):
@@ -53,39 +53,14 @@ class TestSerialBackend:
             solution.supply_current, reference.supply_current, rtol=1e-12
         )
 
-
-class TestThreadedBackend:
-    @pytest.mark.parametrize("workers,min_shard_size", [(1, 16), (2, 4), (3, 2)])
-    def test_invariant_across_workers_and_shards(
-        self,
-        backend_amm,
-        request_codes,
-        request_seeds,
-        reference_results,
-        workers,
-        min_shard_size,
-    ):
-        with ThreadedBackend(
-            backend_amm, workers=workers, min_shard_size=min_shard_size
-        ) as backend:
-            result = backend.recall_batch_seeded(request_codes, request_seeds)
-        assert_results_equal(result, reference_results)
-
-    def test_solve_batch_sharded(self, backend_amm, request_codes):
-        conductances = backend_amm.input_dacs.conductances(request_codes)
-        reference = backend_amm.solver.solve_batch(conductances)
-        with ThreadedBackend(backend_amm, workers=3, min_shard_size=2) as backend:
-            solution = backend.solve_batch(conductances)
-        np.testing.assert_allclose(
-            solution.column_currents, reference.column_currents, rtol=1e-12
-        )
-
-    def test_concurrent_callers_share_engine_pool(
+    def test_concurrent_callers_share_one_engine(
         self, backend_amm, request_codes, request_seeds, reference_results
     ):
+        """The serving default: one SerialBackend shared by concurrent
+        callers, each getting the answer it would get alone."""
         import concurrent.futures
 
-        with ThreadedBackend(backend_amm, workers=2, min_shard_size=4) as backend:
+        with SerialBackend(backend_amm) as backend:
             with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
                 futures = [
                     pool.submit(
@@ -156,20 +131,16 @@ class TestEvaluateThroughBackends:
     ):
         labels = np.zeros(request_codes.shape[0], dtype=np.int64)
         serial = backend_amm.evaluate(request_codes, labels, backend="serial")
-        threaded = backend_amm.evaluate(
-            request_codes, labels, backend="threads", workers=2
-        )
         processes = backend_amm.evaluate(request_codes, labels, backend=process_pool)
-        for other in (threaded, processes):
-            # Discrete-derived statistics are exactly invariant; mean
-            # static power is analog and agrees to solver precision
-            # (a different shard split is a different summation order).
-            assert other["accuracy"] == serial["accuracy"]
-            assert other["acceptance_rate"] == serial["acceptance_rate"]
-            assert other["tie_rate"] == serial["tie_rate"]
-            assert other["mean_static_power"] == pytest.approx(
-                serial["mean_static_power"], rel=1e-12
-            )
+        # Discrete-derived statistics are exactly invariant; mean static
+        # power is analog and agrees to solver precision (a different
+        # shard split is a different summation order).
+        assert processes["accuracy"] == serial["accuracy"]
+        assert processes["acceptance_rate"] == serial["acceptance_rate"]
+        assert processes["tie_rate"] == serial["tie_rate"]
+        assert processes["mean_static_power"] == pytest.approx(
+            serial["mean_static_power"], rel=1e-12
+        )
 
     def test_workers_without_backend_rejected(self, backend_amm, request_codes):
         labels = np.zeros(request_codes.shape[0], dtype=np.int64)

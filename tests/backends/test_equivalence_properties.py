@@ -1,5 +1,5 @@
-"""Property-based cross-backend equivalence: serial ≡ threads ≡
-processes ≡ remote, bit-identically, on the ideal path.
+"""Property-based cross-backend equivalence: serial ≡ processes ≡
+remote, bit-identically, on the ideal path.
 
 The hand-picked matrix in ``test_equivalence.py`` pins the parasitic
 path to solver precision; this suite drives seeded-random workloads
@@ -10,8 +10,8 @@ is a transport or seeding bug, not numerics.
 
 Two layers, trading construction cost for coverage:
 
-* random *geometries* are checked serial-vs-threads (cheap in-process
-  replicas, a fresh module per example);
+* random *geometries* are checked on the serial backend (a fresh
+  module per example): a batch equals its two parts recalled apart;
 * random *batch shapes/contents/seeds* run against long-lived
   process/remote pools on one shared geometry (worker boot is the
   expensive part, and the transport is geometry-agnostic).
@@ -26,11 +26,9 @@ pytest.importorskip("hypothesis", reason="property suite needs hypothesis")
 from hypothesis import HealthCheck, given, settings
 
 from repro.backends import (
-    AutoBackend,
     ProcessPoolBackend,
     RemoteBackend,
     SerialBackend,
-    ThreadedBackend,
     WorkerServer,
 )
 from tests.backends.strategies import build_test_amm, geometries, recall_batches
@@ -62,14 +60,8 @@ def ideal_amm():
 
 @pytest.fixture(scope="module")
 def backend_matrix(ideal_amm):
-    """serial / threads / processes / remote / auto, one prepared pool each.
-
-    ``auto`` routes through its own serial/threads/processes candidates
-    by measured cost — whatever plan its calibration picked on this run,
-    the properties below must hold bit-for-bit.
-    """
+    """serial / processes / remote, one prepared pool each."""
     serial = SerialBackend(ideal_amm).prepare()
-    threads = ThreadedBackend(ideal_amm, workers=2, min_shard_size=2).prepare()
     processes = ProcessPoolBackend(
         ideal_amm, workers=2, min_shard_size=2, max_batch_size=64
     ).prepare()
@@ -80,15 +72,8 @@ def backend_matrix(ideal_amm):
         min_shard_size=2,
         heartbeat_interval=0.5,
     ).prepare()
-    auto = AutoBackend(ideal_amm, workers=2, min_shard_size=2).prepare()
-    yield {
-        "serial": serial,
-        "threads": threads,
-        "processes": processes,
-        "remote": remote,
-        "auto": auto,
-    }
-    for backend in (serial, threads, processes, remote, auto):
+    yield {"serial": serial, "processes": processes, "remote": remote}
+    for backend in (serial, processes, remote):
         backend.close()
     for server in workers:
         server.close()
@@ -102,11 +87,11 @@ class TestBackendMatrixProperties:
     )
     @given(case=recall_batches(FEATURES))
     def test_all_backends_bit_identical(self, backend_matrix, case):
-        """For any batch shape, content and seed vector: four backends,
+        """For any batch shape, content and seed vector: three backends,
         one answer, to the last bit."""
         codes, seeds = case
         reference = backend_matrix["serial"].recall_batch_seeded(codes, seeds)
-        for name in ("threads", "processes", "remote", "auto"):
+        for name in ("processes", "remote"):
             result = backend_matrix[name].recall_batch_seeded(codes, seeds)
             assert_bit_identical(result, reference)
 
@@ -157,20 +142,28 @@ class TestBackendMatrixProperties:
 class TestGeometryProperties:
     @settings(max_examples=8, deadline=None)
     @given(geometry=geometries())
-    def test_serial_threads_identical_for_any_geometry(self, geometry):
-        """Backend equivalence holds for arbitrary module geometries and
-        construction seeds, not just the suite's pet 32x6 module."""
+    def test_parts_concatenate_to_whole(self, geometry):
+        """A whole batch equals its two parts, split at a random row,
+        recalled apart and concatenated, for arbitrary module geometries
+        and construction seeds, not just the suite's pet 32x6 module — the
+        row independence every sharding backend and the micro-batcher
+        rely on."""
+        from repro.core.amm import concatenate_batch_results
+
         amm = build_test_amm(**geometry)
         rng = np.random.default_rng(geometry["seed"] + 1)
         codes = rng.integers(0, 32, size=(6, geometry["features"]))
         seeds = rng.integers(0, 2**31 - 1, size=6)
-        with SerialBackend(amm) as serial, ThreadedBackend(
-            amm, workers=2, min_shard_size=2
-        ) as threads:
-            reference = serial.recall_batch_seeded(codes, seeds)
-            assert_bit_identical(
-                threads.recall_batch_seeded(codes, seeds), reference
+        split = int(rng.integers(1, 6))
+        with SerialBackend(amm) as serial:
+            whole = serial.recall_batch_seeded(codes, seeds)
+            parts = concatenate_batch_results(
+                [
+                    serial.recall_batch_seeded(codes[:split], seeds[:split]),
+                    serial.recall_batch_seeded(codes[split:], seeds[split:]),
+                ]
             )
+        assert_bit_identical(parts, whole)
 
     @settings(max_examples=8, deadline=None)
     @given(geometry=geometries())

@@ -22,9 +22,19 @@ from repro.backends import registry as registry_module
 
 class TestRegistry:
     def test_builtin_names_registered(self):
-        names = backend_names()
-        for name in ("serial", "threads", "processes", "auto"):
-            assert name in names
+        assert backend_names() == ["serial", "processes", "remote", "fleet"]
+
+    @pytest.mark.parametrize("name", ["auto", "threads"])
+    def test_removed_backends_are_unknown(self, backend_amm, name):
+        """The cost-model router and the thread pool are gone: asking for
+        them fails like any typo, naming what is registered."""
+        from repro.backends import UnknownBackendError
+
+        with pytest.raises(UnknownBackendError) as excinfo:
+            create_backend(name, backend_amm)
+        message = str(excinfo.value)
+        for known in ("serial", "processes", "remote", "fleet"):
+            assert known in message
 
     def test_create_unknown_backend_raises(self, backend_amm):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -41,7 +51,7 @@ class TestRegistry:
         assert isinstance(excinfo.value, UnknownBackendError)
         assert isinstance(excinfo.value, ValueError)
         message = str(excinfo.value)
-        for name in ("serial", "threads", "processes", "remote"):
+        for name in ("serial", "processes", "remote", "fleet"):
             assert name in message
         # KeyError.__str__ would repr() the message into quoted noise;
         # the subclass must read as a sentence.

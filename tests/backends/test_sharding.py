@@ -1,8 +1,8 @@
 """The sharding rule's contract, pinned bit-exactly.
 
-``contiguous_shards`` is the single rule every parallel backend (and the
-``auto`` cost model's plan predictions) relies on, so its guarantees are
-pinned here rather than implied by backend behaviour:
+``contiguous_shards`` is the single rule every parallel backend relies
+on, so its guarantees are pinned here rather than implied by backend
+behaviour:
 
 * **capacity regression** — the pre-fix rule capped the shard count at
   ``workers`` even when ``max_shard_size`` required more shards, returning

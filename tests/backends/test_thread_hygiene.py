@@ -1,6 +1,6 @@
 """Thread hygiene: ``close()`` must not leak supervision machinery.
 
-Every backend owns background threads of some kind — shard executors,
+Every backend but ``serial`` owns background threads of some kind —
 process watchers, link supervisors, heartbeats, worker-connection
 handlers, control-socket acceptors.  The contract pinned here: after
 ``close()`` returns (plus a short grace for daemon threads to finish
@@ -23,7 +23,6 @@ from repro.backends import (
     ProcessPoolBackend,
     RemoteBackend,
     SerialBackend,
-    ThreadedBackend,
     WorkerServer,
 )
 from tests.backends.test_remote import wait_until
@@ -41,10 +40,6 @@ def _assert_threads_return_to(baseline):
 
 def _serial(amm):
     return SerialBackend(amm), []
-
-
-def _threads(amm):
-    return ThreadedBackend(amm, workers=2, min_shard_size=4), []
 
 
 def _processes(amm):
@@ -77,8 +72,8 @@ def _fleet(amm):
 
 
 @pytest.mark.parametrize(
-    "factory", [_serial, _threads, _processes, _remote, _fleet],
-    ids=["serial", "threads", "processes", "remote", "fleet"],
+    "factory", [_serial, _processes, _remote, _fleet],
+    ids=["serial", "processes", "remote", "fleet"],
 )
 def test_backend_close_joins_all_threads(
     factory, backend_amm, request_codes, request_seeds

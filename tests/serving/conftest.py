@@ -75,17 +75,17 @@ def recall_gate(monkeypatch):
     order the dispatchers solved them — the instrument behind the
     priority-ordering and cancellation-leak tests.
     """
-    from repro.backends.threaded import ThreadedBackend
+    from repro.backends.serial import SerialBackend
 
     gate = threading.Event()
     recalled: list = []
-    original = ThreadedBackend.recall_batch_seeded
+    original = SerialBackend.recall_batch_seeded
 
     def wrapped(self, codes_batch, request_seeds):
         gate.wait(timeout=20.0)
         recalled.extend(int(seed) for seed in request_seeds)
         return original(self, codes_batch, request_seeds)
 
-    monkeypatch.setattr(ThreadedBackend, "recall_batch_seeded", wrapped)
+    monkeypatch.setattr(SerialBackend, "recall_batch_seeded", wrapped)
     yield gate, recalled
     gate.set()

@@ -29,7 +29,7 @@ from tests.serving.test_regressions import wait_for
 
 
 def make_service(serving_amm, **overrides):
-    settings = dict(max_batch_size=8, max_wait=1e-3, workers=2)
+    settings = dict(max_batch_size=8, max_wait=1e-3)
     settings.update(overrides)
     return RecognitionService(serving_amm, **settings)
 
@@ -310,15 +310,15 @@ class TestStreamingSemantics:
         error lines; the summary tallies them."""
         import time as time_module
 
-        from repro.backends.threaded import ThreadedBackend
+        from repro.backends.serial import SerialBackend
 
-        original = ThreadedBackend.recall_batch_seeded
+        original = SerialBackend.recall_batch_seeded
 
         def slowed(self, codes_batch, request_seeds):
             time_module.sleep(0.2)
             return original(self, codes_batch, request_seeds)
 
-        monkeypatch.setattr(ThreadedBackend, "recall_batch_seeded", slowed)
+        monkeypatch.setattr(SerialBackend, "recall_batch_seeded", slowed)
         service = make_service(serving_amm, max_batch_size=1, workers=1)
         server = start_async_server(service, port=0, binary_port=None)
         try:
@@ -348,17 +348,17 @@ class TestStreamingSemantics:
         its quota slots released."""
         import time as time_module
 
-        from repro.backends.threaded import ThreadedBackend
+        from repro.backends.serial import SerialBackend
 
         recalled: list = []
-        original = ThreadedBackend.recall_batch_seeded
+        original = SerialBackend.recall_batch_seeded
 
         def slowed(self, codes_batch, request_seeds):
             time_module.sleep(0.15)
             recalled.extend(int(seed) for seed in request_seeds)
             return original(self, codes_batch, request_seeds)
 
-        monkeypatch.setattr(ThreadedBackend, "recall_batch_seeded", slowed)
+        monkeypatch.setattr(SerialBackend, "recall_batch_seeded", slowed)
         service = RecognitionService(
             serving_amm,
             max_batch_size=1,

@@ -31,7 +31,7 @@ from tests.backends.chaos import ChaosProxy
 from tests.serving.test_regressions import wait_for
 
 def make_service(serving_amm, **overrides):
-    settings = dict(max_batch_size=8, max_wait=1e-3, workers=2)
+    settings = dict(max_batch_size=8, max_wait=1e-3)
     settings.update(overrides)
     return RecognitionService(serving_amm, **settings)
 
@@ -119,15 +119,15 @@ class TestParity:
     ):
         import time as time_module
 
-        from repro.backends.threaded import ThreadedBackend
+        from repro.backends.serial import SerialBackend
 
-        original = ThreadedBackend.recall_batch_seeded
+        original = SerialBackend.recall_batch_seeded
 
         def slowed(self, codes_batch, request_seeds):
             time_module.sleep(0.2)
             return original(self, codes_batch, request_seeds)
 
-        monkeypatch.setattr(ThreadedBackend, "recall_batch_seeded", slowed)
+        monkeypatch.setattr(SerialBackend, "recall_batch_seeded", slowed)
         # Serialise dispatch so rows behind the head can miss their
         # deadline while still queued.
         service = make_service(serving_amm, max_batch_size=1, workers=1)
@@ -254,17 +254,17 @@ class TestAbandonment:
         tail is cancelled and the client's quota slots come home."""
         import time as time_module
 
-        from repro.backends.threaded import ThreadedBackend
+        from repro.backends.serial import SerialBackend
 
         recalled: list = []
-        original = ThreadedBackend.recall_batch_seeded
+        original = SerialBackend.recall_batch_seeded
 
         def slowed(self, codes_batch, request_seeds):
             time_module.sleep(0.15)
             recalled.extend(int(seed) for seed in request_seeds)
             return original(self, codes_batch, request_seeds)
 
-        monkeypatch.setattr(ThreadedBackend, "recall_batch_seeded", slowed)
+        monkeypatch.setattr(SerialBackend, "recall_batch_seeded", slowed)
         # Flush a ROWS frame per resolved row so the dead socket is
         # noticed while most of the batch is still queued.
         monkeypatch.setattr(aio_module, "_ROWS_FLUSH", 1)

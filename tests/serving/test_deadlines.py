@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.backends.threaded import ThreadedBackend
+from repro.backends.serial import SerialBackend
 from repro.serving import (
     DeadlineExceededError,
     RecognitionClient,
@@ -28,13 +28,13 @@ from repro.serving import (
 def gated_backend(monkeypatch):
     """Gate backend recalls so queued requests can be made to expire."""
     gate = threading.Event()
-    original = ThreadedBackend.recall_batch_seeded
+    original = SerialBackend.recall_batch_seeded
 
     def gated_recall(self, codes_batch, request_seeds):
         gate.wait(timeout=20.0)
         return original(self, codes_batch, request_seeds)
 
-    monkeypatch.setattr(ThreadedBackend, "recall_batch_seeded", gated_recall)
+    monkeypatch.setattr(SerialBackend, "recall_batch_seeded", gated_recall)
     yield gate
     gate.set()
 

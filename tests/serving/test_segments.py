@@ -133,7 +133,7 @@ class TestSegmentOutcomes:
     ):
         collector = Collector()
         with RecognitionService(
-            serving_amm, max_batch_size=5, max_wait=1e-3, workers=2
+            serving_amm, max_batch_size=5, max_wait=1e-3
         ) as service:
             service.submit_batch(request_codes, request_seeds, collector)
             assert wait_for(lambda: collector.rows() == len(request_codes))

@@ -23,7 +23,7 @@ from repro.serving import (
 
 @pytest.fixture()
 def running_server(serving_amm):
-    service = RecognitionService(serving_amm, max_batch_size=8, max_wait=1e-3, workers=2)
+    service = RecognitionService(serving_amm, max_batch_size=8, max_wait=1e-3)
     server = start_async_server(service, port=0)
     yield server
     if not service.closed:
@@ -71,7 +71,9 @@ class TestEndpoints:
         with RecognitionClient("127.0.0.1", running_server.port) as client:
             health = client.healthz()
         assert health["status"] == "ok"
-        assert health["workers"] == 2
+        # A default service runs on the one-engine serial backend.
+        assert health["backend"] == "serial"
+        assert health["workers"] == 1
         assert health["array"] == {"rows": 32, "columns": 6}
 
     def test_stats_reflect_traffic(self, running_server, request_codes):

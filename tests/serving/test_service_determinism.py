@@ -18,7 +18,7 @@ from repro.serving import (
     RecognitionService,
     ServiceClosedError,
 )
-from repro.backends.threaded import ThreadedBackend
+from repro.backends.serial import SerialBackend
 
 
 def gather(service, codes_batch, seeds, order=None):
@@ -112,7 +112,11 @@ class TestWorkerCountInvariance:
         self, serving_amm, request_codes, request_seeds, reference_results, workers
     ):
         with RecognitionService(
-            serving_amm, max_batch_size=64, max_wait=10e-3, workers=workers
+            serving_amm,
+            max_batch_size=64,
+            max_wait=10e-3,
+            workers=workers,
+            backend="processes",
         ) as service:
             results = gather(service, request_codes, request_seeds)
         for index, result in enumerate(results):
@@ -123,9 +127,13 @@ class TestWorkerCountInvariance:
     ):
         """Force a batch large enough to split across several workers."""
         pool_service = RecognitionService(
-            serving_amm, max_batch_size=64, max_wait=20e-3, workers=3
+            serving_amm,
+            max_batch_size=64,
+            max_wait=20e-3,
+            workers=3,
+            backend="processes",
+            backend_options={"min_shard_size": 4},
         )
-        pool_service.pool.backend.min_shard_size = 4
         with pool_service as service:
             results = gather(service, request_codes, request_seeds)
         for index, result in enumerate(results):
@@ -137,13 +145,13 @@ class TestSaturation:
         self, serving_amm, request_codes, monkeypatch
     ):
         gate = threading.Event()
-        original = ThreadedBackend.recall_batch_seeded
+        original = SerialBackend.recall_batch_seeded
 
         def gated_recall(self, codes_batch, request_seeds):
             gate.wait(timeout=20.0)
             return original(self, codes_batch, request_seeds)
 
-        monkeypatch.setattr(ThreadedBackend, "recall_batch_seeded", gated_recall)
+        monkeypatch.setattr(SerialBackend, "recall_batch_seeded", gated_recall)
         service = RecognitionService(
             serving_amm, max_batch_size=2, max_wait=0.0, max_queue_depth=3, workers=1
         )
@@ -174,13 +182,13 @@ class TestSaturation:
     def test_submit_many_is_all_or_nothing(self, serving_amm, request_codes, monkeypatch):
         """A multi-row submission that cannot fit entirely is fully rejected."""
         gate = threading.Event()
-        original = ThreadedBackend.recall_batch_seeded
+        original = SerialBackend.recall_batch_seeded
 
         def gated_recall(self, codes_batch, request_seeds):
             gate.wait(timeout=20.0)
             return original(self, codes_batch, request_seeds)
 
-        monkeypatch.setattr(ThreadedBackend, "recall_batch_seeded", gated_recall)
+        monkeypatch.setattr(SerialBackend, "recall_batch_seeded", gated_recall)
         service = RecognitionService(
             serving_amm, max_batch_size=2, max_wait=0.0, max_queue_depth=4, workers=1
         )
@@ -223,13 +231,13 @@ class TestSaturation:
         """A timed-out drain must resolve queued futures with an error,
         never leave them hanging."""
         gate = threading.Event()
-        original = ThreadedBackend.recall_batch_seeded
+        original = SerialBackend.recall_batch_seeded
 
         def gated_recall(self, codes_batch, request_seeds):
             gate.wait(timeout=20.0)
             return original(self, codes_batch, request_seeds)
 
-        monkeypatch.setattr(ThreadedBackend, "recall_batch_seeded", gated_recall)
+        monkeypatch.setattr(SerialBackend, "recall_batch_seeded", gated_recall)
         service = RecognitionService(
             serving_amm, max_batch_size=1, max_wait=0.0, max_queue_depth=16, workers=1
         )

@@ -29,7 +29,7 @@ from tests.serving.test_regressions import wait_for
 
 @pytest.fixture()
 def running_server(serving_amm):
-    service = RecognitionService(serving_amm, max_batch_size=8, max_wait=1e-3, workers=2)
+    service = RecognitionService(serving_amm, max_batch_size=8, max_wait=1e-3)
     server = start_async_server(service, port=0)
     yield server
     if not service.closed:
@@ -157,7 +157,7 @@ class TestWindowedSubmission:
         """64 rows through a queue that admits 8: impossible buffered,
         routine streamed — the windows are bounded server-side buffering."""
         service = RecognitionService(
-            serving_amm, max_batch_size=4, max_wait=0.0, max_queue_depth=8, workers=2
+            serving_amm, max_batch_size=4, max_wait=0.0, max_queue_depth=8
         )
         server = start_async_server(service, port=0)
         codes = np.tile(request_codes, (3, 1))[:64]
@@ -367,17 +367,17 @@ class TestStreamAbandonment:
         the engine."""
         import time as time_module
 
-        from repro.backends.threaded import ThreadedBackend
+        from repro.backends.serial import SerialBackend
 
         recalled: list = []
-        original = ThreadedBackend.recall_batch_seeded
+        original = SerialBackend.recall_batch_seeded
 
         def wrapped(self, codes_batch, request_seeds):
             time_module.sleep(0.15)
             recalled.extend(int(seed) for seed in request_seeds)
             return original(self, codes_batch, request_seeds)
 
-        monkeypatch.setattr(ThreadedBackend, "recall_batch_seeded", wrapped)
+        monkeypatch.setattr(SerialBackend, "recall_batch_seeded", wrapped)
         return recalled
 
     def test_disconnect_mid_ndjson_cancels_queued_rows(

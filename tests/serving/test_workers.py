@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.backends import SerialBackend, ThreadedBackend
+from repro.backends import DEFAULT_BACKEND, SerialBackend
 from repro.serving.metrics import ServiceMetrics
 from repro.serving.service import DeadlineExceededError
 from repro.serving.workers import FutureSubmission, ShardedWorkerPool
@@ -29,13 +29,13 @@ def segments(batch):
 
 
 class TestBackendWiring:
-    def test_default_backend_is_threads(self, serving_amm):
-        pool = ShardedWorkerPool(serving_amm, workers=2)
+    def test_default_backend_is_serial(self, serving_amm):
+        pool = ShardedWorkerPool(serving_amm)
         try:
             capabilities = pool.backend.capabilities()
-            assert capabilities.name == "threads"
-            assert capabilities.workers == 2
-            assert len(pool) == 2
+            assert capabilities.name == DEFAULT_BACKEND == "serial"
+            assert capabilities.workers == 1
+            assert len(pool) == 1
         finally:
             pool.close()
 
@@ -51,7 +51,7 @@ class TestBackendWiring:
             ShardedWorkerPool(serving_amm, backend="not-a-backend")
 
     def test_shared_backend_instance_left_open(self, serving_amm):
-        backend = ThreadedBackend(serving_amm, workers=1).prepare()
+        backend = SerialBackend(serving_amm).prepare()
         try:
             pool = ShardedWorkerPool(serving_amm, backend=backend)
             pool.close()
@@ -66,7 +66,7 @@ class TestBackendWiring:
 
 class TestDispatch:
     def test_dispatch_resolves_every_future(self, serving_amm, request_codes, request_seeds):
-        pool = ShardedWorkerPool(serving_amm, workers=2)
+        pool = ShardedWorkerPool(serving_amm)
         try:
             batch = [
                 Pending(codes, int(seed))
@@ -81,7 +81,7 @@ class TestDispatch:
         finally:
             pool.close()
 
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_results_identical_across_backends(
         self, serving_amm, request_codes, request_seeds, backend
     ):
@@ -143,7 +143,7 @@ class TestDispatch:
             pool.close()
 
     def test_close_is_idempotent_and_rejects_dispatch(self, serving_amm, request_codes):
-        pool = ShardedWorkerPool(serving_amm, workers=2)
+        pool = ShardedWorkerPool(serving_amm)
         pool.close()
         pool.close()
         with pytest.raises(RuntimeError):
