@@ -10,8 +10,16 @@ on the input: dummy cells, wire segments, memristors and the column
 terminations.  A drive adds only the DAC conductances on the diagonal of
 the driven nodes, so the direct solve
 (:meth:`~repro.crossbar.solver.CrossbarSolver.solve`) and the batched
-engine's factorisation (:mod:`repro.crossbar.batched`) share this one
+engine's operators (:mod:`repro.crossbar.batched`) share this one
 assembler.
+
+:func:`row_blocks` renumbers ``A0`` in crosspoint-row blocks (row bar
+``i``, then the column-bar nodes of row ``i``).  In that order ``A0`` is
+block-tridiagonal: neighbouring blocks touch only through the
+column-wire segments, which is what the engine's Schur sweep relies on.
+It also returns every node's row sum (its conductance to ground as
+stored), summed with compensation, which the sweep's row-sum preserving
+elimination needs.
 """
 
 from __future__ import annotations
@@ -21,10 +29,12 @@ from scipy import sparse
 
 from repro.crossbar.array import ResistiveCrossbar
 
-#: SuperLU column ordering for ``A0`` and its drives.  The network is
-#: symmetric, so minimum degree on the pattern of ``Aᵀ + A`` (that is, of
-#: ``A``) gives less fill than the default COLAMD: 362k against 475k
-#: L+U nonzeros for the reference 128x40 array.
+#: SuperLU column ordering for the direct solve of a driven network.  The
+#: network is symmetric, so minimum degree on the pattern of ``Aᵀ + A``
+#: (that is, of ``A``) gives less fill than the default COLAMD: 362k
+#: against 475k L+U nonzeros for the reference 128x40 array.  The batched
+#: engine uses no sparse LU (it eliminates ``A0`` in :func:`row_blocks`
+#: order).
 PERMC_SPEC = "MMD_AT_PLUS_A"
 
 
@@ -74,3 +84,80 @@ def static_network(
     return sparse.coo_matrix(
         (values, (index_i, index_j)), shape=(n_nodes, n_nodes)
     ).tocsc()
+
+
+def row_blocks(
+    network: sparse.spmatrix, rows: int, cols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``network`` cut into crosspoint-row blocks: ``(blocks, couplings, grounds)``.
+
+    Block ``i`` numbers row bar ``i``'s nodes ``0..cols-1`` (its driven
+    node first) and the column-bar nodes of row ``i`` ``cols..2·cols-1``.
+    ``blocks`` (shape ``(rows, 2·cols, 2·cols)``) holds the diagonal block
+    of every row; ``couplings`` (shape ``(rows - 1, cols, cols)``) holds
+    ``network[column nodes of row i, column nodes of row i+1]`` for every
+    pair of neighbouring rows (the column-wire segments, for an assembled
+    ``A0``); ``grounds`` (shape ``(rows, 2·cols)``) holds every node's row
+    sum, its conductance to ground as stored — the dummy cells and
+    terminations, plus the rounding of each assembled diagonal — summed
+    with compensation so that the wire stamps cancel exactly.  A network
+    with any other coupling between rows (a row bar wired to another row,
+    or column bars bridging non-neighbouring rows) is refused with a
+    :class:`ValueError`, because the blocks would not describe it.
+    """
+    coo = network.tocoo()
+    mask = coo.data != 0.0
+    i, j, values = coo.row[mask], coo.col[mask], coo.data[mask]
+    crosspoints = rows * cols
+    size = 2 * cols
+    block_i, block_j = (i % crosspoints) // cols, (j % crosspoints) // cols
+    local_i = i % cols + cols * (i >= crosspoints)
+    local_j = j % cols + cols * (j >= crosspoints)
+    inside = block_i == block_j
+    on_columns = (i >= crosspoints) & (j >= crosspoints)
+    downward = on_columns & (block_j == block_i + 1)
+    if np.any(~inside & ~downward & ~(on_columns & (block_i == block_j + 1))):
+        raise ValueError(
+            "the network couples crosspoint rows outside the column bars; "
+            "its row blocks are not block-tridiagonal"
+        )
+    blocks = np.bincount(
+        (block_i * size + local_i)[inside] * size + local_j[inside],
+        weights=values[inside],
+        minlength=rows * size * size,
+    ).reshape(rows, size, size)
+    couplings = np.bincount(
+        (block_i * cols + local_i - cols)[downward] * cols + (local_j - cols)[downward],
+        weights=values[downward],
+        minlength=(rows - 1) * cols * cols,
+    ).reshape(rows - 1, cols, cols)
+    sums = _compensated_row_sums(i, values, 2 * crosspoints)
+    grounds = np.concatenate(
+        [sums[:crosspoints].reshape(rows, cols), sums[crosspoints:].reshape(rows, cols)], axis=1
+    )
+    return blocks, couplings, grounds
+
+
+def _compensated_row_sums(row: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Row sums of a sparse matrix given as ``(row, values)``, by Neumaier's
+    compensated summation across each row's entries.
+
+    A node's diagonal is the sum of its wire stamps (up to ~10 S) and its
+    memristor and ground conductances (down to ~1e-6 S); a plain float sum
+    of the row loses the small terms in the rounding of the large ones.
+    """
+    order = np.argsort(row, kind="stable")
+    row, values = row[order], values[order]
+    starts = np.searchsorted(row, np.arange(size))
+    position = np.arange(row.size) - starts[row]
+    padded = np.zeros((size, int(position.max(initial=-1)) + 1))
+    padded[row, position] = values
+    total = np.zeros(size)
+    compensation = np.zeros(size)
+    for term in padded.T:
+        step = total + term
+        compensation += np.where(
+            np.abs(total) >= np.abs(term), (total - step) + term, (term - step) + total
+        )
+        total = step
+    return total + compensation

@@ -21,6 +21,12 @@ engine; :meth:`CrossbarSolver.solve` adds the DAC conductances on the
 driven nodes and their Norton injections and solves the system with a
 sparse LU.  For the reference 128x40 array that is a 10 240-node system;
 one direct solve takes ~35 ms (2-core x86-64 host, scipy 1.17 SuperLU).
+
+The direct solve is the independent reference for the batched engine,
+which shares only the assembler: the engine builds its Woodbury
+operators by a dense block Schur sweep over the crosspoint rows
+(numpy's LAPACK, no sparse LU; see :mod:`repro.crossbar.batched`), so
+the two paths share no factorisation code.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ length-prefixed JSON headers plus raw numpy buffers, with the
 conductance arrays.  Unpickling attacker-controlled bytes is arbitrary
 code execution, so one convenience ``import pickle`` under ``backends/``
 or ``serving/`` is the start of a security regression; and the Woodbury
-operators (the sparse LU of the static network, ``W``, ``λmax(W)``)
+operators (``W``, ``Z_out`` and ``λmax(W)`` of the static network)
 are a per-host artefact of the local LAPACK/BLAS build that must be
 rebuilt, and SPD-checked, on the receiving side, never serialised
 across a process or wire boundary.

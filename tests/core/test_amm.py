@@ -165,11 +165,11 @@ class TestConstruction:
 
 
 class TestSetupFactorisesOnce:
-    """Calibration, ``prepare()`` and both margin solves share one factorisation."""
+    """Calibration, ``prepare()`` and both margin solves share one operator build."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"splu": 0, "spsolve": 0}
+        counts = {"operator_builds": 0, "spsolve": 0}
 
         def counting(name, function):
             def wrapper(*args, **kwargs):
@@ -178,13 +178,17 @@ class TestSetupFactorisesOnce:
 
             return wrapper
 
-        monkeypatch.setattr(batched, "splu", counting("splu", batched.splu))
+        monkeypatch.setattr(
+            batched.BatchedCrossbarEngine,
+            "_build_woodbury",
+            counting("operator_builds", batched.BatchedCrossbarEngine._build_woodbury),
+        )
         monkeypatch.setattr(solver, "spsolve", counting("spsolve", solver.spsolve))
         return counts
 
-    @pytest.mark.parametrize("include_parasitics,factorisations", [(True, 1), (False, 0)])
+    @pytest.mark.parametrize("include_parasitics,builds", [(True, 1), (False, 0)])
     def test_build_prepare_and_margins_factorise_once(
-        self, counts, small_template_codes, small_parameters, include_parasitics, factorisations
+        self, counts, small_template_codes, small_parameters, include_parasitics, builds
     ):
         amm = AssociativeMemoryModule.from_templates(
             small_template_codes,
@@ -198,7 +202,7 @@ class TestSetupFactorisesOnce:
         if include_parasitics:
             detection_margins(amm, inputs, columns, include_parasitics=True)
         detection_margins(amm, inputs, columns, include_parasitics=False)
-        assert counts == {"splu": factorisations, "spsolve": 0}
+        assert counts == {"operator_builds": builds, "spsolve": 0}
 
 
 class TestRecognition:
