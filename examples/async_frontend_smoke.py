@@ -1,9 +1,9 @@
 """Mixed-protocol smoke test: JSON and binary traffic on one event loop.
 
-Builds the reduced pipeline from ``quickstart.py``, serves it from the
-``processes`` execution backend, and drives a JSON load while a
-background client pushes batches through the native binary endpoint of
-the same server.  Every binary answer is checked bit-for-bit against
+Builds the reduced pipeline from ``quickstart.py``, serves it from a
+``fleet`` of two spawned local worker agents, and drives a JSON load
+while a background client pushes batches through the native binary
+endpoint of the same server.  Every binary answer is checked bit-for-bit against
 the engine; the script exits non-zero on any JSON error or rejection,
 any failed or divergent binary row, or a binary client that completes
 no batch.
@@ -40,7 +40,7 @@ def _make_service(amm):
         max_wait=1e-3,
         max_queue_depth=4096,
         workers=2,
-        backend="processes",
+        backend="fleet",
     )
 
 
@@ -125,8 +125,8 @@ def main(argv=None) -> int:
     codes = pipeline.extractor.extract_many(dataset.test_images)
     print(
         f"Serving a {pipeline.amm.crossbar.rows}x"
-        f"{pipeline.amm.crossbar.columns} crossbar on the processes "
-        f"backend: {arguments.requests} requests x "
+        f"{pipeline.amm.crossbar.columns} crossbar on a fleet of 2 "
+        f"spawned agents: {arguments.requests} requests x "
         f"{arguments.images_per_request} images, "
         f"concurrency={arguments.concurrency}"
     )

@@ -10,14 +10,6 @@ compute; this package owns *where and how* it executes:
     consumer: the batched engine already keeps the host's BLAS threads
     busy, so nothing in-process has been measured to beat it.
 
-``processes``
-    :class:`~repro.backends.process.ProcessPoolBackend` — N worker
-    processes, each rebuilding its own pre-factorised engine from a
-    picklable :class:`~repro.backends.base.EngineSpec` (configuration +
-    programmed conductances; the factorisation never crosses the process
-    boundary) and exchanging batches through shared-memory buffers, so
-    recalls scale with cores instead of contending for one GIL.
-
 ``remote``
     :class:`~repro.backends.fleet.RemoteBackend` — a ``fleet`` with a
     static membership: the worker *agents* named by
@@ -29,10 +21,15 @@ compute; this package owns *where and how* it executes:
     :class:`~repro.backends.fleet.FleetSupervisor` — the one remote
     transport: worker agents spoken to over the pickle-free
     length-prefixed TCP protocol of :mod:`repro.backends.wire`
-    (:mod:`repro.backends.remote` holds the agent and the link).  Links
-    are supervised (heartbeats, reconnect with backoff) and in-flight
-    shards retry onto surviving replicas, so recall scales across
-    machines and survives worker loss.  On top of that it is a control
+    (:mod:`repro.backends.remote` holds the agent and the link).  Each
+    agent rebuilds its own pre-factorised engine from an
+    :class:`~repro.backends.base.EngineSpec` (configuration + programmed
+    conductances, never a factorisation).  ``workers=N`` without
+    addresses spawns N local agents (``python -m repro worker``), so the
+    same backend runs engine replicas in other processes on one host or
+    across machines.  Links are supervised (heartbeats, reconnect with
+    backoff) and in-flight shards retry onto surviving replicas, so
+    recall survives worker loss.  On top of that it is a control
     plane: spawns and/or adopts worker agents, weights shard routing by
     measured per-replica EWMA latency (slow replicas get proportionally
     fewer rows, never declared dead), admits workers *joining a running
@@ -68,7 +65,6 @@ from repro.backends.fleet import (
     RemoteBackend,
     weighted_shards,
 )
-from repro.backends.process import ProcessPoolBackend
 from repro.backends.registry import (
     DEFAULT_BACKEND,
     UnknownBackendError,
@@ -92,7 +88,6 @@ __all__ = [
     "FleetAdminClient",
     "FleetControlServer",
     "FleetSupervisor",
-    "ProcessPoolBackend",
     "RecallBackend",
     "RemoteBackend",
     "SerialBackend",

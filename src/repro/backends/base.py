@@ -1,7 +1,7 @@
 """The execution-backend contract of the recall engine.
 
 A :class:`RecallBackend` owns *how* batched recalls execute — one
-in-process engine, a pool of worker processes or remote worker agents —
+in-process engine or a set of worker agents, spawned locally or remote —
 while the physics stays in :class:`~repro.core.amm.AssociativeMemoryModule`
 and :class:`~repro.crossbar.batched.BatchedCrossbarEngine`.  Everything a
 backend runs goes through the *seeded* recall path, so results are a pure
@@ -9,11 +9,11 @@ function of ``(module, codes, seed)`` and therefore invariant across
 backend choice, worker count and shard boundaries (pinned by
 ``tests/backends/test_equivalence.py``).
 
-:class:`EngineSpec` is the picklable construction recipe a backend ships
-to remote execution contexts (process-pool workers): the module
-configuration and programmed conductances, never a factorisation — each
-worker rebuilds and re-factorises its own engine locally (see
-:meth:`~repro.crossbar.batched.BatchedCrossbarEngine.__getstate__`).
+:class:`EngineSpec` is the construction recipe a backend ships to its
+worker agents (flattened by :func:`repro.backends.wire.spec_to_wire`):
+the module configuration and programmed conductances, never a
+factorisation — each worker rebuilds and re-factorises its own engine
+locally.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.core.amm import AssociativeMemoryModule, BatchRecognitionResult
 from repro.crossbar.batched import BatchCrossbarSolution, BatchedCrossbarEngine
 
 #: Fixed order in which per-sample WTA event counters cross an execution
-#: boundary (shared-memory blocks, remote-worker frames) as one int64 row.
+#: boundary (worker-agent frames) as one int64 row.
 EVENT_KEYS = (
     "latch_senses",
     "sar_bit_writes",
@@ -42,12 +42,15 @@ EVENT_KEYS = (
 
 
 class WorkerCrashedError(RuntimeError):
-    """A backend worker died while holding in-flight requests.
+    """No worker replica could complete a batch.
 
-    The work was *not* completed, but the backend has already replaced the
-    worker, so the request is safe to retry — callers (and the HTTP front
-    end, which maps this to a retryable 503) can distinguish it from a
-    permanent per-request failure via :attr:`retryable`.
+    Raised when no routable replica remained (every worker agent is dead,
+    drained or unreachable), or when one shard lost its replica again
+    and again until it exhausted its retry budget.  The batch was *not*
+    completed and is safe to retry once a replica is back — callers (and
+    the HTTP front end, which maps this to a retryable 503) can
+    distinguish it from a permanent per-request failure via
+    :attr:`retryable`.
     """
 
     retryable: bool = True
@@ -60,7 +63,7 @@ class BackendCapabilities:
     Attributes
     ----------
     name:
-        Registry name of the backend ("serial", "processes", "fleet", …).
+        Registry name of the backend ("serial", "remote", "fleet", …).
     workers:
         Number of independent execution units (engine replicas).
     shards_batches:
@@ -78,13 +81,13 @@ class BackendCapabilities:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """Picklable recipe for rebuilding a recall engine somewhere else.
+    """Recipe for rebuilding a recall engine somewhere else.
 
-    The spec carries the served module — whose pickled form is its
-    configuration plus programmed state (conductances, DAC bank, WTA
-    devices, labels); any engine factorisation inside it is dropped at
-    pickle time.  ``build_engine()`` on the
-    receiving side constructs and (optionally) pre-factorises a private
+    The spec carries the served module; on the wire
+    (:func:`repro.backends.wire.spec_to_wire`) that is its configuration
+    plus programmed state (conductances, DAC bank, WTA devices, labels),
+    never an engine factorisation.  ``build_engine()`` on the receiving
+    side constructs and (optionally) pre-factorises a private
     :class:`~repro.crossbar.batched.BatchedCrossbarEngine` replica.
 
     Attributes
@@ -115,8 +118,8 @@ class EngineSpec:
 class RecallBackend(abc.ABC):
     """Pluggable execution strategy for batched associative recall.
 
-    Implementations own engine replicas (and possibly threads or
-    processes) but never module state: recalls go through
+    Implementations own engine replicas (and possibly threads or worker
+    agents) but never module state: recalls go through
     :meth:`~repro.core.amm.AssociativeMemoryModule.recognise_batch_seeded`,
     which mutates nothing, so one module can be shared by every execution
     unit.  Lifecycle: construct → :meth:`prepare` (idempotent; builds
@@ -194,24 +197,15 @@ def check_batch_shape(
 
 
 def contiguous_shards(
-    count: int,
-    workers: int,
-    min_shard_size: int,
-    max_shard_size: Optional[int] = None,
+    count: int, workers: int, min_shard_size: int
 ) -> List[Tuple[int, int]]:
     """Split ``count`` samples into contiguous per-worker shard bounds.
 
     At most ``workers`` shards, and only when each shard would hold at
     least ``min_shard_size`` samples — small batches stay whole so they
-    keep their full batched-GEMM amortisation.  ``max_shard_size``
-    (used by backends whose transport buffers have a fixed capacity) is a
-    hard capacity ceiling: when ``count > workers * max_shard_size`` the
-    shard count rises *beyond* ``workers`` rather than ever returning a
-    shard that would overrun a fixed buffer (capacity beats both the
-    worker cap and, in that regime, ``min_shard_size``).  This is the
-    single sharding rule every parallel backend uses, so results (which
-    are seed-pure and order-preserving by construction) and performance
-    behaviour stay consistent across backends.
+    keep their full batched-GEMM amortisation.  The fleet's
+    :func:`~repro.backends.fleet.weighted_shards` is its speed-weighted
+    generalisation.
 
     Guarantees, pinned by
     ``tests/backends/test_sharding.py``:
@@ -220,25 +214,14 @@ def contiguous_shards(
     * the split is the floor rule ``bounds[i] = i * count // shards``,
       so shard sizes differ by at most one and the bounds are
       bit-stable across platforms (no float rounding involved);
-    * every shard holds ``>= min_shard_size`` samples whenever the
-      min rule set the shard count (when ``max_shard_size`` forces more
-      shards than the min rule allows, capacity wins and shards may
-      drop below ``min_shard_size``);
-    * every shard holds ``<= max_shard_size`` samples, always.
+    * at most ``workers`` shards, each holding ``>= min_shard_size``
+      samples whenever there is more than one.
     """
     if count <= 0:
         return []
     shards = min(workers, max(1, count // min_shard_size))
-    if max_shard_size is not None:
-        if max_shard_size < 1:
-            raise ValueError(
-                f"max_shard_size must be >= 1, got {max_shard_size}"
-            )
-        needed = -(-count // max_shard_size)  # ceil
-        shards = max(shards, needed)
-    # Floor-based split: shards <= count always holds (count // min <= count
-    # and ceil(count / max) <= count), so every shard is non-empty, sizes are
-    # floor(count / shards) or that plus one, and the smaller size only
-    # appears when it still respects the rule that set the shard count.
+    # Floor-based split: shards <= count // min_shard_size <= count, so
+    # every shard is non-empty and sizes are floor(count / shards) or
+    # that plus one, which is >= min_shard_size whenever shards > 1.
     bounds = [count * index // shards for index in range(shards + 1)]
     return list(zip(bounds[:-1], bounds[1:]))

@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Union
 
 from repro.backends.base import RecallBackend
 from repro.backends.fleet import FleetSupervisor, RemoteBackend
-from repro.backends.process import ProcessPoolBackend
 from repro.backends.serial import SerialBackend
 
 #: The default backend name used when a caller asks for "a backend".
@@ -106,6 +105,5 @@ def resolve_backend(
 
 
 register_backend("serial", SerialBackend)
-register_backend("processes", ProcessPoolBackend)
 register_backend("remote", RemoteBackend)
 register_backend("fleet", FleetSupervisor)

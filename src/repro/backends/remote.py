@@ -1,8 +1,7 @@
 """The remote transport: worker agents and the links that reach them.
 
-The process pool escapes the GIL but not the machine.  This module moves
-the same ``EngineSpec`` contract over TCP so recall can shard across
-*hosts*:
+This module moves the ``EngineSpec`` contract over TCP so recall can
+shard across worker agents — spawned on this host or running on others:
 
 * :class:`WorkerServer` — the worker agent (``python -m repro worker
   --listen HOST:PORT``).  Each accepted connection performs the versioned

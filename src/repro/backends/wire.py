@@ -22,13 +22,12 @@ one length-prefixed binary TCP framing, defined here and nowhere else:
   worker agent listens on a socket, and unpickling attacker-controlled
   bytes executes arbitrary code.  Only whitelisted dataclass fields and
   typed numpy buffers cross the wire; the factorisation never does (the
-  worker re-runs ``spec.build_engine()`` locally, exactly like the
-  process-pool workers).
+  worker re-runs ``spec.build_engine()`` locally).
 * **Errors** — a computation error on the worker becomes an ``ERROR``
   frame carrying the exception's type name and message; the backend
-  resurfaces it through the same transportable-type table the process
-  backend uses, so a ``ValueError`` raised remotely is a ``ValueError``
-  to the caller.
+  resurfaces it through the transportable-type table
+  (:data:`TRANSPORTABLE_ERRORS`), so a ``ValueError`` raised remotely is
+  a ``ValueError`` to the caller.
 
 The protocol is versioned by :data:`PROTOCOL_VERSION`; bump it whenever
 the framing, the handshake, or the spec/result schemas change shape.
@@ -114,8 +113,7 @@ STATUS = 18
 PREFIX_SIZE = _FRAME_HEADER.size
 
 #: Exception types a worker may transport back by name; anything else
-#: resurfaces as a RuntimeError tagged with the original type (the same
-#: containment rule as the process-pool control pipe).
+#: resurfaces as a RuntimeError tagged with the original type.
 TRANSPORTABLE_ERRORS = {
     "ValueError": ValueError,
     "TypeError": TypeError,

@@ -12,10 +12,10 @@ without writing any code:
   1 = legacy per-sample loop);
 * ``throughput`` — evaluate the corpus through the batched recall engine
   and report images/second (``--backend
-  serial|processes|remote|fleet`` recalls through a named execution
-  backend — ``serial``, the default, on one engine, the others with
-  ``--workers`` units; ``--backend none`` keeps the legacy engine path
-  without a backend);
+  serial|remote|fleet`` recalls through a named execution backend —
+  ``serial``, the default, on one engine, the others with ``--workers``
+  units; ``--backend fleet --workers N`` spawns N local worker agents;
+  ``--backend none`` keeps the legacy engine path without a backend);
 * ``worker`` — run a remote recall worker agent
   (``python -m repro worker --listen HOST:PORT``) that backends created
   with ``--backend remote --workers host:port,...`` dispatch shards to
@@ -150,7 +150,7 @@ def _command_throughput(arguments: argparse.Namespace) -> str:
     codes = pipeline.extractor.extract_many(images)
     if use_backend:
         # Seeded recall through a named execution backend; the engine
-        # (and, for processes, the workers) is built before timing.
+        # (and, for fleet, the spawned worker agents) is built before timing.
         from repro.backends import create_backend
 
         backend = create_backend(
@@ -206,7 +206,8 @@ def _resolve_workers(arguments: argparse.Namespace) -> tuple:
         if backend == "serial" and count > 1:
             raise SystemExit(
                 f"--workers {count} needs a multi-unit backend: serial runs one "
-                "engine; use --backend processes (or fleet)"
+                "engine; use --backend fleet (spawns that many local worker "
+                "agents)"
             )
         return count, {}
     if backend not in ("remote", "fleet"):
@@ -528,9 +529,9 @@ def _add_backend_option(parser: argparse.ArgumentParser, allow_none: bool = Fals
         choices=choices,
         help="execution backend for the recall engine "
         "(serial = one engine [default], "
-        "processes = multi-process engine pool, remote = worker agents "
-        "named by --workers host:port,..., fleet = supervised replica "
-        "set with health-weighted routing and a --control admin socket"
+        "remote = worker agents named by --workers host:port,..., "
+        "fleet = supervised replica set of spawned and/or named worker "
+        "agents with health-weighted routing and a --control admin socket"
         + (", none = legacy batched path without a backend)" if allow_none else ")"),
     )
 
@@ -552,7 +553,8 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
         "--workers",
         default=1,
         help="execution units (an integer; more than 1 needs --backend "
-        "processes or fleet), or with --backend remote/fleet a "
+        "fleet, which spawns that many local worker agents), or with "
+        "--backend remote/fleet a "
         "comma-separated worker agent list (host:port,host:port)",
     )
     parser.add_argument(
@@ -643,7 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         default=1,
         help="execution units for --backend (an integer; more than 1 needs "
-        "--backend processes or fleet), or with --backend remote/fleet a "
+        "--backend fleet, which spawns that many local worker agents), or "
+        "with --backend remote/fleet a "
         "comma-separated agent list (host:port,...)",
     )
     _add_backend_option(throughput, allow_none=True)

@@ -788,7 +788,7 @@ class AssociativeMemoryModule:
             benchmarked and regression-tested against.
         backend, workers, base_seed:
             Optional execution backend (a registry name such as
-            ``"serial"``/``"processes"``, or a prepared
+            ``"serial"``/``"fleet"``, or a prepared
             :class:`~repro.backends.base.RecallBackend`) the recalls run
             on; see :meth:`recall_arrays`.
 
@@ -857,7 +857,7 @@ class AssociativeMemoryModule:
             # module-stream RNG semantics; make the dependency explicit.
             raise ValueError(
                 "workers and base_seed only apply to backend recalls; "
-                "pass backend='serial'/'processes' (or an instance)"
+                "pass backend='serial'/'fleet' (or an instance)"
             )
         count = input_codes_batch.shape[0]
         winners = np.empty(count, dtype=np.int64)

@@ -42,8 +42,8 @@ preserving (GTH form): it carries off-diagonal conductances and each
 node's conductance to ground, and forms every diagonal as ground plus
 off-diagonal magnitudes, so the ~10 S wire stamps are never subtracted
 from one another.  That keeps ``W`` and ``Z_out`` within a few eps of
-exact elimination of the stored ``A0``, where a sparse LU is off by up
-to ~1e-11 at 0.1 µm pitch.  The build uses numpy's LAPACK only and costs
+exact elimination of the stored ``A0``, where an unrefined sparse LU
+is off by up to ~1e-11 at 0.1 µm pitch.  The build uses numpy's LAPACK only and costs
 ``O(rows·cols³ + rows³·cols)``: ~50–65 ms for the reference 128x40
 array on a 2-core x86-64 host, against ~140–200 ms for the sparse LU
 and 128-right-hand-side solve it replaced.  Wide arrays (``cols ≫ rows``)
@@ -359,24 +359,6 @@ class BatchedCrossbarEngine:
         ):
             self._build_woodbury()
         return self
-
-    # ------------------------------------------------------------------ #
-    # Pickling (the EngineSpec contract)
-    # ------------------------------------------------------------------ #
-    def __getstate__(self) -> dict:
-        """Pickle the configuration and programmed state, not the operators.
-
-        Process-pool workers rebuild engines from a picklable
-        :class:`~repro.backends.base.EngineSpec`; what crosses the pickle
-        boundary is the crossbar configuration and conductances only.
-        The Woodbury operators (``A0^{-1}``-derived dense blocks) are
-        dropped here and rebuilt by the receiver's own :meth:`prepare`.
-        """
-        state = self.__dict__.copy()
-        for key in ("_w_matrix", "_z_outputs", "_g_term", "_lambda_max"):
-            state.pop(key, None)
-        state["_woodbury_ready"] = False
-        return state
 
     # ------------------------------------------------------------------ #
     # Ideal path

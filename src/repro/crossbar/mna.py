@@ -20,6 +20,11 @@ column-wire segments, which is what the engine's Schur sweep relies on.
 It also returns every node's row sum (its conductance to ground as
 stored), summed with compensation, which the sweep's row-sum preserving
 elimination needs.
+
+:func:`driven_residual` evaluates ``b - (A0 + U D Uᵀ) x`` for a drive
+``D`` without rounding ``D`` into ``A0``'s diagonal and without losing
+the small terms of each row to its wire stamps, which the direct
+solve's refinement step needs.
 """
 
 from __future__ import annotations
@@ -136,6 +141,47 @@ def row_blocks(
         [sums[:crosspoints].reshape(rows, cols), sums[crosspoints:].reshape(rows, cols)], axis=1
     )
     return blocks, couplings, grounds
+
+
+#: Dekker's splitting constant for binary64: ``2^27 + 1``.
+_SPLITTER = 2.0**27 + 1.0
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(p, e)`` with ``p = fl(a·b)`` and ``p + e = a·b`` exactly (Dekker)."""
+    product = a * b
+    scaled_a, scaled_b = _SPLITTER * a, _SPLITTER * b
+    a_high = scaled_a - (scaled_a - a)
+    b_high = scaled_b - (scaled_b - b)
+    a_low, b_low = a - a_high, b - b_high
+    error = ((a_high * b_high - product) + a_high * b_low + a_low * b_high) + a_low * b_low
+    return product, error
+
+
+def driven_residual(
+    network: sparse.spmatrix,
+    driven: np.ndarray,
+    dac: np.ndarray,
+    rhs: np.ndarray,
+    voltages: np.ndarray,
+) -> np.ndarray:
+    """``rhs - (network + U·diag(dac)·Uᵀ) @ voltages``, ``U`` selecting ``driven``.
+
+    Every product is split error-free and each node's terms are summed
+    with compensation, so the residual keeps its accuracy where a plain
+    float evaluation cancels the ~10 S wire stamps against each other
+    (an error of ~1e-11 of the drive at 0.1 µm pitch).  The drive enters
+    as its own terms, so it is never rounded into the driven diagonal.
+    """
+    coo = network.tocoo()
+    product, error = _two_product(coo.data, voltages[coo.col])
+    drive_product, drive_error = _two_product(dac, voltages[driven])
+    size = network.shape[0]
+    return _compensated_row_sums(
+        np.concatenate([np.arange(size), coo.row, coo.row, driven, driven]),
+        np.concatenate([rhs, -product, -error, -drive_product, -drive_error]),
+        size,
+    )
 
 
 def _compensated_row_sums(row: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Committed lint baseline: pre-existing, intentionally-kept findings.
 
 The baseline exists so adopting a new rule never blocks CI on debt that
-predates it, and so *intentional* violations (for example a test that
-round-trips ``pickle`` precisely to verify the pickle contract) live in
+predates it, and so *intentional* violations (for example a test
+fixture that imports ``pickle`` precisely to prove WIRE001 fires) live in
 one reviewed file with a written rationale instead of scattered inline
 escapes.  Entries match on ``(rule, path, snippet)`` — never the line
 number — so surrounding edits cannot resurrect or orphan them silently.

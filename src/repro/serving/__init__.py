@@ -25,9 +25,9 @@ traffic, where callers arrive one image at a time:
     adapter between the micro-batcher and the pluggable execution
     backends of :mod:`repro.backends`.  ``backend="serial"`` (default)
     runs each micro-batch on one pre-factorised engine whose BLAS calls
-    already use the host's cores; ``backend="processes"`` runs them on a
-    pool of worker processes (own interpreters, shared-memory I/O), and
-    ``"remote"``/``"fleet"`` on worker agents over TCP.
+    already use the host's cores; ``"remote"``/``"fleet"`` run them on
+    worker agents over TCP (``backend="fleet", workers=N`` spawns N local
+    agents, each its own interpreter).
     Deadline-expired segments are dropped here, before any engine time
     is spent.
 

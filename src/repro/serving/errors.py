@@ -13,7 +13,8 @@ Error                            HTTP    Meaning
                                          ``requests.quota_rejected``
 :class:`BackpressureError`       429     shared queue full (or shed)
 :class:`ServiceClosedError`      503     service shut down
-``WorkerCrashedError``           503     retryable backend crash
+``WorkerCrashedError``           503     no worker replica could finish
+                                         the batch; safe to retry
 :class:`DeadlineExceededError`   504     expired in queue, undispatched
 ===============================  ======  ==============================
 """

@@ -231,8 +231,9 @@ class RecognitionService:
         raises :class:`BackpressureError` — unless the arrival outranks
         enough queued requests, which are then shed to make room.
     workers:
-        Execution units requested from the backend (worker processes or
-        agents); the single-engine ``serial`` backend has one.
+        Execution units requested from the backend (worker agents;
+        ``fleet`` spawns that many locally); the single-engine
+        ``serial`` backend has one.
     legacy_per_sample:
         Dispatch through the legacy per-sample sparse solve instead of
         the batched engine (the ``batch_size=1`` benchmark reference).
@@ -240,8 +241,8 @@ class RecognitionService:
         Metric sink; a fresh :class:`ServiceMetrics` when omitted.
     backend:
         Execution backend for the recalls — a :mod:`repro.backends`
-        registry name (``"serial"``, ``"processes"``, ``"remote"``,
-        ``"fleet"``; ``None`` selects ``"serial"``) or a prepared
+        registry name (``"serial"``, ``"remote"``, ``"fleet"``;
+        ``None`` selects ``"serial"``) or a prepared
         :class:`~repro.backends.base.RecallBackend` instance.  Because
         every request carries its own seed, the served results are
         identical for every backend choice.

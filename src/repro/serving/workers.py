@@ -1,8 +1,8 @@
 """Dispatch adapter between the micro-batcher and the execution backends.
 
 PR 2's sharded thread pool lived here; the execution strategy has since
-been extracted into :mod:`repro.backends` (serial / processes / remote /
-fleet, chosen by name through the registry) so offline sweeps can use it too.
+been extracted into :mod:`repro.backends` (serial / remote / fleet,
+chosen by name through the registry) so offline sweeps can use it too.
 What remains is the *serving* half of the old pool, everything about
 request lifecycle rather than execution.  Work is batch-granular from
 end to end: the service queues one :class:`Submission` per submit call
@@ -28,9 +28,9 @@ resolves **one outcome per segment**:
   batch reaches the backend;
 * **error containment**: a failed batch resolves every segment with the
   error (retryable :class:`~repro.backends.base.WorkerCrashedError`
-  included — the process backend has already respawned the worker by the
-  time it surfaces) and the dispatcher thread survives to serve the next
-  batch.
+  included — no replica could complete the batch, which is safe to
+  retry once one is back) and the dispatcher thread survives to serve
+  the next batch.
 
 Every settlement first *claims* the segment's rows
 (:meth:`Submission.claim`), so a row is solved, failed or skipped as
@@ -307,9 +307,9 @@ class ShardedWorkerPool:
         its network.  Must use deterministic neurons — the seeded recall
         path refuses stochastic DWN.
     workers:
-        Execution units requested from the backend (worker processes or
-        agents); the pool runs one dispatcher thread per unit the
-        backend reports.
+        Execution units requested from the backend (worker agents;
+        ``fleet`` spawns that many locally); the pool runs one
+        dispatcher thread per unit the backend reports.
     metrics:
         Sink for completion counts and latencies.
     legacy_per_sample:
@@ -321,7 +321,7 @@ class ShardedWorkerPool:
         many requests each.
     backend:
         A :mod:`repro.backends` registry name (``"serial"``,
-        ``"processes"``, ``"remote"``, ``"fleet"``; ``None`` selects
+        ``"remote"``, ``"fleet"``; ``None`` selects
         :data:`~repro.backends.registry.DEFAULT_BACKEND`) — the pool then
         owns and closes the created backend — or an already-prepared
         :class:`~repro.backends.base.RecallBackend` shared with other
@@ -364,7 +364,7 @@ class ShardedWorkerPool:
             # The legacy path never touches a backend (every request is
             # one locked amm.recognise() sparse solve); keep an unprepared
             # serial backend for the capability surface instead of paying
-            # for engine replicas or worker processes nothing will use.
+            # for engine replicas or worker agents nothing will use.
             backend = "serial"
         # Explicit backend_options win over the pool's defaults (a caller
         # tuning min_shard_size for a remote deployment should not

@@ -2,9 +2,9 @@
 
 Same reduced 32x6 geometry as the serving suite, with input variation on
 so both per-request noise substreams (input variation, latch offsets) are
-exercised by every backend.  The process-pool backend is expensive to
-boot (each worker is a fresh interpreter importing numpy/scipy), so one
-two-worker pool is shared across the whole module run.
+exercised by every backend.  A fleet with spawned agents is expensive
+to boot (each agent is a fresh interpreter importing numpy/scipy), so
+one two-agent fleet is shared across the whole session.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import ProcessPoolBackend
+from repro.backends import FleetSupervisor
 from repro.core.amm import AssociativeMemoryModule
 
 FEATURES = 32
@@ -50,13 +50,26 @@ def reference_results(backend_amm, request_codes, request_seeds):
 
 
 @pytest.fixture(scope="session")
-def process_pool(backend_amm):
-    """One shared two-worker process pool (spawning workers is slow)."""
-    backend = ProcessPoolBackend(
-        backend_amm, workers=2, min_shard_size=4, max_batch_size=64
-    ).prepare()
+def spawned_fleet(backend_amm):
+    """One shared fleet of two spawned local worker agents.
+
+    What ``create_backend("fleet", amm, workers=2)`` and ``--backend
+    fleet --workers 2`` build: engine replicas in two other processes.
+    Tests that kill agents build their own backends; this one stays
+    healthy for the session.
+    """
+    backend = FleetSupervisor(backend_amm, workers=2, min_shard_size=4).prepare()
     yield backend
     backend.close()
+
+
+def spawned_addresses(fleet: FleetSupervisor) -> list:
+    """The listen addresses of a fleet's spawned agents."""
+    return [
+        replica["address"]
+        for replica in fleet.fleet_stats()["replicas"]
+        if replica["origin"] == "spawned"
+    ]
 
 
 @pytest.fixture()

@@ -2,9 +2,9 @@
 
 The acceptance contract of the pluggable-backend refactor: for the same
 per-request seeds, every backend — serial (however many callers share
-it) and process-pool (any shard boundary) — returns *identical* winner codes,
-DOM codes, acceptance/tie flags and event counters, and
-solver-precision-equal analog outputs.  The reference is the module's own
+it) and a fleet of spawned local worker agents (any shard boundary) —
+returns *identical* winner codes, DOM codes, acceptance/tie flags and
+event counters, and solver-precision-equal analog outputs.  The reference is the module's own
 seeded engine; all backends run the same arithmetic on replicas of the
 same network, so the discrete outputs must be exactly equal and the
 analog outputs bit-identical in practice (asserted to 1e-12 relative to
@@ -72,19 +72,19 @@ class TestSerialBackend:
                     assert_results_equal(future.result(timeout=30.0), reference_results)
 
 
-class TestProcessPoolBackend:
+class TestSpawnedFleetBackend:
     def test_matches_reference(
-        self, process_pool, request_codes, request_seeds, reference_results
+        self, spawned_fleet, request_codes, request_seeds, reference_results
     ):
-        result = process_pool.recall_batch_seeded(request_codes, request_seeds)
+        result = spawned_fleet.recall_batch_seeded(request_codes, request_seeds)
         assert_results_equal(result, reference_results)
 
     def test_shard_boundary_invariance(
-        self, backend_amm, process_pool, request_codes, request_seeds, reference_results
+        self, backend_amm, spawned_fleet, request_codes, request_seeds, reference_results
     ):
         """Different slices (hence different shard splits) agree sample-for-sample."""
         for begin, end in [(0, 5), (3, 24), (0, 24)]:
-            result = process_pool.recall_batch_seeded(
+            result = spawned_fleet.recall_batch_seeded(
                 request_codes[begin:end], request_seeds[begin:end]
             )
             chunk = backend_amm.recognise_batch_seeded(
@@ -92,20 +92,21 @@ class TestProcessPoolBackend:
             )
             assert_results_equal(result, chunk)
 
-    def test_batches_larger_than_buffers_round_trip(
-        self, backend_amm, process_pool, request_codes, request_seeds
+    def test_large_batch_matches_reference(
+        self, backend_amm, spawned_fleet, request_codes, request_seeds
     ):
-        """A batch beyond workers x max_batch_size is processed in rounds."""
+        """A batch many shard minimums long splits by measured replica
+        speed and still answers every row as the module does."""
         big_codes = np.tile(request_codes, (8, 1))[:160]
         big_seeds = np.arange(160, dtype=np.int64) + 11
-        result = process_pool.recall_batch_seeded(big_codes, big_seeds)
+        result = spawned_fleet.recall_batch_seeded(big_codes, big_seeds)
         reference = backend_amm.recognise_batch_seeded(big_codes, big_seeds)
         assert_results_equal(result, reference)
 
-    def test_solve_batch_matches_solver(self, backend_amm, process_pool, request_codes):
+    def test_solve_batch_matches_solver(self, backend_amm, spawned_fleet, request_codes):
         conductances = backend_amm.input_dacs.conductances(request_codes)
         reference = backend_amm.solver.solve_batch(conductances)
-        solution = process_pool.solve_batch(conductances)
+        solution = spawned_fleet.solve_batch(conductances)
         np.testing.assert_allclose(
             solution.column_currents, reference.column_currents, rtol=1e-12
         )
@@ -113,13 +114,13 @@ class TestProcessPoolBackend:
             solution.supply_current, reference.supply_current, rtol=1e-12
         )
 
-    def test_validation_errors_transported(self, process_pool, request_codes):
+    def test_validation_errors_transported(self, spawned_fleet, request_codes):
         with pytest.raises(ValueError):
-            process_pool.recall_batch_seeded(
+            spawned_fleet.recall_batch_seeded(
                 np.full_like(request_codes, 99), np.arange(request_codes.shape[0])
             )
-        # The pool stays healthy after a transported error.
-        result = process_pool.recall_batch_seeded(
+        # The agents stay healthy after a transported error.
+        result = spawned_fleet.recall_batch_seeded(
             request_codes[:2], np.array([1, 2], dtype=np.int64)
         )
         assert len(result) == 2
@@ -127,18 +128,18 @@ class TestProcessPoolBackend:
 
 class TestEvaluateThroughBackends:
     def test_evaluate_invariant_across_backends(
-        self, backend_amm, request_codes, process_pool
+        self, backend_amm, request_codes, spawned_fleet
     ):
         labels = np.zeros(request_codes.shape[0], dtype=np.int64)
         serial = backend_amm.evaluate(request_codes, labels, backend="serial")
-        processes = backend_amm.evaluate(request_codes, labels, backend=process_pool)
+        fleet = backend_amm.evaluate(request_codes, labels, backend=spawned_fleet)
         # Discrete-derived statistics are exactly invariant; mean static
         # power is analog and agrees to solver precision (a different
         # shard split is a different summation order).
-        assert processes["accuracy"] == serial["accuracy"]
-        assert processes["acceptance_rate"] == serial["acceptance_rate"]
-        assert processes["tie_rate"] == serial["tie_rate"]
-        assert processes["mean_static_power"] == pytest.approx(
+        assert fleet["accuracy"] == serial["accuracy"]
+        assert fleet["acceptance_rate"] == serial["acceptance_rate"]
+        assert fleet["tie_rate"] == serial["tie_rate"]
+        assert fleet["mean_static_power"] == pytest.approx(
             serial["mean_static_power"], rel=1e-12
         )
 

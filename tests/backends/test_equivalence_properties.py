@@ -1,5 +1,5 @@
-"""Property-based cross-backend equivalence: serial ≡ processes ≡
-remote, bit-identically, on the ideal path.
+"""Property-based cross-backend equivalence: serial ≡ fleet ≡ remote,
+bit-identically, on the ideal path.
 
 The hand-picked matrix in ``test_equivalence.py`` pins the parasitic
 path to solver precision; this suite drives seeded-random workloads
@@ -13,8 +13,12 @@ Two layers, trading construction cost for coverage:
 * random *geometries* are checked on the serial backend (a fresh
   module per example): a batch equals its two parts recalled apart;
 * random *batch shapes/contents/seeds* run against long-lived
-  process/remote pools on one shared geometry (worker boot is the
-  expensive part, and the transport is geometry-agnostic).
+  fleet/remote replica sets on one shared geometry (agent boot is the
+  expensive part, and the transport is geometry-agnostic).  The fleet
+  adopts the session's two spawned agents (``spawned_fleet``); each
+  connection rebuilds its own engine for this geometry, so the
+  properties run against real out-of-process replicas without a second
+  agent boot.
 """
 
 from __future__ import annotations
@@ -26,11 +30,12 @@ pytest.importorskip("hypothesis", reason="property suite needs hypothesis")
 from hypothesis import HealthCheck, given, settings
 
 from repro.backends import (
-    ProcessPoolBackend,
+    FleetSupervisor,
     RemoteBackend,
     SerialBackend,
     WorkerServer,
 )
+from tests.backends.conftest import spawned_addresses
 from tests.backends.strategies import build_test_amm, geometries, recall_batches
 
 #: Shared geometry of the long-lived pools (ideal path, input variation
@@ -59,11 +64,14 @@ def ideal_amm():
 
 
 @pytest.fixture(scope="module")
-def backend_matrix(ideal_amm):
-    """serial / processes / remote, one prepared pool each."""
+def backend_matrix(ideal_amm, spawned_fleet):
+    """serial / fleet / remote, one prepared replica set each."""
     serial = SerialBackend(ideal_amm).prepare()
-    processes = ProcessPoolBackend(
-        ideal_amm, workers=2, min_shard_size=2, max_batch_size=64
+    fleet = FleetSupervisor(
+        ideal_amm,
+        worker_addresses=spawned_addresses(spawned_fleet),
+        min_shard_size=2,
+        heartbeat_interval=0.5,
     ).prepare()
     workers = [WorkerServer().start(), WorkerServer().start()]
     remote = RemoteBackend(
@@ -72,8 +80,8 @@ def backend_matrix(ideal_amm):
         min_shard_size=2,
         heartbeat_interval=0.5,
     ).prepare()
-    yield {"serial": serial, "processes": processes, "remote": remote}
-    for backend in (serial, processes, remote):
+    yield {"serial": serial, "fleet": fleet, "remote": remote}
+    for backend in (serial, fleet, remote):
         backend.close()
     for server in workers:
         server.close()
@@ -91,7 +99,7 @@ class TestBackendMatrixProperties:
         one answer, to the last bit."""
         codes, seeds = case
         reference = backend_matrix["serial"].recall_batch_seeded(codes, seeds)
-        for name in ("processes", "remote"):
+        for name in ("fleet", "remote"):
             result = backend_matrix[name].recall_batch_seeded(codes, seeds)
             assert_bit_identical(result, reference)
 
@@ -134,7 +142,7 @@ class TestBackendMatrixProperties:
         """Determinism per row: re-running any row with the same seed on
         a different backend replica reproduces it exactly."""
         codes, seeds = case
-        first = backend_matrix["processes"].recall_batch_seeded(codes, seeds)
+        first = backend_matrix["fleet"].recall_batch_seeded(codes, seeds)
         second = backend_matrix["remote"].recall_batch_seeded(codes, seeds)
         assert_bit_identical(second, first)
 
@@ -168,8 +176,9 @@ class TestGeometryProperties:
     @settings(max_examples=8, deadline=None)
     @given(geometry=geometries())
     def test_sharding_rule_covers_exactly(self, geometry):
-        """The shared shard rule (every parallel backend uses it) always
-        partitions [0, B) exactly, whatever the workload shape."""
+        """The unweighted shard rule (which the fleet's routing
+        generalises) always partitions [0, B) exactly, whatever the
+        workload shape."""
         from repro.backends import contiguous_shards
 
         rng = np.random.default_rng(geometry["seed"])

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -22,18 +20,19 @@ from repro.backends import registry as registry_module
 
 class TestRegistry:
     def test_builtin_names_registered(self):
-        assert backend_names() == ["serial", "processes", "remote", "fleet"]
+        assert backend_names() == ["serial", "remote", "fleet"]
 
-    @pytest.mark.parametrize("name", ["auto", "threads"])
+    @pytest.mark.parametrize("name", ["auto", "threads", "processes"])
     def test_removed_backends_are_unknown(self, backend_amm, name):
-        """The cost-model router and the thread pool are gone: asking for
-        them fails like any typo, naming what is registered."""
+        """The cost-model router, the thread pool and the shared-memory
+        process pool are gone: asking for them fails like any typo,
+        naming what is registered."""
         from repro.backends import UnknownBackendError
 
         with pytest.raises(UnknownBackendError) as excinfo:
             create_backend(name, backend_amm)
         message = str(excinfo.value)
-        for known in ("serial", "processes", "remote", "fleet"):
+        for known in ("serial", "remote", "fleet"):
             assert known in message
 
     def test_create_unknown_backend_raises(self, backend_amm):
@@ -51,7 +50,7 @@ class TestRegistry:
         assert isinstance(excinfo.value, UnknownBackendError)
         assert isinstance(excinfo.value, ValueError)
         message = str(excinfo.value)
-        for name in ("serial", "processes", "remote", "fleet"):
+        for name in ("serial", "remote", "fleet"):
             assert name in message
         # KeyError.__str__ would repr() the message into quoted noise;
         # the subclass must read as a sentence.
@@ -111,18 +110,14 @@ class TestRegistry:
 
 
 class TestEngineSpec:
-    def test_spec_pickles_without_factorisation(self, backend_amm):
-        # Force a factorised engine into the module's solver first.
-        backend_amm.solver.batch_engine.prepare(True)
-        spec = EngineSpec.from_module(backend_amm)
-        clone = pickle.loads(pickle.dumps(spec))
-        engine = clone.build_engine(prepare=False)
-        assert not engine.prepared  # the factorisation never crossed the pickle
-        engine.prepare(True)
-        assert engine.prepared
-
     def test_rebuilt_engine_matches(self, backend_amm, request_codes, request_seeds):
-        spec = pickle.loads(pickle.dumps(EngineSpec.from_module(backend_amm)))
+        """A worker's engine: the spec crosses the wire, then
+        ``build_engine`` factorises a private replica from it."""
+        from repro.backends import wire
+
+        spec = wire.spec_from_wire(
+            *wire.spec_to_wire(EngineSpec.from_module(backend_amm))
+        )
         engine = spec.build_engine()
         rebuilt = spec.module.recognise_batch_seeded(
             request_codes, request_seeds, engine=engine
@@ -134,26 +129,19 @@ class TestEngineSpec:
             rebuilt.column_currents, reference.column_currents, rtol=1e-12
         )
 
-    def test_engine_getstate_drops_woodbury(self, backend_amm):
-        engine = backend_amm.solver.batch_engine.prepare(True)
-        state = engine.__getstate__()
-        assert state["_woodbury_ready"] is False
-        for key in ("_w_matrix", "_z_outputs", "_g_term", "_lambda_max"):
-            assert key not in state
-
 
 class TestCapabilities:
-    def test_capability_shapes(self, backend_amm, process_pool):
+    def test_capability_shapes(self, backend_amm, spawned_fleet):
         serial = SerialBackend(backend_amm)
         capabilities = serial.capabilities()
         assert capabilities == BackendCapabilities(
             name="serial", workers=1, shards_batches=False, escapes_gil=False
         )
         serial.close()
-        processes = process_pool.capabilities()
-        assert processes.name == "processes"
-        assert processes.workers == 2
-        assert processes.escapes_gil
+        fleet = spawned_fleet.capabilities()
+        assert fleet.name == "fleet"
+        assert fleet.workers == 2
+        assert fleet.shards_batches and fleet.escapes_gil
 
     def test_backend_is_abstract(self):
         with pytest.raises(TypeError):

@@ -15,7 +15,11 @@ mode, pinning the transport's semantics:
   the io budget;
 * **close-at-byte-N** — the pipe is cut mid-frame (a torn write): the
   backend treats the link as crashed, retries on the survivor and never
-  delivers a corrupt result.
+  delivers a corrupt result;
+* **served crash** — the only replica behind a running service dies:
+  queued requests fail with the retryable ``WorkerCrashedError`` (HTTP
+  503), and the service answers the same request identically once the
+  worker is back.
 """
 
 from __future__ import annotations
@@ -188,3 +192,60 @@ class TestTornWrites:
         assert_results_equal(result, reference)
         assert not backend._replicas[0].link.alive
         proxy.delay(0.0)
+
+
+class TestServiceIntegration:
+    def test_served_crash_maps_to_retryable_error(self, backend_amm, request_codes):
+        """Through the serving stack: with its only replica gone, queued
+        requests fail with the retryable error; once the worker is back
+        the same request gets the pre-crash answer."""
+        from repro.serving import RecognitionService
+
+        worker = WorkerServer().start()
+        proxy = ChaosProxy(worker.address)
+        service = RecognitionService(
+            backend_amm,
+            max_batch_size=8,
+            max_wait=0.0,
+            backend="remote",
+            backend_options={
+                "worker_addresses": [proxy.address],
+                "heartbeat_interval": 0.1,
+                "backoff_base": 0.02,
+                "backoff_max": 0.2,
+                "connect_timeout": 2.0,
+                "io_timeout": 2.0,
+            },
+        )
+        try:
+            warm = service.recognise(request_codes[0], seed=1, timeout=30.0)
+            link = service.pool.backend._replicas[0].link
+            proxy.refuse(kill_existing=True)  # the worker "crashes"
+            futures = [
+                service.submit(request_codes[index % 8], seed=index)
+                for index in range(4)
+            ]
+            crashed = []
+            for future in futures:
+                try:
+                    future.result(timeout=30.0)
+                except WorkerCrashedError as error:
+                    crashed.append(error)
+            assert crashed, "no queued request saw the crash"
+            assert all(error.retryable for error in crashed)
+            proxy.accept()  # the worker is back
+            assert wait_until(lambda: link.alive), "no reconnect after the crash"
+            again = service.recognise(request_codes[0], seed=1, timeout=30.0)
+            assert again.winner_column == warm.winner_column
+            assert again.dom_code == warm.dom_code
+        finally:
+            service.close()
+            proxy.close()
+            worker.close()
+
+    def test_crash_classifies_as_retryable_503(self):
+        from repro.serving.protocol import classify_error
+
+        error = WorkerCrashedError("no routable remote replica remains")
+        assert classify_error(error) == (503, "unavailable")
+        assert error.retryable

@@ -1,11 +1,12 @@
 """Thread hygiene: ``close()`` must not leak supervision machinery.
 
 Every backend but ``serial`` owns background threads of some kind —
-process watchers, link supervisors, heartbeats, worker-connection
-handlers, control-socket acceptors.  The contract pinned here: after
-``close()`` returns (plus a short grace for daemon threads to finish
-unwinding), ``threading.enumerate()`` is back to what it was before the
-backend existed.  This pins two latent leaks: remote/fleet supervisor
+link supervisors, heartbeats, worker-connection handlers, control-socket
+acceptors — and a fleet with spawned agents owns their processes.  The
+contract pinned here: after ``close()`` returns (plus a short grace for
+daemon threads to finish unwinding), ``threading.enumerate()`` is back
+to what it was before the backend existed, and spawned agents are
+reaped.  This pins two latent leaks: remote/fleet supervisor
 threads that could outlive the backend when a reconnect dial was in
 flight (the join budget now covers ``connect_timeout``), and worker
 handler threads that were started but never joined by
@@ -20,7 +21,6 @@ import pytest
 
 from repro.backends import (
     FleetSupervisor,
-    ProcessPoolBackend,
     RemoteBackend,
     SerialBackend,
     WorkerServer,
@@ -42,8 +42,10 @@ def _serial(amm):
     return SerialBackend(amm), []
 
 
-def _processes(amm):
-    return ProcessPoolBackend(amm, workers=1, min_shard_size=4), []
+def _fleet_spawned(amm):
+    return FleetSupervisor(
+        amm, workers=1, min_shard_size=4, heartbeat_interval=0.1, io_timeout=20.0
+    ), []
 
 
 def _remote(amm):
@@ -72,22 +74,26 @@ def _fleet(amm):
 
 
 @pytest.mark.parametrize(
-    "factory", [_serial, _processes, _remote, _fleet],
-    ids=["serial", "processes", "remote", "fleet"],
+    "factory", [_serial, _fleet_spawned, _remote, _fleet],
+    ids=["serial", "fleet-spawned", "remote", "fleet"],
 )
 def test_backend_close_joins_all_threads(
     factory, backend_amm, request_codes, request_seeds
 ):
     baseline = set(threading.enumerate())
     backend, servers = factory(backend_amm)
+    agents = []
     try:
         backend.prepare()
+        agents = list(getattr(backend, "_processes", []))
         backend.recall_batch_seeded(request_codes, request_seeds)
     finally:
         backend.close()
         for server in servers:
             server.close()
     _assert_threads_return_to(baseline)
+    # Spawned agents are reaped by close(), not left to the interpreter.
+    assert all(agent.poll() is not None for agent in agents)
 
 
 def test_worker_server_close_joins_handler_threads(backend_amm):

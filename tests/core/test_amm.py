@@ -169,7 +169,7 @@ class TestSetupFactorisesOnce:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"operator_builds": 0, "spsolve": 0}
+        counts = {"operator_builds": 0, "splu": 0}
 
         def counting(name, function):
             def wrapper(*args, **kwargs):
@@ -183,7 +183,7 @@ class TestSetupFactorisesOnce:
             "_build_woodbury",
             counting("operator_builds", batched.BatchedCrossbarEngine._build_woodbury),
         )
-        monkeypatch.setattr(solver, "spsolve", counting("spsolve", solver.spsolve))
+        monkeypatch.setattr(solver, "splu", counting("splu", solver.splu))
         return counts
 
     @pytest.mark.parametrize("include_parasitics,builds", [(True, 1), (False, 0)])
@@ -202,7 +202,7 @@ class TestSetupFactorisesOnce:
         if include_parasitics:
             detection_margins(amm, inputs, columns, include_parasitics=True)
         detection_margins(amm, inputs, columns, include_parasitics=False)
-        assert counts == {"operator_builds": builds, "spsolve": 0}
+        assert counts == {"operator_builds": builds, "splu": 0}
 
 
 class TestRecognition:

@@ -6,12 +6,14 @@ the vectorised assembler replaced it.  It is the reference both the
 assembled matrix and :meth:`CrossbarSolver.solve` are checked against.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from repro.crossbar.array import ResistiveCrossbar
-from repro.crossbar.mna import driven_nodes, output_nodes, static_network
+from repro.crossbar.mna import driven_nodes, driven_residual, output_nodes, static_network
 from repro.crossbar.parasitics import WireParasitics
 from repro.crossbar.programming import TemplateProgrammer
 from repro.crossbar.solver import CrossbarSolver
@@ -21,12 +23,12 @@ DELTA_V = 30e-3
 TERMINATION = 20.0
 
 
-def make_crossbar(rows, cols, seed=0):
+def make_crossbar(rows, cols, seed=0, pitch_um=0.5):
     rng = np.random.default_rng(seed)
     programmer = TemplateProgrammer(memristor=MemristorModel(write_accuracy=0.03, seed=seed))
     return ResistiveCrossbar.from_programmed(
         programmer.program(rng.integers(0, 32, size=(rows, cols))),
-        parasitics=WireParasitics(cell_pitch_um=0.5),
+        parasitics=WireParasitics(cell_pitch_um=pitch_um),
     )
 
 
@@ -108,3 +110,24 @@ def test_solve_matches_hand_stamped(rows, cols):
     )
     supply = np.sum(dac * (DELTA_V - voltages[driven_nodes(rows, cols)]))
     assert solution.supply_current == pytest.approx(supply, rel=1e-12)
+
+
+def test_driven_residual_matches_exact_arithmetic():
+    # 0.1 µm pitch: ~10 S wire stamps against ~1e-5 S memristors and drive.
+    crossbar = make_crossbar(3, 4, pitch_um=0.1)
+    dac = drive(3)
+    driven = driven_nodes(3, 4)
+    base = static_network(crossbar, TERMINATION)
+    rhs = np.zeros(base.shape[0])
+    rhs[driven] = dac * DELTA_V
+    voltages = np.random.default_rng(2).uniform(0.0, DELTA_V, base.shape[0])
+    exact = [Fraction(float(value)) for value in rhs]
+    coo = base.tocoo()
+    for i, j, value in zip(coo.row, coo.col, coo.data):
+        exact[i] -= Fraction(float(value)) * Fraction(float(voltages[j]))
+    for node, d in zip(driven, dac):
+        exact[node] -= Fraction(float(d)) * Fraction(float(voltages[node]))
+    exact = np.array([float(value) for value in exact])
+    residual = driven_residual(base, driven, dac, rhs, voltages)
+    # A plain float evaluation is off by ~eps x 10 S x 30 mV here.
+    np.testing.assert_allclose(residual, exact, rtol=4e-16, atol=1e-25)

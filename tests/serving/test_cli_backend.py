@@ -27,7 +27,7 @@ def test_serial_rejects_several_workers(argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     message = str(excinfo.value)
-    assert "processes" in message and "fleet" in message
+    assert "fleet" in message and "processes" not in message
 
 
 def test_workers_resolve_per_backend(free_port):
@@ -35,7 +35,7 @@ def test_workers_resolve_per_backend(free_port):
     parser = build_parser()
     arguments = parser.parse_args(["serve", "--workers", "1"])
     assert _resolve_workers(arguments) == (1, {})
-    arguments = parser.parse_args(["serve", "--backend", "processes", "--workers", "4"])
+    arguments = parser.parse_args(["serve", "--backend", "fleet", "--workers", "4"])
     assert _resolve_workers(arguments) == (4, {})
     arguments = parser.parse_args(["serve", "--workers", address])
     with pytest.raises(SystemExit, match="remote or fleet"):

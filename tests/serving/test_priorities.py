@@ -255,7 +255,7 @@ class TestStats:
 
 
 class TestPriorityInvariance:
-    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "fleet"])
     def test_results_identical_across_backends_with_priorities(
         self, serving_amm, request_codes, request_seeds, backend
     ):

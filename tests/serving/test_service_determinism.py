@@ -116,7 +116,7 @@ class TestWorkerCountInvariance:
             max_batch_size=64,
             max_wait=10e-3,
             workers=workers,
-            backend="processes",
+            backend="fleet",
         ) as service:
             results = gather(service, request_codes, request_seeds)
         for index, result in enumerate(results):
@@ -131,7 +131,7 @@ class TestWorkerCountInvariance:
             max_batch_size=64,
             max_wait=20e-3,
             workers=3,
-            backend="processes",
+            backend="fleet",
             backend_options={"min_shard_size": 4},
         )
         with pool_service as service:

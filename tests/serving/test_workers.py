@@ -81,7 +81,7 @@ class TestDispatch:
         finally:
             pool.close()
 
-    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "fleet"])
     def test_results_identical_across_backends(
         self, serving_amm, request_codes, request_seeds, backend
     ):
