@@ -5,7 +5,9 @@ This module is the one backend over the worker links of
 replica set:
 
 * :class:`FleetSupervisor` — registered as ``"fleet"``.  Spawns local
-  worker agents (``spawn_local_worker``) and/or adopts remote ones
+  worker agents (``spawn_local_worker``, each with its share of the
+  cores as its BLAS thread count: :func:`spawned_agent_environment`)
+  and/or adopts remote ones
   (``worker_addresses``), supervises every link (heartbeats, reconnect
   with backoff, shard retry on the survivors), and tracks per-replica
   health and an EWMA of measured per-row shard latency.  Routing is
@@ -53,6 +55,7 @@ results across every fleet event.
 
 from __future__ import annotations
 
+import os
 import socket
 import subprocess
 import threading
@@ -254,6 +257,21 @@ class _Replica:
             self.rows_served += rows
 
 
+def spawned_agent_environment(agents: int) -> Dict[str, str]:
+    """The environment of ``agents`` spawned local worker agents.
+
+    This process's environment, with ``OPENBLAS_NUM_THREADS`` set to each
+    agent's share of the cores (``os.cpu_count() // agents``, at least 1)
+    unless it is set already.  numpy's and scipy's OpenBLAS pools both
+    read it at load; without it every agent starts one BLAS thread per
+    core, so two agents on two cores run four and contend for them.
+    """
+    env = dict(os.environ)
+    share = (os.cpu_count() or 1) // max(1, agents)
+    env.setdefault("OPENBLAS_NUM_THREADS", str(max(1, share)))
+    return env
+
+
 class FleetSupervisor(RecallBackend):
     """Health-weighted, dynamically-membered replica set of worker agents.
 
@@ -399,8 +417,9 @@ class FleetSupervisor(RecallBackend):
                 raise RuntimeError("backend is closed")
             if self._prepared:
                 return self
+            env = spawned_agent_environment(self._spawn_workers)
             for _ in range(self._spawn_workers):
-                process, address = spawn_local_worker()
+                process, address = spawn_local_worker(env=env)
                 self._processes.append(process)
                 with self._fleet_lock:
                     self._replicas.append(

@@ -41,7 +41,7 @@ import subprocess
 import sys
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -332,13 +332,16 @@ class WorkerServer(_FrameServer):
 
 
 def spawn_local_worker(
-    host: str = "127.0.0.1", timeout: float = 30.0
+    host: str = "127.0.0.1",
+    timeout: float = 30.0,
+    env: Optional[Mapping[str, str]] = None,
 ) -> Tuple[subprocess.Popen, Address]:
     """Launch ``python -m repro worker`` as a subprocess on this host.
 
     Binds an ephemeral port and parses it back from the agent's startup
     line, so concurrent spawns never collide.  Returns the process handle
-    (terminate it to simulate worker loss) and the listen address.  Used
+    (terminate it to simulate worker loss) and the listen address.  The
+    agent runs in ``env`` (default: this process's environment).  Used
     by the benchmarks, the CI kill-recovery smoke and the tests; real
     deployments start agents with the same command on each host.
     """
@@ -347,6 +350,7 @@ def spawn_local_worker(
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        env=env,
     )
     deadline = time.monotonic() + timeout
     line = ""

@@ -32,24 +32,29 @@ depend on the input across the batch:
 :func:`~repro.crossbar.mna.row_blocks`), ``A0`` is block-tridiagonal:
 neighbouring rows touch only through the column-wire segments.
 :func:`port_schur_complement` eliminates every row bar's interior nodes
-in all rows at once (one batched solve), then sweeps down the rows with
-a dense frontier over the driven nodes seen so far plus the current
-row's column nodes.  What is left is the Schur complement ``P`` of
-``A0`` on its ``rows + cols`` ports (driven nodes, column terminations),
-and ``P⁻¹`` is ``A0⁻¹`` on the ports: ``W`` and ``Z_out`` are read off it
+as the chain it is, all rows at once (``cols - 1`` vectorised steps),
+then eliminates the rows' column nodes by odd–even (cyclic) reduction
+down the rows: ``⌈log₂ rows⌉`` levels, each one stacked step over every
+other remaining row, while the driven nodes stay attached to the rows
+that survive.  What is left is the Schur complement ``P`` of ``A0`` on
+its ``rows + cols`` ports (driven nodes, column terminations), and
+``P⁻¹`` is ``A0⁻¹`` on the ports: ``W`` and ``Z_out`` are read off it
 through a Cholesky factor of ``P``.  The elimination is row-sum
 preserving (GTH form): it carries off-diagonal conductances and each
-node's conductance to ground, and forms every diagonal as ground plus
+node's conductance to ground, and forms every pivot as ground plus
 off-diagonal magnitudes, so the ~10 S wire stamps are never subtracted
 from one another.  That keeps ``W`` and ``Z_out`` within a few eps of
-exact elimination of the stored ``A0``, where an unrefined sparse LU
-is off by up to ~1e-11 at 0.1 µm pitch.  The build uses numpy's LAPACK only and costs
-``O(rows·cols³ + rows³·cols)``: ~50–65 ms for the reference 128x40
-array on a 2-core x86-64 host, against ~140–200 ms for the sparse LU
-and 128-right-hand-side solve it replaced.  Wide arrays (``cols ≫ rows``)
-pay the ``cols³`` term per row and may build slower than a sparse LU
-would: a 40x128 array took ~115–140 ms on the same host, the sparse
-LU ~65 ms.
+exact elimination of the stored ``A0``, where an unrefined sparse LU is
+off by up to ~1e-11 at 0.1 µm pitch.  The build uses numpy's LAPACK
+only, costs ``O(rows·cols³ + rows²·cols)`` and takes ``O(cols + log
+rows)`` Python-level steps.  On a 2-core x86-64 host the reference
+128x40 array builds in a median ~16–20 ms (``BENCH_throughput.json``),
+against ~50–65 ms for the row-by-row sweep it replaced and ~140–200 ms
+for a sparse LU with a 128-right-hand-side solve.  Wide arrays
+(``cols ≫ rows``) pay the ``cols³`` term per row: a 40x128 array takes
+~70–80 ms on the same host (the row-by-row sweep ~130–150 ms, a sparse
+LU ~65 ms).  Fresh large temporaries cost page faults there, so the
+sweep keeps few of them alive at once.
 
 **Chebyshev form of the correction solve.**  ``A0`` is a conductance
 Laplacian with grounded terminations, hence symmetric positive
@@ -68,9 +73,9 @@ GEMM for the whole batch, instead of one dense LU per sample.
   ``A0`` is symmetric to rounding (reciprocal) before the sweep and that
   ``P`` has a Cholesky factor and ``W`` is positive definite after it,
   and stores ``λmax(W)`` once; a network that fails a check, that is
-  not a conductance network (a positive off-diagonal entry) or whose
-  rows couple outside the column bars, is refused with a
-  :class:`ValueError` rather than iterated.
+  not a conductance network (a positive off-diagonal entry), whose
+  rows couple outside the column bars or whose row bars are not chains,
+  is refused with a :class:`ValueError` rather than iterated.
 * *Error bound.*  For a row with ``κ = 1 + β`` and
   ``ρ = (√κ - 1)/(√κ + 1)``, ``k`` steps from ``y0 = 0`` leave a
   relative 2-norm error ``‖y_k - y‖ / ‖y‖ ≤ 2√κ·ρ^k``.  The bound holds
@@ -106,7 +111,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.crossbar.array import ResistiveCrossbar
-from repro.crossbar.mna import driven_nodes, row_blocks, static_network
+from repro.crossbar.mna import RowBars, driven_nodes, row_blocks, static_network
 from repro.utils.validation import check_positive
 
 
@@ -176,55 +181,188 @@ NEUMANN_TAIL = 2.0**-64
 MAX_NEUMANN_DOUBLINGS = 64
 
 
-def _off_diagonal(matrices: np.ndarray) -> np.ndarray:
-    """``matrices`` (one or a stack) with the diagonal set to zero."""
-    out = np.array(matrices)
-    index = np.arange(out.shape[-1])
-    out[..., index, index] = 0.0
-    return out
+def _zero_diagonal(matrices: np.ndarray) -> np.ndarray:
+    """Set the diagonal of ``matrices`` (one or a stack) to zero in place."""
+    index = np.arange(matrices.shape[-1])
+    matrices[..., index, index] = 0.0
+    return matrices
 
 
 def frontier_inverse(diagonal: np.ndarray, off_diagonal: np.ndarray) -> np.ndarray:
-    """``(D - N)⁻¹`` of an M-matrix, ``D = diag(diagonal)``, ``N = -off_diagonal ≥ 0``.
+    """``(D - N)⁻¹`` of M-matrices, ``D = diag(diagonal)``, ``N = -off_diagonal ≥ 0``.
 
-    Sums the Neumann series ``Σ_k (D⁻¹N)^k D⁻¹`` in its doubling form
-    ``(I + M)(I + M²)(I + M⁴)…`` with ``M = D⁻¹N``.  Every term is
+    ``diagonal`` has shape ``(..., n)`` and ``off_diagonal`` ``(..., n, n)``:
+    one matrix or a stack, all inverted at once.  Sums the Neumann series
+    ``Σ_k (D⁻¹N)^k D⁻¹`` in its doubling form ``(I + M)(I + M²)(I + M⁴)…``
+    with ``M = D⁻¹N``, one stacked product per factor, until the row sums
+    of the next factor's power (at most the square of the current one's)
+    are at most :data:`NEUMANN_TAIL` in every member.  Every term is
     non-negative, so the small off-diagonal entries of the inverse keep
     their relative accuracy, which an LU inverse loses to the rounding of
-    the large diagonal.  Raises :class:`numpy.linalg.LinAlgError` when
-    the series does not converge (``ρ(M) ≥ 1``: not positive definite).
+    the large diagonal.  Raises :class:`numpy.linalg.LinAlgError` when a
+    member has a non-positive diagonal or its series does not converge
+    (``ρ(M) ≥ 1``: not positive definite).
     """
+    return _neumann_inverse(diagonal, -off_diagonal)
+
+
+def _neumann_inverse(diagonal: np.ndarray, conductances: np.ndarray) -> np.ndarray:
+    """:func:`frontier_inverse` of ``diag(diagonal) - conductances``, with
+    ``conductances ≥ 0`` given as magnitudes; three stack-sized arrays."""
     if diagonal.min(initial=np.inf) <= 0.0:
         raise np.linalg.LinAlgError("frontier has a non-positive diagonal")
-    step = -off_diagonal / diagonal[:, None]
-    total = np.eye(diagonal.size) + step
-    power = step @ step
-    for _ in range(MAX_NEUMANN_DOUBLINGS):
-        if power.sum(axis=1).max(initial=0.0) <= NEUMANN_TAIL:
-            return total / diagonal[None, :]
-        total += total @ power
-        power = power @ power
+    power = conductances / diagonal[..., :, None]
+    total = power + np.eye(diagonal.shape[-1])
+    scratch = np.empty_like(power)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_NEUMANN_DOUBLINGS):
+            reach = power.sum(axis=-1).max(initial=0.0)
+            if reach * reach <= NEUMANN_TAIL:
+                total /= diagonal[..., None, :]
+                return total
+            np.matmul(power, power, out=scratch)
+            power, scratch = scratch, power
+            total += np.matmul(total, power, out=scratch)
     raise np.linalg.LinAlgError("frontier Neumann series does not converge")
 
 
+def _condense_row_bars(
+    bars: RowBars, grounds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eliminate every row bar's interior nodes, all rows at once.
+
+    Each row bar is a chain from its driven node ``0`` to node ``cols-1``.
+    Its nodes are eliminated from the far end inwards, one step per node
+    over all rows, so the node eliminated next (the chain's head) touches
+    only its inner neighbour and the row's column nodes.  In GTH order its
+    pivot is its ground plus those conductances; the step hands the head's
+    conductances and ground on to the inner neighbour in proportion, and
+    leaves a rank-one fill among the column nodes, collected for all steps
+    in one Gram product at the end.
+
+    Returns ``(links, link_grounds, columns, column_grounds)``: each row's
+    driven node's conductances to the row's column nodes ``(rows, cols)``
+    and its ground ``(rows,)``, then the conductances among the column
+    nodes ``(rows, cols, cols)`` (zero diagonal) and their grounds
+    ``(rows, cols)``.
+    """
+    rows, cols = bars.chain.shape[0], grounds.shape[1] // 2
+    # Row k of a bar: node k's conductances to the column nodes, then its
+    # ground, as they stand when node k is the head.
+    links, width = bars.links, cols + 1
+    at = np.concatenate(
+        [
+            (links.row * cols + links.first) * width + links.second,
+            np.arange(rows * cols) * width + cols,
+        ]
+    )
+    heads = np.bincount(
+        at,
+        weights=np.concatenate([links.value, grounds[:, :cols].ravel()]),
+        minlength=rows * cols * width,
+    ).reshape(rows, cols, width)
+    pivots = np.empty((rows, cols, 1))
+    for k in range(cols - 1, 0, -1):
+        inward = bars.chain[:, k - 1]
+        pivots[:, k, 0] = pivot = inward + heads[:, k].sum(axis=1)
+        heads[:, k - 1] += (inward / pivot)[:, None] * heads[:, k]
+    steps = heads[:, 1:]
+    steps /= np.sqrt(pivots[:, 1:])
+    fill = np.swapaxes(steps[..., :cols], 1, 2) @ steps
+    columns = fill[..., :cols]
+    among = bars.columns
+    np.add.at(columns, (among.row, among.first, among.second), among.value)
+    # Copies of the driven nodes' rows, so ``heads`` is freed on return.
+    return heads[:, 0, :cols].copy(), heads[:, 0, cols].copy(), _zero_diagonal(columns), (
+        grounds[:, cols:] + fill[..., cols]
+    )
+
+
+def _eliminate_every_other(
+    links: np.ndarray,
+    within: np.ndarray,
+    node_grounds: np.ndarray,
+    bonds: np.ndarray,
+    port_links: np.ndarray,
+    port_grounds: np.ndarray,
+    reach: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One level of :func:`port_schur_complement`'s odd–even reduction.
+
+    ``links``, ``within``, ``node_grounds`` and ``bonds`` describe the
+    groups left, ``reach`` rows apart.  Eliminates groups 1, 3, 5, … in one
+    stacked step, adds their fill among the driven ports to ``port_links``
+    and ``port_grounds`` in place, and returns the same four arrays for the
+    groups that are left (``within`` and ``node_grounds`` as views,
+    updated in place).  The step's temporaries are freed on return.
+    """
+    cols = within.shape[-1]
+    gone, kept = len(links) // 2, (len(links) + 1) // 2
+    width = 2 * reach - 1
+    # Conductances to each eliminated group from its driven ports, its
+    # inner neighbour and (all but maybe the last) its outer neighbour.
+    attached, inner = links[1::2], bonds[0::2]
+    outer = np.swapaxes(bonds[1::2], 1, 2)
+    removed, removed_grounds = within[1::2], node_grounds[1::2, :, None]
+    pivot = (
+        removed_grounds[..., 0] + attached.sum(axis=1) + inner.sum(axis=1) + removed.sum(axis=2)
+    )
+    pivot[: kept - 1] += outer.sum(axis=1)
+    inverse = _neumann_inverse(pivot, removed)
+    from_ports = attached @ inverse
+    from_inner = inner @ inverse
+    from_outer = outer @ inverse[: kept - 1]
+    del inverse  # one stack fewer alive while the fills are formed
+    # Eliminated group e sits at ``reach·(2e + 1)``; its driven ports are
+    # the ``width`` ones around it.
+    around = 2 * reach * np.arange(gone)[:, None] + np.arange(1, 2 * reach)
+    port_links[around[:, :, None], around[:, None, :]] += from_ports @ np.swapaxes(
+        attached, 1, 2
+    )
+    port_grounds[around] += (from_ports @ removed_grounds)[..., 0]
+    survivors = np.zeros((kept, 2 * width + 1, cols))
+    survivors[:, reach : reach + width] = links[0::2]
+    survivors[:gone, 2 * reach :] += from_ports @ np.swapaxes(inner, 1, 2)
+    survivors[1:, :width] += from_ports[: kept - 1] @ np.swapaxes(outer, 1, 2)
+    # The kept groups' state is updated in place: nothing reads the
+    # eliminated groups' ``within`` and ``node_grounds`` any more.
+    within = within[0::2]
+    within[:gone] += from_inner @ np.swapaxes(inner, 1, 2)
+    within[1:] += from_outer @ np.swapaxes(outer, 1, 2)
+    node_grounds = node_grounds[0::2]
+    node_grounds[:gone] += (from_inner @ removed_grounds)[..., 0]
+    node_grounds[1:] += (from_outer @ removed_grounds[: kept - 1])[..., 0]
+    bonds = from_inner[: kept - 1] @ np.swapaxes(outer, 1, 2)
+    return survivors, _zero_diagonal(within), node_grounds, bonds
+
+
 def port_schur_complement(
-    blocks: np.ndarray, couplings: np.ndarray, grounds: np.ndarray
+    bars: RowBars, couplings: np.ndarray, grounds: np.ndarray
 ) -> np.ndarray:
     """Schur complement of a block-tridiagonal conductance network on its ports.
 
-    ``blocks``, ``couplings`` and ``grounds`` are the crosspoint-row blocks
+    ``bars``, ``couplings`` and ``grounds`` are the crosspoint-row blocks
     of :func:`~repro.crossbar.mna.row_blocks`.  The ports are the driven
     node of every row bar, then the column-bar nodes of the last row, so
     the result is ``(rows + cols) x (rows + cols)`` in that order.
 
-    First every row bar's interior nodes are eliminated in all rows at
-    once (one batched solve), which leaves each row a dense block over
-    its driven node and its column nodes.  Then a sweep goes down the
-    rows with a dense frontier over the driven nodes seen so far and the
-    current row's column nodes; adding the next row eliminates the
-    current column nodes, which touch only the next row's column nodes,
-    through :func:`frontier_inverse`.  Cost: ``O(rows·cols³)`` for the
-    rows, ``O(rows³·cols)`` for the sweep.
+    First :func:`_condense_row_bars` eliminates every row bar's interior in
+    ``cols - 1`` steps over all rows, which leaves each row's column nodes
+    as a group with its driven node attached.  The groups form a chain
+    down the rows (neighbours touch through the column wires), and odd–even
+    (cyclic) reduction eliminates every group but the last row's in
+    ``⌈log₂ rows⌉`` levels.  Counted from the last row, the groups left at
+    a level are ``reach`` rows apart, and each level eliminates every
+    other one of them in one stacked step: each eliminated group's
+    inverse (:func:`frontier_inverse`, one member per group), its fill
+    among its two neighbours and the driven nodes attached to it, and its
+    ground handed on to them.  A surviving group carries the driven nodes
+    of the rows strictly between its neighbours (``2·reach - 1`` of them),
+    and the fill among those lands in one dense port block.  With an even
+    number of groups the last one eliminated has no outer neighbour.
+    Cost: ``O(rows·cols³)`` for the rows and the groups' inverses,
+    ``O(rows²·cols)`` for the driven ports' fill, in ``O(cols + log rows)``
+    stacked steps.
 
     The elimination is row-sum preserving (the GTH form): it carries the
     off-diagonal conductances and every node's conductance to ground,
@@ -233,48 +371,36 @@ def port_schur_complement(
     stamps from one another, which would bury the ~1e-5 S memristor and
     ground terms in rounding.
     """
-    rows, size = blocks.shape[:2]
-    cols = size // 2
-    kept = np.r_[0, cols:size]
-    condensed = _off_diagonal(blocks[:, kept[:, None], kept])
-    condensed_grounds = grounds[:, kept]
-    if cols > 1:
-        interior = slice(1, cols)
-        solved = np.linalg.solve(
-            blocks[:, interior, interior],
-            np.concatenate([blocks[:, interior, kept], grounds[:, interior, None]], axis=2),
+    rows, cols = bars.chain.shape[0], grounds.shape[1] // 2
+    links, driven_grounds, within, node_grounds = _condense_row_bars(bars, grounds)
+    # Groups counted from the last row: group g is row ``rows - 1 - g``,
+    # and so is driven port g.  ``links[g]`` holds the conductances from
+    # the driven ports ``g - reach + 1 .. g + reach - 1`` to group g's
+    # nodes; ``bonds[g]`` those between groups g and g + 1.
+    links, within, node_grounds = links[::-1, None, :], within[::-1], node_grounds[::-1]
+    bonds = np.swapaxes(couplings[::-1], 1, 2)
+    port_links = np.zeros((2 * rows, 2 * rows))
+    port_grounds = np.zeros(2 * rows)
+    port_grounds[:rows] = driven_grounds[::-1]
+    reach = 1
+    while len(links) > 1:
+        links, within, node_grounds, bonds = _eliminate_every_other(
+            links, within, node_grounds, bonds, port_links, port_grounds, reach
         )
-        update = blocks[:, kept, interior] @ solved
-        condensed -= _off_diagonal(update[:, :, :-1])
-        condensed_grounds = condensed_grounds - update[:, :, -1]
-    # Off-diagonal conductances of the frontier; its diagonal stays zero
-    # until the end and is formed from ``port_grounds`` when needed.
-    ports = np.zeros((rows + cols, rows + cols))
-    port_grounds = np.zeros(rows + cols)
-    ports[0, rows:] = condensed[0, 0, 1:]
-    ports[rows:, rows:] = condensed[0, 1:, 1:]
-    port_grounds[0], port_grounds[rows:] = condensed_grounds[0, 0], condensed_grounds[0, 1:]
-    for row in range(1, rows):
-        seen = ports[:row, :row]  # views: updated in place
-        link = ports[:row, rows:]
-        within = ports[rows:, rows:]
-        coupling = couplings[row - 1]
-        diagonal = (
-            port_grounds[rows:] - link.sum(axis=0) - within.sum(axis=1) - coupling.sum(axis=1)
-        )
-        inverse = frontier_inverse(diagonal, within)
-        through = link @ inverse
-        seen -= _off_diagonal(through @ link.T)
-        port_grounds[:row] -= through @ port_grounds[rows:]
-        onward = coupling.T @ inverse
-        next_grounds = condensed_grounds[row, 1:] - onward @ port_grounds[rows:]
-        link[...] = -(through @ coupling)
-        ports[rows:, rows:] = condensed[row, 1:, 1:] - _off_diagonal(onward @ coupling)
-        ports[row, rows:] = condensed[row, 0, 1:]
-        port_grounds[row], port_grounds[rows:] = condensed_grounds[row, 0], next_grounds
-    ports[rows:, :rows] = ports[:rows, rows:].T
-    index = np.arange(rows + cols)
-    ports[index, index] = port_grounds - ports.sum(axis=1)
+        reach *= 2
+    size = rows + cols
+    conductances = np.empty((size, size))
+    conductances[:rows, :rows] = port_links[rows - 1 :: -1, rows - 1 :: -1]
+    conductances[:rows, rows:] = links[0, reach - 1 : reach - 1 + rows][::-1]
+    conductances[rows:, :rows] = conductances[:rows, rows:].T
+    conductances[rows:, rows:] = within[0]
+    _zero_diagonal(conductances)
+    index = np.arange(size)
+    ports = -conductances
+    ports[index, index] = (
+        np.concatenate([port_grounds[rows - 1 :: -1], node_grounds[0]])
+        + conductances.sum(axis=1)
+    )
     return ports
 
 
@@ -387,12 +513,49 @@ class BatchedCrossbarEngine:
     # ------------------------------------------------------------------ #
     # Parasitic path (Woodbury update of the static network)
     # ------------------------------------------------------------------ #
+    def _checked_row_blocks(self) -> tuple[RowBars, np.ndarray, np.ndarray]:
+        """``A0`` checked and cut into crosspoint-row blocks (:func:`row_blocks`).
+
+        ``A0`` is converted to CSR once; the checks and the row blocks share
+        that one copy, which is dropped before the sweep runs.
+        """
+        network = static_network(self.crossbar, self.termination_resistance).tocsc()
+        # Its CSR arrays are the CSC arrays of A0ᵀ, so A0 is symmetric when
+        # they match its own CSC arrays.
+        entries = network.tocsr()
+        entries.sum_duplicates()
+        if np.array_equal(network.indptr, entries.indptr) and np.array_equal(
+            network.indices, entries.indices
+        ):
+            asymmetry = np.abs(network.data - entries.data).max(initial=0.0)
+        else:
+            asymmetry = abs(network - network.T).max()
+        if asymmetry > self.SYMMETRY_TOL * np.abs(entries.data).max(initial=0.0):
+            raise ValueError(
+                "static network A0 is not symmetric; the Woodbury operators "
+                "and the Chebyshev solve need a reciprocal network"
+            )
+        if np.any(entries.diagonal() <= 0.0):
+            raise ValueError(
+                "static network A0 is not positive definite: it has a "
+                "non-positive diagonal entry"
+            )
+        # Every diagonal entry is stored and positive; any other positive
+        # entry is off the diagonal.
+        if np.count_nonzero(entries.data > 0.0) > entries.shape[0]:
+            raise ValueError(
+                "static network A0 is not a conductance network: it has a "
+                "positive off-diagonal entry"
+            )
+        return row_blocks(entries, self.crossbar.rows, self.crossbar.columns)
+
     def _build_woodbury(self) -> None:
         """Build ``W`` and ``Z_out`` by a block Schur sweep and check them.
 
         ``A0`` must be reciprocal (symmetric to :attr:`SYMMETRY_TOL`), a
         conductance network (positive diagonal, no positive off-diagonal
         entry), its crosspoint rows may touch only through the column bars
+        and each row bar must be a chain
         (:func:`~repro.crossbar.mna.row_blocks`), and the Schur complement
         ``P`` of ``A0`` on its ports (the driven nodes, then the column
         terminations) must have a Cholesky factor ``L``.  Then
@@ -402,26 +565,9 @@ class BatchedCrossbarEngine:
         check is refused with a :class:`ValueError`.
         """
         rows = self.crossbar.rows
-        network = static_network(self.crossbar, self.termination_resistance)
-        if abs(network - network.T).max() > self.SYMMETRY_TOL * abs(network).max():
-            raise ValueError(
-                "static network A0 is not symmetric; the Woodbury operators "
-                "and the Chebyshev solve need a reciprocal network"
-            )
-        entries = network.tocoo()
-        if np.any(network.diagonal() <= 0.0):
-            raise ValueError(
-                "static network A0 is not positive definite: it has a "
-                "non-positive diagonal entry"
-            )
-        if np.any(entries.data[entries.row != entries.col] > 0.0):
-            raise ValueError(
-                "static network A0 is not a conductance network: it has a "
-                "positive off-diagonal entry"
-            )
-        blocks, couplings, grounds = row_blocks(network, rows, self.crossbar.columns)
+        blocks = self._checked_row_blocks()
         try:
-            factor = np.linalg.cholesky(port_schur_complement(blocks, couplings, grounds))
+            factor = np.linalg.cholesky(port_schur_complement(*blocks))
         except np.linalg.LinAlgError as error:
             raise ValueError(
                 "static network A0 is not positive definite: the Schur sweep "

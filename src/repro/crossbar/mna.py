@@ -17,9 +17,12 @@ assembler.
 ``i``, then the column-bar nodes of row ``i``).  In that order ``A0`` is
 block-tridiagonal: neighbouring blocks touch only through the
 column-wire segments, which is what the engine's Schur sweep relies on.
-It also returns every node's row sum (its conductance to ground as
-stored), summed with compensation, which the sweep's row-sum preserving
-elimination needs.
+It returns each row bar as the chain it is plus the few other entries of
+each block one by one, the couplings between neighbouring rows, and
+every node's row sum (its conductance to ground as stored), summed with
+compensation, which the sweep's row-sum preserving elimination needs.
+It reads ``A0`` in CSR form; the engine hands it the one CSR copy its
+own checks of ``A0`` use.
 
 :func:`driven_residual` evaluates ``b - (A0 + U D Uᵀ) x`` for a drive
 ``D`` without rounding ``D`` into ``A0``'s diagonal and without losing
@@ -28,6 +31,8 @@ solve's refinement step needs.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -91,56 +96,121 @@ def static_network(
     ).tocsc()
 
 
+class BarConductances(NamedTuple):
+    """Conductances inside the crosspoint rows' blocks, one entry each.
+
+    Entry ``n`` is the conductance ``value[n]`` between local nodes
+    ``first[n]`` and ``second[n]`` of crosspoint row ``row[n]``, numbered
+    as in :func:`row_blocks`.
+    """
+
+    row: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    value: np.ndarray
+
+
+class RowBars(NamedTuple):
+    """The off-diagonal part of every crosspoint row's diagonal block.
+
+    ``chain`` (shape ``(rows, cols - 1)``) holds the conductance between
+    row-bar nodes ``k`` and ``k + 1``; ``links`` the conductances from
+    row-bar nodes to column nodes (``second`` counted from the first
+    column node); ``columns`` those between two column nodes of one row,
+    stored both ways round (both counted from the first column node).
+    """
+
+    chain: np.ndarray
+    links: BarConductances
+    columns: BarConductances
+
+
 def row_blocks(
     network: sparse.spmatrix, rows: int, cols: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``network`` cut into crosspoint-row blocks: ``(blocks, couplings, grounds)``.
+) -> tuple[RowBars, np.ndarray, np.ndarray]:
+    """``network`` cut into crosspoint-row blocks: ``(bars, couplings, grounds)``.
 
     Block ``i`` numbers row bar ``i``'s nodes ``0..cols-1`` (its driven
     node first) and the column-bar nodes of row ``i`` ``cols..2·cols-1``.
-    ``blocks`` (shape ``(rows, 2·cols, 2·cols)``) holds the diagonal block
-    of every row; ``couplings`` (shape ``(rows - 1, cols, cols)``) holds
-    ``network[column nodes of row i, column nodes of row i+1]`` for every
+    ``bars`` holds the off-diagonal part of every block (:class:`RowBars`:
+    the row bar as the chain it is, and the few other entries one by one);
+    ``couplings`` (shape ``(rows - 1, cols, cols)``) holds the conductances
+    ``-network[column nodes of row i, column nodes of row i+1]`` for every
     pair of neighbouring rows (the column-wire segments, for an assembled
     ``A0``); ``grounds`` (shape ``(rows, 2·cols)``) holds every node's row
     sum, its conductance to ground as stored — the dummy cells and
     terminations, plus the rounding of each assembled diagonal — summed
-    with compensation so that the wire stamps cancel exactly.  A network
-    with any other coupling between rows (a row bar wired to another row,
-    or column bars bridging non-neighbouring rows) is refused with a
-    :class:`ValueError`, because the blocks would not describe it.
+    with compensation so that the wire stamps cancel exactly.  Every
+    conductance is the magnitude of an off-diagonal entry.
+
+    ``network`` is read in CSR form (no copy when it is one already).  A
+    network with any other coupling between rows (a row bar wired to
+    another row, or column bars bridging non-neighbouring rows), or with a
+    chord inside one row bar (two row-bar nodes that are not neighbours),
+    is refused with a :class:`ValueError`, because the blocks would not
+    describe it.
     """
-    coo = network.tocoo()
-    mask = coo.data != 0.0
-    i, j, values = coo.row[mask], coo.col[mask], coo.data[mask]
+    network = network.tocsr()
+    counts = np.diff(network.indptr)
     crosspoints = rows * cols
-    size = 2 * cols
-    block_i, block_j = (i % crosspoints) // cols, (j % crosspoints) // cols
-    local_i = i % cols + cols * (i >= crosspoints)
-    local_j = j % cols + cols * (j >= crosspoints)
-    inside = block_i == block_j
-    on_columns = (i >= crosspoints) & (j >= crosspoints)
-    downward = on_columns & (block_j == block_i + 1)
-    if np.any(~inside & ~downward & ~(on_columns & (block_i == block_j + 1))):
+    # Crosspoint row and local index of every node, gathered per entry (as
+    # int32, widened only for the entries kept).
+    node_row = np.tile(np.repeat(np.arange(rows, dtype=np.int32), cols), 2)
+    node_local = np.tile(np.arange(cols, dtype=np.int32), 2 * rows)
+    node_local[crosspoints:] += cols
+    row_i, row_j = np.repeat(node_row, counts), node_row[network.indices]
+    local_i, local_j = np.repeat(node_local, counts), node_local[network.indices]
+    values = network.data
+    on_bar_i, on_bar_j = local_i < cols, local_j < cols
+    inside = row_i == row_j
+    on_columns = ~on_bar_i & ~on_bar_j
+    downward = on_columns & (row_j == row_i + 1)
+    stored = values != 0.0
+    if np.any(stored & ~inside & ~downward & ~(on_columns & (row_i == row_j + 1))):
         raise ValueError(
             "the network couples crosspoint rows outside the column bars; "
             "its row blocks are not block-tridiagonal"
         )
-    blocks = np.bincount(
-        (block_i * size + local_i)[inside] * size + local_j[inside],
-        weights=values[inside],
-        minlength=rows * size * size,
-    ).reshape(rows, size, size)
+    within_bar = inside & on_bar_i & on_bar_j
+    if np.any(stored & within_bar & (np.abs(local_i - local_j) > 1)):
+        raise ValueError(
+            "a row bar has a chord: its nodes do not form a chain, which the "
+            "row-bar condensation needs"
+        )
+
+    def entries(mask: np.ndarray, first: int, second: int) -> BarConductances:
+        (picked,) = np.nonzero(mask & stored)
+        return BarConductances(
+            row_i[picked].astype(np.int64),
+            local_i[picked] - np.int64(first),
+            local_j[picked] - np.int64(second),
+            -values[picked],
+        )
+
+    (chained,) = np.nonzero(within_bar & (local_j == local_i + 1))
+    bars = RowBars(
+        chain=np.bincount(
+            row_i[chained].astype(np.int64) * (cols - 1) + local_i[chained],
+            weights=-values[chained],
+            minlength=rows * (cols - 1),
+        ).reshape(rows, cols - 1),
+        links=entries(inside & on_bar_i & ~on_bar_j, 0, cols),
+        columns=entries(inside & on_columns & (local_i != local_j), cols, cols),
+    )
+    coupled = entries(downward, cols, cols)
     couplings = np.bincount(
-        (block_i * cols + local_i - cols)[downward] * cols + (local_j - cols)[downward],
-        weights=values[downward],
+        (coupled.row * cols + coupled.first) * cols + coupled.second,
+        weights=coupled.value,
         minlength=(rows - 1) * cols * cols,
     ).reshape(rows - 1, cols, cols)
-    sums = _compensated_row_sums(i, values, 2 * crosspoints)
+    nodes = 2 * crosspoints
+    sums = _compensated_row_sums(
+        np.repeat(np.arange(nodes, dtype=np.int32), counts), values, nodes
+    )
     grounds = np.concatenate(
         [sums[:crosspoints].reshape(rows, cols), sums[crosspoints:].reshape(rows, cols)], axis=1
     )
-    return blocks, couplings, grounds
+    return bars, couplings, grounds
 
 
 #: Dekker's splitting constant for binary64: ``2^27 + 1``.
@@ -192,8 +262,9 @@ def _compensated_row_sums(row: np.ndarray, values: np.ndarray, size: int) -> np.
     memristor and ground conductances (down to ~1e-6 S); a plain float sum
     of the row loses the small terms in the rounding of the large ones.
     """
-    order = np.argsort(row, kind="stable")
-    row, values = row[order], values[order]
+    if np.any(row[1:] < row[:-1]):
+        order = np.argsort(row, kind="stable")
+        row, values = row[order], values[order]
     starts = np.searchsorted(row, np.arange(size))
     position = np.arange(row.size) - starts[row]
     padded = np.zeros((size, int(position.max(initial=-1)) + 1))

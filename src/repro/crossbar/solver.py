@@ -29,8 +29,9 @@ SuperLU).
 
 The direct solve is the independent reference for the batched engine,
 which shares only the assembler: the engine builds its Woodbury
-operators by a dense block Schur sweep over the crosspoint rows
-(numpy's LAPACK, no sparse LU; see :mod:`repro.crossbar.batched`), so
+operators by a block Schur sweep over the crosspoint rows (row-bar
+chains, then odd–even reduction; numpy's LAPACK, no sparse LU; see
+:mod:`repro.crossbar.batched`), so
 the two paths share no factorisation code.
 """
 

@@ -11,6 +11,7 @@ semantics, rolling re-spec, EWMA-weighted routing, the control socket
 
 from __future__ import annotations
 
+import os
 import socket
 import threading
 
@@ -25,7 +26,11 @@ from repro.backends import (
     weighted_shards,
     wire,
 )
-from repro.backends.fleet import FleetMembershipError, ReplicaDrainedError
+from repro.backends.fleet import (
+    FleetMembershipError,
+    ReplicaDrainedError,
+    spawned_agent_environment,
+)
 from tests.backends.chaos import ChaosProxy
 from tests.backends.test_equivalence import assert_results_equal
 from tests.backends.test_remote import wait_until
@@ -92,6 +97,32 @@ class TestFleetEquivalence:
         assert capabilities.name == "fleet"
         assert capabilities.workers == 2
         assert capabilities.shards_batches and capabilities.escapes_gil
+
+
+class TestSpawnedAgents:
+    def test_each_agent_gets_its_share_of_the_cores(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        cores = os.cpu_count() or 1
+        assert spawned_agent_environment(1)["OPENBLAS_NUM_THREADS"] == str(cores)
+        assert spawned_agent_environment(2)["OPENBLAS_NUM_THREADS"] == str(max(1, cores // 2))
+        assert spawned_agent_environment(4 * cores)["OPENBLAS_NUM_THREADS"] == "1"
+
+    def test_a_caller_setting_wins(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert spawned_agent_environment(2)["OPENBLAS_NUM_THREADS"] == "3"
+
+    def test_spawned_agents_carry_the_cap(self, spawned_fleet):
+        """The two agents of a spawned fleet run with the cap in their
+        environment, read back from the kernel's record of each process."""
+        expected = os.environ.get(
+            "OPENBLAS_NUM_THREADS", str(max(1, (os.cpu_count() or 1) // 2))
+        )
+        assert len(spawned_fleet._processes) == 2
+        for process in spawned_fleet._processes:
+            with open(f"/proc/{process.pid}/environ", "rb") as handle:
+                entries = handle.read().split(b"\0")
+            environ = dict(entry.split(b"=", 1) for entry in entries if b"=" in entry)
+            assert environ[b"OPENBLAS_NUM_THREADS"] == expected.encode()
 
 
 class TestMembership:

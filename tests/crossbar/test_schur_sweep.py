@@ -4,8 +4,9 @@
 are checked against exact rational elimination of the assembled ``A0``
 on tiny arrays, and against a SuperLU unit-right-hand-side solve on
 random ones.  The sweep's refusals (rows coupled outside the column
-bars, a network that is not a conductance network, a divergent frontier
-series) are pinned here too.
+bars, a chord inside a row bar, a network that is not a conductance
+network, a divergent frontier series, in one matrix or in any member of
+a stack) are pinned here too.
 """
 
 from fractions import Fraction
@@ -126,7 +127,13 @@ class TestExactOperators:
     ERROR_BOUND = 64 * EPS
 
     @pytest.mark.parametrize("pitch_um", [0.1, 1.0])
-    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 3), (3, 1), (2, 3), (3, 2)])
+    @pytest.mark.parametrize(
+        "rows,cols",
+        # Groups left per level of the odd-even reduction: 5-3-2-1, 6-3-2-1,
+        # 7-4-2-1 and 4-2-1, odd counts (every eliminated group has two
+        # neighbours) and even ones (the last has only its inner one).
+        [(1, 1), (1, 3), (3, 1), (2, 3), (3, 2), (5, 2), (6, 3), (7, 1), (4, 4)],
+    )
     def test_operators_match_exact_elimination(self, rows, cols, pitch_um):
         engine = make_engine(rows, cols, pitch_um, seed=rows * 10 + cols).prepare()
         w_exact, z_exact = exact_operators(engine)
@@ -149,7 +156,8 @@ class TestExactOperators:
 class TestAgainstSuperLU:
     @settings(max_examples=40, deadline=None)
     @given(
-        rows=st.integers(min_value=1, max_value=24),
+        # Up to 48 rows: six levels of the odd-even reduction.
+        rows=st.integers(min_value=1, max_value=48),
         cols=st.integers(min_value=1, max_value=10),
         pitch_um=st.floats(min_value=0.1, max_value=1.0),
         r_min=st.floats(min_value=1e3, max_value=16e3),
@@ -185,6 +193,39 @@ class TestBlockStructure:
         with pytest.raises(ValueError, match="outside the column bars"):
             engine.prepare()
         assert not engine.prepared
+
+    def test_prepare_refuses_a_chord_inside_a_row_bar(self, monkeypatch):
+        """The row-bar condensation eliminates each row bar as a chain; a
+        conductance between two row-bar nodes that are not neighbours is a
+        chord, and the network is refused."""
+        engine = make_engine(3, 4, 0.1)
+        network = with_conductance(network_of(engine), row_node(1, 0), row_node(1, 2))
+        monkeypatch.setattr(batched, "static_network", lambda *args: network)
+        with pytest.raises(ValueError, match="chord"):
+            engine.prepare()
+        assert not engine.prepared
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (column_node(1, 0), column_node(1, 2)),
+            (row_node(1, 1), column_node(1, 3)),
+            (row_node(2, 0), column_node(2, 2)),
+        ],
+        ids=["column-bars-of-one-row", "row-bar-to-another-column", "driven-node-to-a-column"],
+    )
+    def test_conductances_inside_one_row_block_are_general(self, monkeypatch, a, b):
+        """Extra conductances inside one crosspoint row's block, other than a
+        chord of its row bar, are eliminated exactly: the operators still
+        match SuperLU."""
+        engine = make_engine(3, 4, 0.1)
+        network = with_conductance(network_of(engine), a, b)
+        monkeypatch.setattr(batched, "static_network", lambda *args: network)
+        engine.prepare()
+        w_reference, z_reference = superlu_operators(engine, network)
+        bound = SUPERLU_FACTOR * EPS * wire_ratio(engine)
+        assert relative_error(engine._w_matrix, w_reference) <= bound
+        assert relative_error(engine._z_outputs, z_reference) <= bound
 
     def test_column_nodes_of_neighbouring_rows_may_couple_freely(self, monkeypatch):
         """A conductance between any two column nodes of neighbouring rows lies
@@ -229,6 +270,48 @@ class TestConductanceNetwork:
             batched.frontier_inverse(np.full(4, 2.0), off)
         with pytest.raises(np.linalg.LinAlgError):
             batched.frontier_inverse(np.array([1.0, 0.0, 1.0, 1.0]), off)
+
+
+class TestStackedFrontierInverse:
+    @staticmethod
+    def stack(seed, members=5, size=6):
+        rng = np.random.default_rng(seed)
+        off = np.stack(
+            [
+                _symmetric_off_diagonal(-rng.uniform(0.0, 1.0, size=(size, size)))
+                for _ in range(members)
+            ]
+        )
+        diagonal = -off.sum(axis=2) + rng.uniform(0.1, 1.0, size=(members, size))
+        return diagonal, off
+
+    def test_every_member_matches_its_dense_inverse(self):
+        diagonal, off = self.stack(7)
+        inverses = batched.frontier_inverse(diagonal, off)
+        for member in range(len(diagonal)):
+            dense = np.linalg.inv(off[member] + np.diag(diagonal[member]))
+            assert np.allclose(inverses[member], dense, rtol=1e-13, atol=0)
+
+    def test_a_stack_inverts_like_its_members_one_by_one(self):
+        diagonal, off = self.stack(8)
+        inverses = batched.frontier_inverse(diagonal, off)
+        for member in range(len(diagonal)):
+            alone = batched.frontier_inverse(diagonal[member], off[member])
+            assert np.allclose(inverses[member], alone, rtol=1e-14, atol=0)
+
+    def test_refuses_when_one_member_diverges(self):
+        """One member without diagonal dominance makes the whole stack fail."""
+        diagonal, off = self.stack(9)
+        off[2] = _symmetric_off_diagonal(-np.ones(off[2].shape))
+        diagonal[2] = 2.0
+        with pytest.raises(np.linalg.LinAlgError):
+            batched.frontier_inverse(diagonal, off)
+
+    def test_refuses_a_non_positive_diagonal_in_any_member(self):
+        diagonal, off = self.stack(10)
+        diagonal[-1, 0] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            batched.frontier_inverse(diagonal, off)
 
 
 def _symmetric_off_diagonal(matrix):
