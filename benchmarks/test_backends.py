@@ -2,7 +2,8 @@
 
 Recalls the reference 128x40 corpus through each registered execution
 backend (parasitic path, per-request seeded substreams — the exact
-serving workload) and records the measured throughput trajectory into
+serving workload), best of several passes per point, and records the
+measured throughput trajectory into
 ``BENCH_backends.json`` at the repository root, uploaded as a CI
 artifact next to the recall and serving trajectories.  The ``fleet``
 section spawns its own ``python -m repro worker`` agents on localhost
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import statistics
 import time
 
 import numpy as np
@@ -39,6 +41,10 @@ IMAGES_PER_POINT = 400
 
 #: Recall batch handed to the backend per call (the serving max batch).
 DISPATCH_BATCH = 64
+
+#: Timed passes over the images per point.  One pass takes ~20 ms, so a
+#: single scheduler or BLAS stall would decide a one-pass point.
+TIMED_PASSES = 10
 
 #: The acceptance bound: spawned fleet vs the serial engine at all cores.
 REQUIRED_FLEET_SPEEDUP = 2.0
@@ -64,25 +70,38 @@ def request_seeds(recall_codes):
 
 
 def measure(backend, codes, seeds) -> dict:
-    """Throughput of seeded recall in serving-sized dispatch batches."""
+    """Throughput of seeded recall in serving-sized dispatch batches.
+
+    The best of :data:`TIMED_PASSES` passes over ``codes`` is recorded
+    (the median next to it); every pass must give the same answers.
+    """
     backend.prepare()
     # Warm up (first-touch allocations, worker readiness).
     backend.recall_batch_seeded(codes[:DISPATCH_BATCH], seeds[:DISPATCH_BATCH])
-    winners = np.empty(codes.shape[0], dtype=np.int64)
-    dom_codes = np.empty(codes.shape[0], dtype=np.int64)
-    start = time.perf_counter()
-    for begin in range(0, codes.shape[0], DISPATCH_BATCH):
-        end = min(begin + DISPATCH_BATCH, codes.shape[0])
-        result = backend.recall_batch_seeded(codes[begin:end], seeds[begin:end])
-        winners[begin:end] = result.winner_column
-        dom_codes[begin:end] = result.dom_code
-    elapsed = time.perf_counter() - start
+    answers = None
+    seconds = []
+    for _ in range(TIMED_PASSES):
+        winners = np.empty(codes.shape[0], dtype=np.int64)
+        dom_codes = np.empty(codes.shape[0], dtype=np.int64)
+        start = time.perf_counter()
+        for begin in range(0, codes.shape[0], DISPATCH_BATCH):
+            end = min(begin + DISPATCH_BATCH, codes.shape[0])
+            result = backend.recall_batch_seeded(codes[begin:end], seeds[begin:end])
+            winners[begin:end] = result.winner_column
+            dom_codes[begin:end] = result.dom_code
+        seconds.append(time.perf_counter() - start)
+        if answers is None:
+            answers = (winners, dom_codes)
+        assert np.array_equal(winners, answers[0]) and np.array_equal(dom_codes, answers[1])
+    elapsed = min(seconds)
     return {
         "images": int(codes.shape[0]),
+        "passes": TIMED_PASSES,
         "seconds": elapsed,
         "images_per_second": codes.shape[0] / elapsed,
-        "winners": winners,
-        "dom_codes": dom_codes,
+        "median_images_per_second": codes.shape[0] / statistics.median(seconds),
+        "winners": answers[0],
+        "dom_codes": answers[1],
     }
 
 
@@ -136,8 +155,10 @@ def test_backend_throughput_matrix(full_pipeline, recall_codes, request_seeds, w
                     {
                         "workers": workers,
                         "images": point["images"],
+                        "passes": point["passes"],
                         "seconds": point["seconds"],
                         "images_per_second": point["images_per_second"],
+                        "median_images_per_second": point["median_images_per_second"],
                     }
                 )
             trajectory[name] = points

@@ -12,14 +12,16 @@ exceeds its resolution, so the paper uses the margin to choose:
 * the terminal voltage ΔV (Fig. 9b): smaller ΔV saves static power but the
   (fixed) parasitic drops eat a growing fraction of the signal.
 
-The analyses here rebuild the crossbar for each sweep point (same template
-data, different conductance mapping), drive it with a set of evaluation
+The analyses here rebuild the module for each sweep point (Fig. 9a: same
+template data, different conductance mapping; Fig. 9b: the same
+programmed array at another ΔV), drive it with a set of evaluation
 inputs through the calibrated DACs, solve the full parasitic network in
 one pass through the batched crossbar engine and report margin statistics.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -183,9 +185,14 @@ def delta_v_sweep(
 ) -> List[MarginPoint]:
     """Fig. 9b: detection margin versus the terminal voltage ΔV.
 
-    The crossbar (and its wire parasitics) stay fixed; only the DTCS
-    supply ΔV changes, so the signal currents shrink relative to the
-    parasitic drops as ΔV is reduced.
+    The hardware stays fixed; only the DTCS supply ΔV changes, so the
+    signal currents shrink relative to the parasitic drops as ΔV is
+    reduced.  Every point builds its module from a copy of the generator
+    state left after drawing the evaluation inputs, so the programmed
+    conductances (write noise included), the DAC mismatch and the WTA
+    offsets are the same at every ΔV, and the points share one static
+    network (one operator build).  A generator passed as ``seed`` is left
+    just after the evaluation inputs: the modules' draws come from copies.
     """
     parameters = parameters or default_parameters()
     rng = ensure_rng(seed)
@@ -201,7 +208,7 @@ def delta_v_sweep(
             template_codes,
             parameters=point_parameters,
             include_parasitics=True,
-            seed=rng,
+            seed=copy.deepcopy(rng),
         )
         with_parasitics = detection_margins(amm, inputs, true_columns, include_parasitics=True)
         without_parasitics = detection_margins(amm, inputs, true_columns, include_parasitics=False)

@@ -95,7 +95,18 @@ A module's engine builds its operators when the module is built:
 :meth:`~repro.core.amm.AssociativeMemoryModule.from_templates` calibrates
 its input DACs with one-row solves on the module's own engine, so recall,
 :meth:`BatchedCrossbarEngine.prepare` and the margin analyses reuse that
-one build.
+one build.  Engines of one process share builds too: the operators
+depend on ``A0`` alone (not on ΔV or the DACs), and the build is
+bit-deterministic, so ``_build_woodbury`` keys a process-wide LRU on a
+128-bit ``blake2b`` digest of the assembled ``A0`` (array shape, CSC
+``indptr``, ``indices`` and ``data``).  An identical network, such as
+every ΔV point of a Fig. 9b sweep, adopts the cached ``W``, ``λmax(W)``
+and ``Z_out`` for the cost of assembling and hashing ``A0`` (~2–3 ms
+for 128x40 against a ~20 ms build); any changed bit of any conductance
+misses.  Cached arrays are shared read-only.  A refused network is never
+cached.  The cache holds at most :data:`OPERATOR_CACHE_BYTES` (about 12
+reference entries), evicting the least recently used entry first; each
+process (each fleet agent) has its own.
 
 On the reference design ``β ≈ 0.06`` (9 steps); the lowest Fig. 9 ΔV
 point gives ``β ≈ 2–3`` (~30 steps).  The iteration agrees with a dense
@@ -106,9 +117,14 @@ tie flags) are identical.
 
 from __future__ import annotations
 
+import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy import sparse
 
 from repro.crossbar.array import ResistiveCrossbar
 from repro.crossbar.mna import RowBars, driven_nodes, row_blocks, static_network
@@ -404,6 +420,96 @@ def port_schur_complement(
     return ports
 
 
+#: Byte budget of the process-wide operator cache: about 12 entries of the
+#: reference 128x40 array (172 KB each).  Each cached MiB adds about one
+#: MiB to a design sweep's peak RSS.
+OPERATOR_CACHE_BYTES = 2 << 20
+
+
+class _Operators(NamedTuple):
+    """What the parasitic path needs of a static network, shared read-only."""
+
+    w_matrix: np.ndarray
+    lambda_max: float
+    z_outputs: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.w_matrix.nbytes + self.z_outputs.nbytes
+
+
+def _network_key(network: sparse.csc_matrix, rows: int, cols: int) -> bytes:
+    """128-bit ``blake2b`` digest of an assembled ``A0`` and its array shape.
+
+    Covers ``rows``, ``cols``, the matrix shape, the dtypes and the bytes
+    of ``indptr``, ``indices`` and ``data``, so any bit of any stored
+    conductance changes the key.
+    """
+    digest = hashlib.blake2b(digest_size=16)
+    arrays = (network.indptr, network.indices, network.data)
+    header = (rows, cols, network.shape, tuple(array.dtype.str for array in arrays))
+    digest.update(repr(header).encode())
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array))
+    return digest.digest()
+
+
+class _OperatorCache:
+    """Lock-guarded LRU of built operators, bounded by ``budget`` bytes.
+
+    Entries are stored read-only and handed out shared.  An entry larger
+    than the whole budget is not stored.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self._entries: OrderedDict[bytes, _Operators] = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: bytes) -> Optional[_Operators]:
+        with self._lock:
+            operators = self._entries.get(key)
+            if operators is not None:
+                self._entries.move_to_end(key)
+            return operators
+
+    def put(self, key: bytes, operators: _Operators) -> _Operators:
+        """Store ``operators`` (or adopt an entry another thread stored first)."""
+        operators.w_matrix.setflags(write=False)
+        operators.z_outputs.setflags(write=False)
+        if operators.nbytes > self.budget:
+            return operators
+        with self._lock:
+            stored = self._entries.get(key)
+            if stored is not None:
+                self._entries.move_to_end(key)
+                return stored
+            self._entries[key] = operators
+            self._bytes += operators.nbytes
+            while self._bytes > self.budget:
+                _, evicted = self._entries.popitem(last=False)
+                self._bytes -= evicted.nbytes
+            return operators
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._bytes = 0
+
+
+_OPERATORS = _OperatorCache(OPERATOR_CACHE_BYTES)
+
+
+def _clear_operator_cache() -> None:
+    """Drop every cached operator, so the next build of any network is timed
+    (or counted) as a build."""
+    _OPERATORS.clear()
+
+
 class BatchedCrossbarEngine:
     """Amortised many-input DC evaluation of one programmed crossbar.
 
@@ -513,13 +619,14 @@ class BatchedCrossbarEngine:
     # ------------------------------------------------------------------ #
     # Parasitic path (Woodbury update of the static network)
     # ------------------------------------------------------------------ #
-    def _checked_row_blocks(self) -> tuple[RowBars, np.ndarray, np.ndarray]:
-        """``A0`` checked and cut into crosspoint-row blocks (:func:`row_blocks`).
+    def _checked_row_blocks(
+        self, network: sparse.csc_matrix
+    ) -> tuple[RowBars, np.ndarray, np.ndarray]:
+        """``A0`` (CSC) checked and cut into crosspoint-row blocks (:func:`row_blocks`).
 
         ``A0`` is converted to CSR once; the checks and the row blocks share
         that one copy, which is dropped before the sweep runs.
         """
-        network = static_network(self.crossbar, self.termination_resistance).tocsc()
         # Its CSR arrays are the CSC arrays of A0ᵀ, so A0 is symmetric when
         # they match its own CSC arrays.
         entries = network.tocsr()
@@ -550,7 +657,32 @@ class BatchedCrossbarEngine:
         return row_blocks(entries, self.crossbar.rows, self.crossbar.columns)
 
     def _build_woodbury(self) -> None:
-        """Build ``W`` and ``Z_out`` by a block Schur sweep and check them.
+        """Adopt or build ``W``, ``λmax(W)`` and ``Z_out`` for this engine's ``A0``.
+
+        ``A0`` is assembled once and keyed by :func:`_network_key`.  A key
+        already in the process-wide cache (an identical network built
+        before) adopts its read-only operators; the build is
+        bit-deterministic, so they are the operators a build would give.
+        Otherwise the same ``A0`` is checked and swept
+        (:meth:`_sweep_operators`) and the result is cached; a refused
+        network raises and is never cached.
+        """
+        rows, cols = self.crossbar.rows, self.crossbar.columns
+        network = static_network(self.crossbar, self.termination_resistance).tocsc()
+        key = _network_key(network, rows, cols)
+        operators = _OPERATORS.get(key)
+        if operators is None:
+            operators = _OPERATORS.put(key, self._sweep_operators(network))
+        #: ``W = U^T A0^{-1} U`` — response of the driven nodes to themselves.
+        self._w_matrix = operators.w_matrix
+        self._lambda_max = operators.lambda_max
+        #: Response of the column terminations to the driven nodes.
+        self._z_outputs = operators.z_outputs
+        self._g_term = 1.0 / self.termination_resistance
+        self._woodbury_ready = True
+
+    def _sweep_operators(self, network: sparse.csc_matrix) -> _Operators:
+        """Build ``W`` and ``Z_out`` of ``network`` by a block Schur sweep and check them.
 
         ``A0`` must be reciprocal (symmetric to :attr:`SYMMETRY_TOL`), a
         conductance network (positive diagonal, no positive off-diagonal
@@ -565,7 +697,7 @@ class BatchedCrossbarEngine:
         check is refused with a :class:`ValueError`.
         """
         rows = self.crossbar.rows
-        blocks = self._checked_row_blocks()
+        blocks = self._checked_row_blocks(network)
         try:
             factor = np.linalg.cholesky(port_schur_complement(*blocks))
         except np.linalg.LinAlgError as error:
@@ -576,20 +708,19 @@ class BatchedCrossbarEngine:
         inverse_factor = np.linalg.solve(factor, np.eye(factor.shape[0]))
         driven_columns = inverse_factor[:, :rows]
         w_matrix = driven_columns.T @ driven_columns
-        #: ``W = U^T A0^{-1} U`` — response of the driven nodes to themselves,
-        #: symmetrised so the iteration sees an exactly symmetric operator.
-        self._w_matrix = np.ascontiguousarray(0.5 * (w_matrix + w_matrix.T))
-        eigenvalues = np.linalg.eigvalsh(self._w_matrix)
+        # Symmetrised so the iteration sees an exactly symmetric operator.
+        w_matrix = np.ascontiguousarray(0.5 * (w_matrix + w_matrix.T))
+        eigenvalues = np.linalg.eigvalsh(w_matrix)
         if eigenvalues[0] <= 0.0:
             raise ValueError(
                 "Woodbury operator W = U^T A0^-1 U is not positive definite "
                 f"(smallest eigenvalue {eigenvalues[0]:.3e})"
             )
-        self._lambda_max = float(eigenvalues[-1])
-        #: Response of the column terminations to the driven nodes.
-        self._z_outputs = np.ascontiguousarray(inverse_factor[:, rows:].T @ driven_columns)
-        self._g_term = 1.0 / self.termination_resistance
-        self._woodbury_ready = True
+        return _Operators(
+            w_matrix=w_matrix,
+            lambda_max=float(eigenvalues[-1]),
+            z_outputs=np.ascontiguousarray(inverse_factor[:, rows:].T @ driven_columns),
+        )
 
     def solve_parasitic_batch(self, dac_conductances: np.ndarray) -> BatchCrossbarSolution:
         """Woodbury solves of the full MNA network for a ``(B, rows)`` batch.

@@ -204,6 +204,30 @@ class TestSetupFactorisesOnce:
         detection_margins(amm, inputs, columns, include_parasitics=False)
         assert counts == {"operator_builds": builds, "splu": 0}
 
+    def test_a_second_identical_module_runs_no_schur_sweep(
+        self, counts, monkeypatch, small_template_codes, small_parameters
+    ):
+        """Same templates, parameters and seed give a bit-identical ``A0``: the
+        second module adopts the first one's cached operators."""
+        sweeps = []
+        sweep = batched.port_schur_complement
+        monkeypatch.setattr(
+            batched, "port_schur_complement", lambda *args: sweeps.append(1) or sweep(*args)
+        )
+
+        def build():
+            return AssociativeMemoryModule.from_templates(
+                small_template_codes, parameters=small_parameters, seed=3
+            )
+
+        first = build()
+        before = len(sweeps)
+        second = build()
+        assert before <= 1
+        assert len(sweeps) == before
+        assert counts["operator_builds"] == 2
+        assert second.solver.batch_engine._w_matrix is first.solver.batch_engine._w_matrix
+
 
 class TestRecognition:
     def test_recognise_own_templates(self, small_amm, small_template_codes):
