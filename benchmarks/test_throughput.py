@@ -11,6 +11,10 @@ reference 128x40 pipeline two ways:
   corrections by batched Chebyshev iteration and a vectorised SAR
   winner-take-all), swept over batch sizes.
 
+It separately times ``recognise_batch_seeded``, the per-request-seeded
+path that serving and offline bulk recall run, in µs per row at a few
+batch sizes.
+
 It also times the engine's one-time set-up, the build of its Woodbury
 operators, on the reference 128x40 array and on a wide 40x128 one, and
 the cost of adopting cached operators for an identical network.
@@ -49,6 +53,11 @@ BATCH_SIZES = (16, 64, 256, None)
 #: faster than the per-sample loop.
 REQUIRED_SPEEDUP = 5.0
 
+#: Batch sizes of the seeded-recall timing, and its passes over the corpus
+#: per size (the best pass is kept).
+SEEDED_BATCH_SIZES = (4, 64, 256)
+SEEDED_PASSES = 7
+
 #: Fresh engines whose operator build is timed per array (median and best).
 BUILD_REPEATS = 9
 
@@ -83,6 +92,31 @@ def operator_build_ms(crossbar, delta_v, termination_resistance) -> dict:
         "best_ms": min(builds),
         "hit_median_ms": statistics.median(hits),
     }
+
+
+def seeded_us_per_row(amm, codes) -> list:
+    """Best-of-``SEEDED_PASSES`` µs per row of ``recognise_batch_seeded``."""
+    rng = np.random.default_rng(2013)
+    seeds = rng.integers(0, 2**63 - 1, size=len(codes), dtype=np.int64)
+    points = []
+    for batch_size in SEEDED_BATCH_SIZES:
+        passes = []
+        for _ in range(SEEDED_PASSES):
+            start = time.perf_counter()
+            for begin in range(0, len(codes), batch_size):
+                stop = begin + batch_size
+                amm.recognise_batch_seeded(codes[begin:stop], seeds[begin:stop])
+            passes.append((time.perf_counter() - start) * 1e6 / len(codes))
+        points.append(
+            {
+                "batch_size": batch_size,
+                "rows": len(codes),
+                "passes": SEEDED_PASSES,
+                "best_us_per_row": min(passes),
+                "median_us_per_row": statistics.median(passes),
+            }
+        )
+    return points
 
 
 def wide_crossbar(parameters, seed: int = 0) -> ResistiveCrossbar:
@@ -152,6 +186,7 @@ def test_batched_recall_throughput(
         )
 
     best = max(trajectory, key=lambda point: point["images_per_second"])
+    seeded = seeded_us_per_row(amm, recall_codes)
     payload = {
         "host": host_facts,
         "dataset": {
@@ -170,6 +205,7 @@ def test_batched_recall_throughput(
         "operator_build": builds,
         "batched": trajectory,
         "best": best,
+        "seeded": seeded,
     }
     OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -187,6 +223,11 @@ def test_batched_recall_throughput(
         lines.append(
             f"batch={point['batch_size']:<4d}     {point['images_per_second']:8.1f} "
             f"images/s ({point['speedup_vs_per_sample']:.1f}x)"
+        )
+    for point in seeded:
+        lines.append(
+            f"seeded batch={point['batch_size']:<4d} {point['best_us_per_row']:8.1f} "
+            f"us/row best of {point['passes']}"
         )
     write_result("throughput", "\n".join(lines))
 

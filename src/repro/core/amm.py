@@ -674,7 +674,10 @@ class AssociativeMemoryModule:
           vectorised over the batch;
         * the WTA conversion draws its latch offsets from the matching
           per-request substream (spawn key 1) and leaves the neurons'
-          magnetic state and switch counters untouched;
+          magnetic state and switch counters untouched.  It draws them
+          only when an offset can flip a sense decision; on the reference
+          read stack none can, so none are drawn and the answers are the
+          same;
         * no module state whatsoever is advanced, so replicas built from
           the same construction seed return identical results regardless
           of their request history.

@@ -30,6 +30,7 @@ mid-scale) and remains correct otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -46,6 +47,18 @@ from repro.utils.rng import (
     substream_standard_normal,
 )
 from repro.utils.validation import check_integer, check_positive
+
+#: Tail start ``r`` of numpy's normal ziggurat (``ziggurat_nor_r``).
+_ZIGGURAT_R = 3.6541528853610088
+
+#: Largest magnitude numpy's ``standard_normal`` can return.  Its ziggurat
+#: (``random_standard_normal`` in
+#: ``numpy/random/src/distributions/distributions.c``) returns either a
+#: layer sample, ``|x| < r``, or a tail sample ``r + xx`` with
+#: ``xx = -log1p(-u) / r``.  ``u`` comes from ``next_double``, 53 random bits
+#: scaled by ``2**-53``, so ``u <= 1 - 2**-53`` and ``xx <= 53 ln 2 / r``.
+#: The float value below equals numpy's own float result at that ``u``.
+Z_MAX = _ZIGGURAT_R + 53.0 * math.log(2.0) / _ZIGGURAT_R
 
 
 @dataclass(frozen=True)
@@ -344,7 +357,18 @@ class SpinCmosWta:
                 tie=np.array([r.tie for r in results], dtype=bool),
                 events=[r.events for r in results],
             )
-        return self._convert_batch_fast(currents)
+        # offsets[b, c, k]: latch offset of neuron c at cycle k of sample b,
+        # drawn in the (sample-major, cycle-minor) order the scalar loop
+        # consumes each neuron's stream.
+        batch, bits = currents.shape[0], self.resolution_bits
+        offsets = np.stack(
+            [
+                neuron.draw_read_offsets(batch * bits).reshape(batch, bits)
+                for neuron in self.neurons
+            ],
+            axis=1,
+        )
+        return self._convert_batch_fast(currents, offsets)
 
     #: Spawn key of the per-request latch-offset substream used by
     #: :meth:`convert_batch_seeded` (the input-variation substream of
@@ -368,6 +392,10 @@ class SpinCmosWta:
         bit-identical to ``default_rng(SeedSequence(entropy=seed,
         spawn_key=(LATCH_STREAM_KEY,))).normal(0.0, sigma, (columns,
         bits))`` per sample, with the seed hash vectorised over the batch.
+        They are drawn only when one of them can flip a sense decision
+        (:meth:`_offsets_can_flip`).  On the reference read stack no value
+        ``standard_normal`` can return reaches the 5 kΩ read margin, so no
+        substream is drawn, and the answers are those the draw would give.
         The switching-event counters assume each request enters with its
         neurons in the ``-1`` preset state, making every field of the
         result a pure function of ``(wta, currents, seed)``.
@@ -397,20 +425,35 @@ class SpinCmosWta:
                 "seeded conversion requires deterministic neurons "
                 "(stochastic switching off, per-cycle preset on)"
             )
-        sigma = self.neurons[0].latch.offset_sigma_ohm
-        if sigma > 0.0:
+        offsets = None
+        if self._offsets_can_flip():
             offsets = substream_standard_normal(
                 seeds, self.LATCH_STREAM_KEY, (self.columns, self.resolution_bits)
             )
-            offsets *= sigma
-        else:
-            offsets = np.zeros((currents.shape[0], self.columns, self.resolution_bits))
-        return self._convert_batch_fast(currents, offsets=offsets, commit_state=False)
+            offsets *= self.neurons[0].latch.offset_sigma_ohm
+        return self._convert_batch_fast(currents, offsets, commit_state=False)
+
+    def _offsets_can_flip(self) -> bool:
+        """Whether some latch offset can flip a sense decision of this WTA.
+
+        A decision is ``R + offset < r_reference`` with ``offset = sigma * z``
+        and ``|z| <= Z_MAX``.  The two comparisons below are the kernel's own
+        float operations at ``z = ±Z_MAX``; float rounding is monotone, so
+        when they hold every offset leaves a parallel read below the
+        reference and an anti-parallel read at or above it.
+        """
+        neuron = self.neurons[0]
+        bound = Z_MAX * neuron.latch.offset_sigma_ohm
+        reference = neuron.mtj.reference_resistance()
+        return not (
+            neuron.mtj.resistance(True) + bound < reference
+            and neuron.mtj.resistance(False) - bound >= reference
+        )
 
     def _convert_batch_fast(
         self,
         currents: np.ndarray,
-        offsets: Optional[np.ndarray] = None,
+        offsets: Optional[np.ndarray],
         commit_state: bool = True,
     ) -> BatchWtaResult:
         """Vectorised conversion for deterministic, per-cycle-preset neurons.
@@ -418,15 +461,14 @@ class SpinCmosWta:
         With the neuron pre-set to ``-1`` each cycle and stochastic
         switching off, the comparator decision reduces to
         ``I_column - I_DAC >= I_threshold`` and the only random element is
-        the latch offset drawn on every read.  By default those offsets
-        are pre-drawn per neuron in the exact (sample-major, cycle-minor)
-        order the scalar loop consumes them, which leaves every neuron's
-        generator in the same state as per-sample conversion would, and
-        the neurons' magnetic state and switch counters are committed at
-        the end.  The seeded serving path instead supplies per-request
-        ``offsets`` and passes ``commit_state=False``, in which case no
-        neuron state is read or written and each sample's switching events
-        are counted from a fresh ``-1`` preset.
+        the latch offset drawn on every read.  ``offsets[b, c, k]`` is the
+        offset of neuron ``c`` at cycle ``k`` of sample ``b``; ``None``
+        means no offset can flip a decision (:meth:`_offsets_can_flip`),
+        so the latch reads the neuron state as it is.  By default the
+        neurons' magnetic state and switch counters are committed at the
+        end.  The seeded serving path passes ``commit_state=False``, in
+        which case no neuron state is read or written and each sample's
+        switching events are counted from a fresh ``-1`` preset.
         """
         batch, columns = currents.shape
         bits = self.resolution_bits
@@ -435,17 +477,6 @@ class SpinCmosWta:
         r_parallel = mtj.resistance(True)
         r_antiparallel = mtj.resistance(False)
         r_reference = mtj.reference_resistance()
-        if offsets is None:
-            # offsets[b, c, k]: latch offset of neuron c at cycle k of sample
-            # b, drawn in the (sample-major, cycle-minor) order the scalar
-            # loop consumes each neuron's stream.
-            offsets = np.stack(
-                [
-                    neuron.draw_read_offsets(batch * bits).reshape(batch, bits)
-                    for neuron in self.neurons
-                ],
-                axis=1,
-            )
 
         # SAR register state, replicated from SuccessiveApproximationRegister.
         code = np.full((batch, columns), 1 << (bits - 1), dtype=np.int64)
@@ -462,8 +493,11 @@ class SpinCmosWta:
             delta = currents - dac_currents
             high = delta >= threshold
             high_cycles += high
-            device_resistance = np.where(high, r_parallel, r_antiparallel)
-            keep = (device_resistance + offsets[:, :, cycle]) < r_reference
+            if offsets is None:
+                keep = high
+            else:
+                device_resistance = np.where(high, r_parallel, r_antiparallel)
+                keep = (device_resistance + offsets[:, :, cycle]) < r_reference
             next_code = np.where(keep, code, code & ~np.int64(1 << bit_index))
             if bit_index - 1 >= 0:
                 next_code = next_code | np.int64(1 << (bit_index - 1))

@@ -8,11 +8,26 @@ inline in assignments.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
 Number = Union[int, float]
+
+
+def _is_finite(value):
+    """``np.isfinite(value)``, answered without numpy for a Python real.
+
+    ``math.isfinite`` on a ``float`` (``np.float64`` included) is ~15x
+    cheaper than the ufunc, and the validators run on every recalled row.
+    A Python ``int`` is exact, hence finite, however large.
+    """
+    if isinstance(value, int):
+        return True
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return np.isfinite(value)
 
 
 def check_positive(name: str, value: Number, allow_zero: bool = False) -> Number:
@@ -31,7 +46,7 @@ def check_positive(name: str, value: Number, allow_zero: bool = False) -> Number
     -------
     The validated value.
     """
-    if not np.isfinite(value):
+    if not _is_finite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if allow_zero:
         if value < 0:
@@ -49,7 +64,7 @@ def check_in_range(
     inclusive: bool = True,
 ) -> Number:
     """Validate that ``value`` lies within ``[low, high]`` (or ``(low, high)``)."""
-    if not np.isfinite(value):
+    if not _is_finite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if inclusive:
         if not (low <= value <= high):

@@ -1,5 +1,7 @@
 """Tests for repro.utils.validation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,47 @@ class TestCheckInRange:
     def test_rejects_outside(self):
         with pytest.raises(ValueError):
             check_in_range("x", 2.0, 0.0, 1.0)
+
+
+class TestFiniteness:
+    """Python reals take ``math.isfinite``; everything else keeps ``np.isfinite``."""
+
+    @pytest.mark.parametrize("check", [
+        lambda v: check_positive("x", v),
+        lambda v: check_in_range("x", v, -1e300, 1e300),
+    ])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"),
+        np.float64("nan"), np.float64("inf"), np.float32("nan"), np.float32("-inf"),
+    ])
+    def test_rejects_non_finite_scalars_with_the_same_message(self, check, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'x must be finite, got {value!r}')}$"):
+            check(value)
+
+    def test_numpy_scalars_pass_through_unchanged(self):
+        value = np.float64(2.5)
+        assert check_positive("x", value) is value
+        assert check_in_range("x", value, 0.0, 3.0) is value
+        count = np.int64(4)
+        assert check_positive("n", count) is count
+        assert check_in_range("n", count, 0, 4) is count
+        with pytest.raises(ValueError, match="n must be > 0"):
+            check_positive("n", np.int64(0))
+        with pytest.raises(ValueError, match=r"n must be in \[0, 3\]"):
+            check_in_range("n", np.int64(4), 0, 3)
+
+    def test_python_ints_are_finite_at_any_size(self):
+        assert check_positive("n", 2**80) == 2**80
+        assert check_in_range("n", True, 0, 1) is True
+
+    def test_array_argument_keeps_numpy_semantics(self):
+        assert check_positive("a", np.array([1.5])).tolist() == [1.5]
+        with pytest.raises(ValueError, match="a must be finite"):
+            check_positive("a", np.array([np.inf]))
+        with pytest.raises(ValueError, match="a must be finite"):
+            check_in_range("a", np.array([np.nan]), 0.0, 1.0)
+        with pytest.raises(ValueError, match="ambiguous"):
+            check_positive("a", np.array([1.0, 2.0]))
 
 
 class TestCheckProbability:
