@@ -291,35 +291,44 @@ class SpinAmmPowerModel:
         Uses the switching-activity dictionary produced by
         :meth:`repro.core.wta.SpinCmosWta.convert`, so that the power
         reported for an actual workload reflects its real bit activity
-        rather than the average activity factors.  Every product keeps
-        its left-to-right operand order (``events * columns * inverter``
-        is ``(events * columns) * inverter``), so the cached coefficients
-        change no bit of the result.
+        rather than the average activity factors.
         """
-        sense, inverter, columns, detection_capacitance, supply_squared, _ = (
-            self._event_coefficients()
-        )
-        energy = 0.0
-        energy += events.get("latch_senses", 0) * sense
-        energy += events.get("sar_bit_writes", 0) * 2.0 * inverter
-        energy += events.get("dac_transitions", 0) * inverter
-        energy += events.get("tracking_writes", 0) * columns * inverter
-        energy += (
-            events.get("detection_precharges", 0)
-            * detection_capacitance
-            * supply_squared
-        )
-        return energy
+        return _events_energy(self._event_coefficients(), events)
 
     def power_from_measurement(
         self, static_power: float, events: Dict[str, int]
     ) -> PowerBreakdown:
         """Combine a measured crossbar static power with measured WTA activity."""
         check_positive("static_power", static_power, allow_zero=True)
+        coefficients = self._event_coefficients()
         frequency = self.parameters.clock_frequency_hz
         return PowerBreakdown(
             static_rcm=static_power,
-            static_sar_dac=self._event_coefficients()[5],
-            dynamic=self.dynamic_energy_from_events(events) * frequency,
+            static_sar_dac=coefficients[5],
+            dynamic=_events_energy(coefficients, events) * frequency,
             frequency=frequency,
         )
+
+
+def _events_energy(
+    coefficients: Tuple[float, float, int, float, float, float], events: Dict[str, int]
+) -> float:
+    """Dynamic energy (J) of the counters ``events`` at the per-event
+    ``coefficients`` of :meth:`SpinAmmPowerModel._event_coefficients`.
+
+    Every product keeps its left-to-right operand order (``events * columns
+    * inverter`` is ``(events * columns) * inverter``), so the cached
+    coefficients change no bit of the result.
+    """
+    sense, inverter, columns, detection_capacitance, supply_squared, _ = coefficients
+    energy = 0.0
+    energy += events.get("latch_senses", 0) * sense
+    energy += events.get("sar_bit_writes", 0) * 2.0 * inverter
+    energy += events.get("dac_transitions", 0) * inverter
+    energy += events.get("tracking_writes", 0) * columns * inverter
+    energy += (
+        events.get("detection_precharges", 0)
+        * detection_capacitance
+        * supply_squared
+    )
+    return energy

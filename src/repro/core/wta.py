@@ -462,52 +462,36 @@ class SpinCmosWta:
         switching off, the comparator decision reduces to
         ``I_column - I_DAC >= I_threshold`` and the only random element is
         the latch offset drawn on every read.  ``offsets[b, c, k]`` is the
-        offset of neuron ``c`` at cycle ``k`` of sample ``b``; ``None``
-        means no offset can flip a decision (:meth:`_offsets_can_flip`),
-        so the latch reads the neuron state as it is.  By default the
+        offset of neuron ``c`` at cycle ``k`` of sample ``b``, and the
+        conversion runs cycle by cycle (:meth:`_sar_cycles`).  ``None``
+        means no offset can flip a decision (:meth:`_offsets_can_flip`):
+        every decision is then the comparator's, so each cycle's decision
+        is the bit it leaves in the final code.  The codes come from an
+        MSB-first search with the kernel's own comparison
+        (:meth:`_sar_codes`) and everything else from the codes alone: a
+        neuron is driven high once per set bit, a trial toggles the next
+        lower bit on and clears a bit it rejects, and the tracking
+        registers keep the columns whose prefix is the largest so far, so
+        the detection line discharges once per set bit of the row maximum
+        and the survivors are the columns equal to it.  By default the
         neurons' magnetic state and switch counters are committed at the
         end.  The seeded serving path passes ``commit_state=False``, in
         which case no neuron state is read or written and each sample's
         switching events are counted from a fresh ``-1`` preset.
         """
-        batch, columns = currents.shape
-        bits = self.resolution_bits
-        threshold = self.dwn_config.threshold_current
-        mtj = self.neurons[0].mtj
-        r_parallel = mtj.resistance(True)
-        r_antiparallel = mtj.resistance(False)
-        r_reference = mtj.reference_resistance()
-
-        # SAR register state, replicated from SuccessiveApproximationRegister.
-        code = np.full((batch, columns), 1 << (bits - 1), dtype=np.int64)
-        tracking = np.ones((batch, columns), dtype=bool)
-        #: per neuron: cycles that left it driven high (state +1)
-        high_cycles = np.zeros((batch, columns), dtype=np.int64)
-        #: per neuron: SAR trial-code bits toggled
-        toggled_bits = np.zeros((batch, columns), dtype=np.int64)
-        discharge_counts = np.zeros(batch, dtype=np.int64)
-
-        for cycle in range(bits):
-            bit_index = bits - 1 - cycle
-            dac_currents = (code * self.lsb_current) * self._dac_gains[None, :]
-            delta = currents - dac_currents
-            high = delta >= threshold
-            high_cycles += high
-            if offsets is None:
-                keep = high
-            else:
-                device_resistance = np.where(high, r_parallel, r_antiparallel)
-                keep = (device_resistance + offsets[:, :, cycle]) < r_reference
-            next_code = np.where(keep, code, code & ~np.int64(1 << bit_index))
-            if bit_index - 1 >= 0:
-                next_code = next_code | np.int64(1 << (bit_index - 1))
-            toggled_bits += np.bitwise_count(code ^ next_code)
-            code = next_code
-            discharge = tracking & keep
-            fired = discharge.any(axis=1)
-            discharge_counts += fired
-            tracking = np.where(fired[:, None], discharge, tracking)
-        final_high = high
+        columns, bits = self.columns, self.resolution_bits
+        if offsets is None:
+            code = self._sar_codes(currents)
+            high_cycles = np.bitwise_count(code).astype(np.int64)
+            final_high = (code & 1).astype(bool)
+            toggle_counts = (2 * bits - 1) * columns - high_cycles.sum(axis=1)
+            top = code.max(axis=1)
+            survivors = code == top[:, None]
+            discharge_counts = np.bitwise_count(top).astype(np.int64)
+        else:
+            code, survivors, high_cycles, final_high, toggle_counts, discharge_counts = (
+                self._sar_cycles(currents, offsets)
+            )
 
         # Switching-event accounting: the per-cycle preset flips the state
         # back to -1 whenever the previous cycle drove it high, and the
@@ -528,9 +512,8 @@ class SpinCmosWta:
                     int(per_neuron_switches[index]),
                 )
         per_sample_switches = flips.sum(axis=1)
-        toggle_counts = toggled_bits.sum(axis=1)
 
-        survivors = tracking
+        batch = currents.shape[0]
         masked = np.where(survivors, code, np.int64(-1))
         winner = masked.argmax(axis=1).astype(np.int64)
         dom_code = code[np.arange(batch), winner]
@@ -559,6 +542,60 @@ class SpinCmosWta:
             tie=tie,
             events=events,
         )
+
+    def _sense_high(self, currents: np.ndarray, trial: np.ndarray) -> np.ndarray:
+        """Whether each neuron is driven high at SAR trial code ``trial``."""
+        dac_currents = (trial * self.lsb_current) * self._dac_gains[None, :]
+        return currents - dac_currents >= self.dwn_config.threshold_current
+
+    def _sar_codes(self, currents: np.ndarray) -> np.ndarray:
+        """Final SAR codes when every decision is the comparator's own:
+        ``resolution_bits`` MSB-first trials, as the conversion makes them."""
+        code = np.zeros(currents.shape, dtype=np.int64)
+        for bit_index in range(self.resolution_bits - 1, -1, -1):
+            trial = code | np.int64(1 << bit_index)
+            code = np.where(self._sense_high(currents, trial), trial, code)
+        return code
+
+    def _sar_cycles(self, currents: np.ndarray, offsets: np.ndarray) -> tuple:
+        """The conversion cycle by cycle, each sense through its latch offset.
+
+        Returns ``(codes, survivors, high cycles, final high, toggled
+        bits, discharges)``: per column the final code, whether its
+        tracking register stayed high, how many cycles drove its neuron
+        high and whether the last one did; per sample the SAR trial-code
+        bits toggled and the detection-line discharges.
+        """
+        batch, columns = currents.shape
+        bits = self.resolution_bits
+        mtj = self.neurons[0].mtj
+        r_parallel = mtj.resistance(True)
+        r_antiparallel = mtj.resistance(False)
+        r_reference = mtj.reference_resistance()
+
+        # SAR register state, replicated from SuccessiveApproximationRegister.
+        code = np.full((batch, columns), 1 << (bits - 1), dtype=np.int64)
+        tracking = np.ones((batch, columns), dtype=bool)
+        high_cycles = np.zeros((batch, columns), dtype=np.int64)
+        toggled_bits = np.zeros((batch, columns), dtype=np.int64)
+        discharge_counts = np.zeros(batch, dtype=np.int64)
+
+        for cycle in range(bits):
+            bit_index = bits - 1 - cycle
+            high = self._sense_high(currents, code)
+            high_cycles += high
+            device_resistance = np.where(high, r_parallel, r_antiparallel)
+            keep = (device_resistance + offsets[:, :, cycle]) < r_reference
+            next_code = np.where(keep, code, code & ~np.int64(1 << bit_index))
+            if bit_index - 1 >= 0:
+                next_code = next_code | np.int64(1 << (bit_index - 1))
+            toggled_bits += np.bitwise_count(code ^ next_code)
+            code = next_code
+            discharge = tracking & keep
+            fired = discharge.any(axis=1)
+            discharge_counts += fired
+            tracking = np.where(fired[:, None], discharge, tracking)
+        return code, tracking, high_cycles, high, toggled_bits.sum(axis=1), discharge_counts
 
     # ------------------------------------------------------------------ #
     # Reference behaviour

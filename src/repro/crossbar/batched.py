@@ -20,12 +20,14 @@ depend on the input across the batch:
 
       (A0 + U D U^T)^{-1} b  =  A0^{-1} b - Z (I + D W)^{-1} D U^T A0^{-1} b
 
-  with ``Z = A0^{-1} U`` and ``W = U^T Z``.  Because the right-hand side
-  is supported on the driven nodes (``b = U·ΔV·d``) and only the column
-  terminations and driven nodes are observed, each sample needs one
-  ``rows x rows`` correction solve ``(I + D W) c = D·base_driven`` plus
-  two small projections, and set-up needs only ``W`` and
-  ``Z_out = Z[outputs]`` (``cols x rows``), never all of ``Z``.
+  with ``Z = A0^{-1} U`` and ``W = U^T Z``.  The right-hand side is
+  supported on the driven nodes (``b = U·ΔV·d``), so each sample needs
+  one ``rows x rows`` correction solve ``(I + D W) c = D·base_driven``,
+  ``base_driven = W·ΔV·d``.  Its solution is ``c = D·v_driven``, so
+  ``i = ΔV·d - c`` are the DAC currents ``d·(ΔV - v_driven)``: their sum
+  is the supply current and the column terminations see ``Z_out i``.
+  Set-up needs only ``W`` and ``Z_out = Z[outputs]`` (``cols x rows``),
+  never all of ``Z``.
 
 **Operators by a block Schur sweep.**  Numbered in crosspoint-row blocks
 (row bar ``i``, then the column-bar nodes of row ``i``;
@@ -56,40 +58,58 @@ for a sparse LU with a 128-right-hand-side solve.  Wide arrays
 LU ~65 ms).  Fresh large temporaries cost page faults there, so the
 sweep keeps few of them alive at once.
 
-**Chebyshev form of the correction solve.**  ``A0`` is a conductance
-Laplacian with grounded terminations, hence symmetric positive
-definite, and so is ``W = U^T A0^{-1} U``.  With ``S = diag(√d)`` and
-``c = S y`` the correction system becomes the symmetric one::
+**Preconditioned Chebyshev solve.**  ``A0`` is a conductance Laplacian
+with grounded terminations, hence symmetric positive definite, and so is
+``W = U^T A0^{-1} U``.  Its spectrum is a cluster and one outlier: on the
+reference 128x40 array 127 of its 128 eigenvalues lie in [26.96, 28.47]
+and a near-uniform column-clamp mode sits at 42.63.  Set-up splits::
 
-    (I + S W S) y = S·base_driven
+    W = R + s·I + (λ₁ - s)·u·uᵀ
 
-whose spectrum lies in ``[1, 1 + β]`` with ``β = max(d)·λmax(W)``.
-Zero DAC conductances (undriven rows) stay well defined: their ``y``
-and ``c`` entries are exactly zero.  The engine runs Chebyshev
-semi-iteration on that interval; every step is one ``(B, rows) @ W``
-GEMM for the whole batch, instead of one dense LU per sample.
+with ``s`` just below ``λmin(W)``, ``(λ₁, u)`` the top eigenpair and
+``R ⪰ 0`` the rest (``λmax(R) ≈ λ₂ - s``: 1.5 on the reference array),
+and stores ``R`` in place of ``W``.  Each row preconditions its system
+with the diagonal-plus-rank-one part ``P = I + D·(s·I + (λ₁ - s)·u·uᵀ)``,
+applied by Sherman–Morrison in O(rows):
+``P⁻¹D = H - γ·(H u)(H u)ᵀ``, ``H = diag(d / (1 + s·d))``.  That is the
+inverse of ``Q = D⁻¹ + s·I + (λ₁ - s)·u·uᵀ ⪰ H⁻¹``, so the preconditioned
+operator ``I + P⁻¹D·R`` is similar to the symmetric ``I + Q^-½ R Q^-½``
+and its spectrum lies in ``[1, 1 + β]`` with
+``β = λmax(R)·maxᵢ dᵢ / (1 + s·dᵢ)``.  Zero DAC conductances (undriven
+rows) stay well defined: their entries of ``c`` are exactly zero.  The
+engine runs Chebyshev semi-iteration on that interval; every step is one
+``(B, rows) @ R`` GEMM for the whole batch plus O(rows) per row, instead
+of one dense LU per sample.
 
 * *Precondition.*  :meth:`BatchedCrossbarEngine.prepare` checks that
   ``A0`` is symmetric to rounding (reciprocal) before the sweep and that
-  ``P`` has a Cholesky factor and ``W`` is positive definite after it,
-  and stores ``λmax(W)`` once; a network that fails a check, that is
-  not a conductance network (a positive off-diagonal entry), whose
-  rows couple outside the column bars or whose row bars are not chains,
-  is refused with a :class:`ValueError` rather than iterated.
+  its port Schur complement has a Cholesky factor and ``W`` is positive
+  definite after it, and splits ``W`` once (one ``eigh``); a network that fails a check,
+  that is not a conductance network (a positive off-diagonal entry),
+  whose rows couple outside the column bars or whose row bars are not
+  chains, is refused with a :class:`ValueError` rather than iterated.
+* *Rounding margin.*  ``eigh``'s backward error and the rounding of
+  forming ``R`` are each a modest multiple of ``rows·eps·λmax(W)``.  With
+  ``margin`` four times that
+  (:attr:`~BatchedCrossbarEngine.EIGEN_MARGIN`), ``s`` and ``λ₁`` are
+  taken ``margin`` below their computed values, so ``R ⪰ 0``, and
+  ``λmax(R)`` is taken as ``max(λ₂ - s, margin) + margin``.
 * *Error bound.*  For a row with ``κ = 1 + β`` and
-  ``ρ = (√κ - 1)/(√κ + 1)``, ``k`` steps from ``y0 = 0`` leave a
-  relative 2-norm error ``‖y_k - y‖ / ‖y‖ ≤ 2√κ·ρ^k``.  The bound holds
-  for any ``β`` (Neumann series would need ``β < 1``).
+  ``ρ = (√κ - 1)/(√κ + 1)``, ``k`` steps from ``c0 = 0`` leave a relative
+  error ``‖c_k - c‖_Q / ‖c‖_Q ≤ 2√κ·ρ^k`` in the ``Q``-norm (over the
+  driven entries).  The bound holds for any ``β`` (Neumann series would
+  need ``β < 1``).
 * *Step rule.*  Each row takes its ``β``, its Chebyshev coefficients and
   its step count ``k`` — the least ``k`` with ``2√κ·ρ^k ≤``
   :attr:`~BatchedCrossbarEngine.CHEBYSHEV_TOL` — from its own drive
   only, and is frozen once it has taken its own ``k`` steps.  No row's
   answer depends on its batch-mates.
-* *Dense rows.*  ``k`` grows like ``√β``; a row whose ``k`` exceeds
-  :attr:`~BatchedCrossbarEngine.MAX_CHEBYSHEV_STEPS` (``β`` above ~40,
-  reached only by degenerate calibrations such as a few-row array at
-  ΔV = 2 mV) is solved by a dense LU of its own ``(I + D W)`` instead.
-  That choice, too, depends on the row alone.
+* *Step cap and dense rows.*  ``dᵢ / (1 + s·dᵢ) < 1/s``, so whatever the
+  drive ``β < λmax(R)/s`` and every network has a fixed step cap: 9 on
+  the reference array, 13 at ``r_min = 200 Ω``.  A row whose ``k``
+  exceeds :attr:`~BatchedCrossbarEngine.MAX_CHEBYSHEV_STEPS` (only on a
+  network with ``λmax(R)/s`` above ~40) is solved by a dense LU of its own
+  ``(I + D W)`` instead.  That choice, too, depends on the row alone.
 
 A module's engine builds its operators when the module is built:
 :meth:`~repro.core.amm.AssociativeMemoryModule.from_templates` calibrates
@@ -100,16 +120,17 @@ depend on ``A0`` alone (not on ΔV or the DACs), and the build is
 bit-deterministic, so ``_build_woodbury`` keys a process-wide LRU on a
 128-bit ``blake2b`` digest of the assembled ``A0`` (array shape, CSC
 ``indptr``, ``indices`` and ``data``).  An identical network, such as
-every ΔV point of a Fig. 9b sweep, adopts the cached ``W``, ``λmax(W)``
-and ``Z_out`` for the cost of assembling and hashing ``A0`` (~2–3 ms
-for 128x40 against a ~20 ms build); any changed bit of any conductance
-misses.  Cached arrays are shared read-only.  A refused network is never
+every ΔV point of a Fig. 9b sweep, adopts the cached split of ``W`` (so
+a hit pays no ``eigh``) and ``Z_out`` for the cost of assembling and
+hashing ``A0`` (~2–3 ms for 128x40 against a ~20 ms build); any changed
+bit of any conductance misses.  Cached arrays are shared read-only.  A refused network is never
 cached.  The cache holds at most :data:`OPERATOR_CACHE_BYTES` (about 12
 reference entries), evicting the least recently used entry first; each
 process (each fleet agent) has its own.
 
-On the reference design ``β ≈ 0.06`` (9 steps); the lowest Fig. 9 ΔV
-point gives ``β ≈ 2–3`` (~30 steps).  The iteration agrees with a dense
+On the reference design ``β ≈ 0.002`` (5 steps; without the
+preconditioner ``β = max(d)·λmax(W) ≈ 0.06`` took 9); the lowest Fig. 9 ΔV
+point, 2 mV, takes 8 steps (30 before).  The iteration agrees with a dense
 per-sample solve to ~1e-15 relative and with the direct sparse solve to
 solver precision; the discrete recognition outputs (winner, DOM codes,
 tie flags) are identical.
@@ -421,21 +442,35 @@ def port_schur_complement(
 
 
 #: Byte budget of the process-wide operator cache: about 12 entries of the
-#: reference 128x40 array (172 KB each).  Each cached MiB adds about one
+#: reference 128x40 array (173 KB each).  Each cached MiB adds about one
 #: MiB to a design sweep's peak RSS.
 OPERATOR_CACHE_BYTES = 2 << 20
 
 
 class _Operators(NamedTuple):
-    """What the parasitic path needs of a static network, shared read-only."""
+    """What the parasitic path needs of a static network, shared read-only.
 
-    w_matrix: np.ndarray
-    lambda_max: float
+    ``W`` is kept in its split ``R + s·I + (λ₁ - s)·u·uᵀ``: ``shift`` is
+    ``s``, just below ``λmin(W)``, ``top_gap`` is ``λ₁ - s`` and
+    ``top_vector`` is ``u`` for the top eigenpair ``(λ₁, u)``, ``r_matrix``
+    is ``R ⪰ 0`` and ``r_max`` bounds ``λmax(R)``, all with the rounding
+    margin of the module docstring.
+    """
+
+    r_matrix: np.ndarray
+    shift: float
+    top_gap: float
+    top_vector: np.ndarray
+    r_max: float
     z_outputs: np.ndarray
 
     @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return self.r_matrix, self.top_vector, self.z_outputs
+
+    @property
     def nbytes(self) -> int:
-        return self.w_matrix.nbytes + self.z_outputs.nbytes
+        return sum(array.nbytes for array in self.arrays)
 
 
 def _network_key(network: sparse.csc_matrix, rows: int, cols: int) -> bytes:
@@ -479,8 +514,8 @@ class _OperatorCache:
 
     def put(self, key: bytes, operators: _Operators) -> _Operators:
         """Store ``operators`` (or adopt an entry another thread stored first)."""
-        operators.w_matrix.setflags(write=False)
-        operators.z_outputs.setflags(write=False)
+        for array in operators.arrays:
+            array.setflags(write=False)
         if operators.nbytes > self.budget:
             return operators
         with self._lock:
@@ -513,9 +548,10 @@ def _clear_operator_cache() -> None:
 class BatchedCrossbarEngine:
     """Amortised many-input DC evaluation of one programmed crossbar.
 
-    The parasitic path solves the Woodbury corrections by per-row-bounded
-    Chebyshev iteration on ``(I + S W S) y = S·base_driven`` (module
-    docstring: SPD precondition, error bound, step rule); a row's result
+    The parasitic path solves each row's Woodbury correction
+    ``(I + D W) c = D·base_driven`` by Chebyshev iteration preconditioned
+    with the diagonal-plus-rank-one part of ``D W`` (module docstring: SPD
+    precondition, rounding margin, error bound, step rule); a row's result
     depends only on its own DAC conductances, never on its batch-mates.
 
     Parameters
@@ -529,15 +565,20 @@ class BatchedCrossbarEngine:
         solver minimum by the caller).
     """
 
-    #: Relative 2-norm error bound each row's iteration is run to.
+    #: Relative ``Q``-norm error bound each row's iteration is run to.
     CHEBYSHEV_TOL = float(np.finfo(float).eps)
 
     #: Largest tolerated ``|A0 - A0^T|`` relative to ``max|A0|``.
     SYMMETRY_TOL = 1e-10
 
     #: Rows needing more steps (``β`` above ~40) get a dense per-row LU,
-    #: cheaper by then; every Fig. 9 point stays below ``β = 3``.
+    #: cheaper by then.  ``β`` never passes ``λmax(R)/s``, so no row of a
+    #: network whose ratio stays below ~40 (every Fig. 9 point: < 0.25) gets one.
     MAX_CHEBYSHEV_STEPS = 128
+
+    #: Rounding margin of the split of ``W``, in units of ``rows·eps·λmax(W)``
+    #: (module docstring).
+    EIGEN_MARGIN = 4.0
 
     def __init__(
         self,
@@ -657,7 +698,7 @@ class BatchedCrossbarEngine:
         return row_blocks(entries, self.crossbar.rows, self.crossbar.columns)
 
     def _build_woodbury(self) -> None:
-        """Adopt or build ``W``, ``λmax(W)`` and ``Z_out`` for this engine's ``A0``.
+        """Adopt or build the :class:`_Operators` of this engine's ``A0``.
 
         ``A0`` is assembled once and keyed by :func:`_network_key`.  A key
         already in the process-wide cache (an identical network built
@@ -673,16 +714,29 @@ class BatchedCrossbarEngine:
         operators = _OPERATORS.get(key)
         if operators is None:
             operators = _OPERATORS.put(key, self._sweep_operators(network))
-        #: ``W = U^T A0^{-1} U`` — response of the driven nodes to themselves.
-        self._w_matrix = operators.w_matrix
-        self._lambda_max = operators.lambda_max
-        #: Response of the column terminations to the driven nodes.
-        self._z_outputs = operators.z_outputs
+        self._operators = operators
         self._g_term = 1.0 / self.termination_resistance
         self._woodbury_ready = True
 
+    @property
+    def _w_matrix(self) -> np.ndarray:
+        """``W = U^T A0^{-1} U``, the response of the driven nodes to
+        themselves, reassembled (exactly symmetric) from its stored split."""
+        operators = self._operators
+        vector = operators.top_vector
+        w_matrix = operators.top_gap * np.outer(vector, vector)
+        w_matrix += operators.r_matrix
+        index = np.arange(vector.size)
+        w_matrix[index, index] += operators.shift
+        return w_matrix
+
+    @property
+    def _z_outputs(self) -> np.ndarray:
+        """Response of the column terminations to the driven nodes."""
+        return self._operators.z_outputs
+
     def _sweep_operators(self, network: sparse.csc_matrix) -> _Operators:
-        """Build ``W`` and ``Z_out`` of ``network`` by a block Schur sweep and check them.
+        """Build the :class:`_Operators` of ``network`` by a block Schur sweep and check them.
 
         ``A0`` must be reciprocal (symmetric to :attr:`SYMMETRY_TOL`), a
         conductance network (positive diagonal, no positive off-diagonal
@@ -693,8 +747,10 @@ class BatchedCrossbarEngine:
         terminations) must have a Cholesky factor ``L``.  Then
         ``P⁻¹ = L⁻ᵀ L⁻¹`` is ``A0⁻¹`` restricted to the ports, so
         ``W = (A0⁻¹)[driven, driven]`` and ``Z_out = (A0⁻¹)[outputs, driven]``
-        are Gram products of ``L⁻¹``'s columns.  A network that fails a
-        check is refused with a :class:`ValueError`.
+        are Gram products of ``L⁻¹``'s columns.  One ``eigh(W)`` then splits
+        ``W`` for the preconditioner (module docstring); ``W`` itself is not
+        kept.  A network that fails a check is refused with a
+        :class:`ValueError`.
         """
         rows = self.crossbar.rows
         blocks = self._checked_row_blocks(network)
@@ -710,15 +766,27 @@ class BatchedCrossbarEngine:
         w_matrix = driven_columns.T @ driven_columns
         # Symmetrised so the iteration sees an exactly symmetric operator.
         w_matrix = np.ascontiguousarray(0.5 * (w_matrix + w_matrix.T))
-        eigenvalues = np.linalg.eigvalsh(w_matrix)
+        eigenvalues, vectors = np.linalg.eigh(w_matrix)
         if eigenvalues[0] <= 0.0:
             raise ValueError(
                 "Woodbury operator W = U^T A0^-1 U is not positive definite "
                 f"(smallest eigenvalue {eigenvalues[0]:.3e})"
             )
+        margin = self.EIGEN_MARGIN * rows * float(np.finfo(float).eps) * eigenvalues[-1]
+        shift = max(float(eigenvalues[0]) - margin, 0.0)
+        top_gap = float(eigenvalues[-1]) - margin - shift
+        top_vector = np.ascontiguousarray(vectors[:, -1])
+        r_matrix = w_matrix
+        r_matrix -= top_gap * np.outer(top_vector, top_vector)
+        index = np.arange(rows)
+        r_matrix[index, index] -= shift
+        second = float(eigenvalues[max(rows - 2, 0)])
         return _Operators(
-            w_matrix=w_matrix,
-            lambda_max=float(eigenvalues[-1]),
+            r_matrix=r_matrix,
+            shift=shift,
+            top_gap=top_gap,
+            top_vector=top_vector,
+            r_max=max(second - shift, margin) + margin,
             z_outputs=np.ascontiguousarray(inverse_factor[:, rows:].T @ driven_columns),
         )
 
@@ -726,56 +794,95 @@ class BatchedCrossbarEngine:
         """Woodbury solves of the full MNA network for a ``(B, rows)`` batch.
 
         The correction systems of the whole batch are solved together by
-        Chebyshev semi-iteration (one GEMM per step), each row on its own
-        spectral interval and step count, and the projections are batched
-        GEMMs, so the hot path spends its time in BLAS.
+        preconditioned Chebyshev semi-iteration (one GEMM per step), each
+        row on its own spectral interval and step count, and the
+        projections are batched GEMMs, so the hot path spends its time in
+        BLAS.
         """
         if self.crossbar.parasitics.segment_resistance == 0.0:
             return self.solve_ideal_batch(dac_conductances)
         dac = self._check_batch(dac_conductances)
         if not self._woodbury_ready:
             self._build_woodbury()
-        w_matrix = self._w_matrix
-        delta_v = self.delta_v
-        injection = dac * delta_v
-        base_driven = injection @ w_matrix
-        root_d = np.sqrt(dac)
-        # A floor of eps keeps the coefficients finite for undriven rows.
-        beta = np.maximum(
-            dac.max(axis=1, initial=0.0)[:, None] * self._lambda_max, self.CHEBYSHEV_TOL
-        )
+        operators = self._operators
+        shift, gap, vector = operators.shift, operators.top_gap, operators.top_vector
+        injection = dac * self.delta_v
+        # base = injection @ W, from W = R + s·I + (λ₁ - s)·u·uᵀ.
+        base_driven = injection @ operators.r_matrix
+        base_driven += shift * injection
+        base_driven += (gap * (injection @ vector))[:, None] * vector
+        # By Sherman–Morrison P⁻¹D = H - γ·(H u)(H u)ᵀ, H = diag(d / (1 + s·d)),
+        # applied as P⁻¹D·x = H·(x - γ·((H u)·x)·u).
+        scaled_d, beta = self._intervals(dac)
+        scaled_u = scaled_d * vector
+        gamma = gap / (1.0 + gap * (scaled_u @ vector))
+        rhs = base_driven - (gamma * np.vecdot(scaled_u, base_driven))[:, None] * vector
+        rhs *= scaled_d
         steps = chebyshev_steps(beta, self.CHEBYSHEV_TOL)
-        corrections = root_d * self._chebyshev(
-            root_d, root_d * base_driven, beta, np.minimum(steps, self.MAX_CHEBYSHEV_STEPS)
+        corrections = self._chebyshev(
+            rhs, scaled_d, scaled_u, gamma, beta, np.minimum(steps, self.MAX_CHEBYSHEV_STEPS)
         )
         dense = np.flatnonzero(steps[:, 0] > self.MAX_CHEBYSHEV_STEPS)
         if dense.size:
             d = dac[dense]
-            systems = np.eye(w_matrix.shape[0]) + d[:, :, None] * w_matrix[None, :, :]
+            systems = np.eye(d.shape[1]) + d[:, :, None] * self._w_matrix[None, :, :]
             corrections[dense] = np.linalg.solve(
                 systems, (d * base_driven[dense])[:, :, None]
             )[:, :, 0]
-        v_driven = base_driven - corrections @ w_matrix
-        v_outputs = (injection - corrections) @ self._z_outputs.T
+        # The correction system says c = D·v_driven, so injection - c is each
+        # DAC's current d·(ΔV - v_driven): their sum is the supply current,
+        # and the network's response to them gives the column voltages.
+        dac_currents = injection - corrections
         return BatchCrossbarSolution(
-            column_currents=self._g_term * v_outputs,
-            supply_current=np.sum(dac * (delta_v - v_driven), axis=1),
-            delta_v=delta_v,
+            column_currents=self._g_term * (dac_currents @ operators.z_outputs.T),
+            supply_current=dac_currents.sum(axis=1),
+            delta_v=self.delta_v,
         )
 
-    def _chebyshev(
-        self, root_d: np.ndarray, rhs: np.ndarray, beta: np.ndarray, steps: np.ndarray
-    ) -> np.ndarray:
-        """Solve ``(I + S W S) y = rhs`` row by row, ``S = diag(root_d[b])``.
+    def _intervals(self, dac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``H``'s diagonal ``d / (1 + s·d)`` per row of a checked batch, and
+        each row's interval end ``β`` as a ``(B, 1)`` column."""
+        operators = self._operators
+        scaled_d = dac / (1.0 + operators.shift * dac)
+        # A floor of eps keeps the coefficients finite for undriven rows.
+        beta = np.maximum(
+            scaled_d.max(axis=1, initial=0.0)[:, None] * operators.r_max, self.CHEBYSHEV_TOL
+        )
+        return scaled_d, beta
 
-        Chebyshev semi-iteration from ``y0 = 0`` (Saad, *Iterative
-        Methods for Sparse Linear Systems*, Alg. 12.1) on each row's
-        interval ``[1, 1 + β_b]``.  ``beta`` and ``steps`` are ``(B, 1)``
-        columns, so every coefficient comes from the row's own ``β_b``;
-        a row stops accumulating once it has taken its own step count,
-        so the batch-wide loop length never reaches its answer.
+    def step_counts(self, dac_conductances: np.ndarray) -> np.ndarray:
+        """Each row's Chebyshev step count on the parasitic path, shape ``(B,)``.
+
+        A row past :attr:`MAX_CHEBYSHEV_STEPS` is solved densely instead.
+        Builds the operators if they are missing.
         """
-        w_matrix = self._w_matrix
+        dac = self._check_batch(dac_conductances)
+        if not self._woodbury_ready:
+            self._build_woodbury()
+        return chebyshev_steps(self._intervals(dac)[1], self.CHEBYSHEV_TOL)[:, 0]
+
+    def _chebyshev(
+        self,
+        rhs: np.ndarray,
+        scaled_d: np.ndarray,
+        scaled_u: np.ndarray,
+        gamma: np.ndarray,
+        beta: np.ndarray,
+        steps: np.ndarray,
+    ) -> np.ndarray:
+        """Solve ``(I + P⁻¹D·R) c = rhs`` row by row, ``rhs = P⁻¹D·base``.
+
+        Preconditioned Chebyshev semi-iteration from ``c0 = 0`` (Saad,
+        *Iterative Methods for Sparse Linear Systems*, Alg. 12.1 with the
+        preconditioner of §12.3) on each row's interval ``[1, 1 + β_b]``,
+        carrying the preconditioned residual.  Row ``b`` applies
+        ``P⁻¹D·x = scaled_d[b]·(x - gamma[b]·(scaled_u[b]·x)·u)``.
+        ``beta`` and ``steps`` are ``(B, 1)`` columns, so every coefficient
+        comes from the row's own ``β_b``; a row stops accumulating once it
+        has taken its own step count, so the batch-wide loop length never
+        reaches its answer.
+        """
+        r_matrix, vector = self._operators.r_matrix, self._operators.top_vector
         theta = 1.0 + 0.5 * beta
         half_width = 0.5 * beta
         sigma = theta / half_width
@@ -787,10 +894,14 @@ class BatchedCrossbarEngine:
         solution = direction.copy()
         scaled = np.empty_like(rhs)
         product = np.empty_like(rhs)
-        for step in range(1, int(steps.max(initial=0))):
-            np.multiply(root_d, direction, out=scaled)
-            np.matmul(scaled, w_matrix, out=product)
-            product *= root_d
+        last = int(steps.max(initial=0))
+        ragged = last != int(steps.min(initial=0))
+        for step in range(1, last):
+            np.matmul(direction, r_matrix, out=product)
+            along = gamma * np.vecdot(scaled_u, product)
+            np.multiply(along[:, None], vector, out=scaled)
+            product -= scaled
+            product *= scaled_d
             residual -= direction
             residual -= product
             rho_next = 1.0 / (2.0 * sigma - rho)
@@ -798,7 +909,10 @@ class BatchedCrossbarEngine:
             np.multiply(residual, 2.0 * rho_next / half_width, out=scaled)
             direction += scaled
             rho = rho_next
-            np.add(solution, direction, out=solution, where=step < steps)
+            if ragged:
+                np.add(solution, direction, out=solution, where=step < steps)
+            else:
+                solution += direction
         return solution
 
     # ------------------------------------------------------------------ #

@@ -226,7 +226,7 @@ class TestSetupFactorisesOnce:
         assert before <= 1
         assert len(sweeps) == before
         assert counts["operator_builds"] == 2
-        assert second.solver.batch_engine._w_matrix is first.solver.batch_engine._w_matrix
+        assert second.solver.batch_engine._operators is first.solver.batch_engine._operators
 
 
 class TestRecognition:

@@ -173,6 +173,32 @@ class TestCachedEventCoefficients:
                 events
             ) == uncached_dynamic_energy(model, events)
 
+    def test_bit_identical_on_wta_event_dicts(self):
+        """Dicts carrying every WTA counter, some with keys dropped (all of
+        them in the empty dict), cost as the uncached formula at rtol=0."""
+        rng = np.random.default_rng(26)
+        model = SpinAmmPowerModel(default_parameters())
+        keys = EVENT_KEYS + ("dwn_switches", "detection_discharges")
+        for _ in range(300):
+            events = {
+                key: int(rng.integers(0, 10**6)) for key in keys if rng.random() < 0.7
+            }
+            static_power = float(rng.random()) * 1e-4
+            assert model.power_from_measurement(
+                static_power, events
+            ) == uncached_power_from_measurement(model, static_power, events)
+        assert model.power_from_measurement(0.0, {}) == uncached_power_from_measurement(
+            model, 0.0, {}
+        )
+
+    def test_one_coefficient_lookup_per_costed_row(self, monkeypatch):
+        model = SpinAmmPowerModel(default_parameters())
+        lookup = model._event_coefficients
+        calls = []
+        monkeypatch.setattr(model, "_event_coefficients", lambda: calls.append(1) or lookup())
+        model.power_from_measurement(1e-6, {"latch_senses": 200})
+        assert len(calls) == 1
+
     def test_attribute_changes_after_construction_take_effect(self):
         model = SpinAmmPowerModel(default_parameters())
         events = {key: 1000 for key in EVENT_KEYS}

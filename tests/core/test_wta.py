@@ -199,3 +199,48 @@ class TestIdealReference:
     def test_ideal_validates_arguments(self):
         with pytest.raises(ValueError):
             SpinCmosWta.ideal(np.array([1e-6]), 0, 32e-6)
+
+
+class TestClosedFormConversion:
+    """With ``offsets=None`` (no latch offset can flip a decision) the fast
+    conversion searches the final codes and derives survivors, winner, tie
+    and every event counter from them; it must equal the cycle-by-cycle
+    loop fed zero offsets, which then senses exactly the comparator."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        columns=st.integers(min_value=1, max_value=12),
+        bits=st.integers(min_value=1, max_value=7),
+        batch=st.integers(min_value=1, max_value=6),
+        gain_sigma=st.sampled_from([0.0, 0.05, 0.3]),
+        commit_state=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_matches_the_cycle_loop(self, columns, bits, batch, gain_sigma, commit_state, seed):
+        closed, looped = (
+            make_wta(columns=columns, bits=bits, dac_gain_sigma=gain_sigma) for _ in range(2)
+        )
+        mtj = closed.neurons[0].mtj
+        assert mtj.resistance(True) < mtj.reference_resistance() <= mtj.resistance(False)
+        rng = np.random.default_rng(seed)
+        # Currents exactly on the comparator's lattice ``(k·lsb)·gain +
+        # threshold`` (decisions on the boundary), anywhere in range, or a
+        # copy of column 0 (ties).
+        lattice = rng.integers(-1, 2**bits + 1, size=(batch, columns))
+        on_lattice = (lattice * closed.lsb_current) * closed._dac_gains
+        on_lattice += closed.dwn_config.threshold_current
+        anywhere = rng.uniform(0.0, 1.2 * closed.full_scale_current, size=(batch, columns))
+        pick = rng.integers(0, 3, size=(batch, columns))
+        currents = np.where(pick == 0, on_lattice, anywhere)
+        currents = np.where(pick == 2, currents[:, :1], currents)
+
+        got = closed._convert_batch_fast(currents, None, commit_state=commit_state)
+        want = looped._convert_batch_fast(
+            currents, np.zeros((batch, columns, bits)), commit_state=commit_state
+        )
+        for field in ("winner", "dom_code", "codes", "survivors", "tie"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+        assert got.events == want.events
+        assert all(len(events) == 7 for events in got.events)
+        for mine, theirs in zip(closed.neurons, looped.neurons):
+            assert (mine.state, mine.switch_count) == (theirs.state, theirs.switch_count)

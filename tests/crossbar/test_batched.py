@@ -1,8 +1,10 @@
-"""The batched engine's parasitic path: per-row Chebyshev iteration.
+"""The batched engine's parasitic path: per-row preconditioned Chebyshev iteration.
 
 Pins the iteration against a dense per-row solve of ``(I + D W)`` and
-against the direct sparse MNA solve, its independence from batch-mates,
-and the SPD precondition :meth:`BatchedCrossbarEngine.prepare` checks.
+against the direct sparse MNA solve, each row's interval against the
+spectrum of its preconditioned operator, its independence from
+batch-mates, and the SPD precondition :meth:`BatchedCrossbarEngine.prepare`
+checks.
 """
 
 import dataclasses
@@ -39,10 +41,28 @@ def make_solver(rows, cols, delta_v, r_min, seed):
     return CrossbarSolver(crossbar, delta_v=delta_v, termination_resistance=50.0)
 
 
+def lambda_max(engine):
+    """``λmax(W)`` of a prepared engine."""
+    return np.linalg.eigvalsh(engine._w_matrix)[-1]
+
+
 def drive_for_beta(engine, codes, beta):
-    """DAC conductances for ``codes`` (0..31) whose full-code row has ``beta``."""
+    """DAC conductances for ``codes`` (0..31) whose full-code row has
+    ``max(d)·λmax(W) = beta``: the drive scale of the unpreconditioned
+    system, not the row's Chebyshev interval."""
     engine.prepare()
-    return codes / 31.0 * (beta / engine._lambda_max)
+    return codes / 31.0 * (beta / lambda_max(engine))
+
+
+def interval_ends(engine, dac):
+    """Each row's interval end ``β = λmax(R)·max d/(1 + s·d)``."""
+    operators = engine._operators
+    return operators.r_max * (dac / (1.0 + operators.shift * dac)).max(axis=1)
+
+
+def row_steps(engine, dac):
+    """Each row's Chebyshev step count under the engine's rule."""
+    return chebyshev_steps(interval_ends(engine, dac), engine.CHEBYSHEV_TOL)
 
 
 def dense_reference(engine, dac):
@@ -104,7 +124,8 @@ class TestChebyshevAccuracy:
 
     def test_calibrated_module_at_two_millivolts_overdriven(self):
         """A calibrated module at ΔV = 2 mV with 10 % input overdrive
-        lands above beta = 1, where a Neumann series would diverge."""
+        lands above ``max(d)·λmax(W) = 1``, where a Neumann series would
+        diverge."""
         parameters = dataclasses.replace(
             default_parameters().with_delta_v(2e-3),
             template_shape=(8, 8),
@@ -116,7 +137,7 @@ class TestChebyshevAccuracy:
         )
         engine = amm.solver.batch_engine.prepare()
         dac = 1.1 * amm.input_dacs.conductances(rng.integers(0, 32, size=(8, 64)))
-        assert dac.max() * engine._lambda_max > 1.0
+        assert dac.max() * lambda_max(engine) > 1.0
         solution = engine.solve_parasitic_batch(dac)
         dense_currents, dense_supply = dense_reference(engine, dac)
         assert relative_gap(solution.column_currents, dense_currents) <= 1e-14
@@ -125,14 +146,17 @@ class TestChebyshevAccuracy:
             solution.column_currents.argmax(axis=1), dense_currents.argmax(axis=1)
         )
 
-    def test_rows_past_the_step_cap_are_solved_densely(self):
+    def test_rows_past_the_step_cap_are_solved_densely(self, monkeypatch):
+        """No real network reaches the step cap (``β < λmax(R)/s``), so the
+        cap is lowered on the instance to the quiet rows' step count."""
         solver = make_solver(24, 5, 30e-3, 1e3, seed=2)
         engine = solver.batch_engine
         codes = np.random.default_rng(9).integers(1, 32, size=(4, 24))
         dac = drive_for_beta(engine, codes, 0.1)
         dac[1] = drive_for_beta(engine, codes[1:2], 5e3)[0]
-        steps = chebyshev_steps(dac.max(axis=1) * engine._lambda_max, engine.CHEBYSHEV_TOL)
-        assert steps[1] > engine.MAX_CHEBYSHEV_STEPS >= steps[[0, 2, 3]].max()
+        steps = row_steps(engine, dac)
+        monkeypatch.setattr(engine, "MAX_CHEBYSHEV_STEPS", int(steps[[0, 2, 3]].max()))
+        assert steps[1] > engine.MAX_CHEBYSHEV_STEPS
         solution = engine.solve_parasitic_batch(dac)
         dense_currents, _ = dense_reference(engine, dac)
         # kappa ~ 5e3 for the dense row: rounding is amplified to ~1e-13.
@@ -146,6 +170,61 @@ class TestChebyshevAccuracy:
         solution = engine.solve_parasitic_batch(np.zeros((3, 12)))
         assert np.all(solution.column_currents == 0.0)
         assert np.all(solution.supply_current == 0.0)
+
+
+def random_drive(rows, cols, r_min, drive, seed):
+    """A prepared engine of a random network and four rows of codes 1..31
+    driven to ``max(d)·λmax(W) = drive`` (the first at full code)."""
+    engine = make_solver(rows, cols, 30e-3, r_min, seed).batch_engine
+    codes = np.random.default_rng(seed + 1).integers(1, 32, size=(4, rows))
+    codes[0] = 31
+    return engine, drive_for_beta(engine, codes, drive)
+
+
+NETWORKS = dict(
+    rows=st.integers(min_value=1, max_value=48),
+    cols=st.integers(min_value=1, max_value=8),
+    r_min=st.floats(min_value=200.0, max_value=16e3),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+
+
+class TestPreconditionedInterval:
+    @settings(max_examples=30, deadline=None)
+    @given(drive=st.floats(min_value=1e-3, max_value=1e3), **NETWORKS)
+    @example(rows=1, cols=1, r_min=200.0, drive=1e3, seed=0)
+    def test_interval_bounds_the_preconditioned_spectrum(self, rows, cols, r_min, drive, seed):
+        """Each row's interval ``[1, 1 + β]`` holds the spectrum of its
+        preconditioned operator, similar to ``I + Q^-½ R Q^-½`` with
+        ``Q = D⁻¹ + s·I + (λ₁ - s)·u·uᵀ``, whatever the drive."""
+        engine, dac = random_drive(rows, cols, r_min, drive, seed)
+        operators = engine._operators
+        vector = operators.top_vector
+        for d, end in zip(dac, interval_ends(engine, dac)):
+            q_matrix = np.diag(1.0 / d) + operators.shift * np.eye(rows)
+            q_matrix += operators.top_gap * np.outer(vector, vector)
+            values, vectors = np.linalg.eigh(np.linalg.inv(q_matrix))
+            root = (vectors * np.sqrt(values)) @ vectors.T
+            spectrum = np.linalg.eigvalsh(root @ operators.r_matrix @ root)
+            # Only the check's own rounding (eigh and the products, a few
+            # rows·eps of the operator's scale) may reach past the ends.
+            slack = rows * np.finfo(float).eps * max(end, values.max() * operators.r_max)
+            assert spectrum.max() <= end + slack
+            assert spectrum.min() >= -slack
+
+    @settings(max_examples=30, deadline=None)
+    @given(drive=st.floats(min_value=1e-3, max_value=4.0), **NETWORKS)
+    @example(rows=1, cols=1, r_min=200.0, drive=4.0, seed=0)
+    def test_rows_match_the_dense_solve(self, rows, cols, r_min, drive, seed):
+        """Drives up to 4 (the lowest Fig. 9 ΔV, overdriven, is 2.9): far
+        beyond, the DAC currents ``d·ΔV - c`` cancel (in the reference's
+        supply, ``ΔV - v_driven`` does), and the two part by more than
+        1e-14."""
+        engine, dac = random_drive(rows, cols, r_min, drive, seed)
+        solution = engine.solve_parasitic_batch(dac)
+        dense_currents, dense_supply = dense_reference(engine, dac)
+        assert relative_gap(solution.column_currents, dense_currents) <= 1e-14
+        assert relative_gap(solution.supply_current, dense_supply) <= 1e-14
 
 
 class TestStepRule:
@@ -162,26 +241,22 @@ class TestStepRule:
 class TestRowInvariance:
     def test_row_bits_do_not_depend_on_batch_mates(self):
         """Row 0's answer is bit-identical whether its 15 batch-mates are
-        like it or carry 30x its beta (and so take many more steps).
+        like it or carry 30x its drive (and so take more steps).
 
-        Row 0 sits at beta = 1.3, where its corrections are as large as
+        Row 0 sits at ``max(d)·λmax(W) = 1.3``, where its corrections are as large as
         its direct injection, so a batch-wide interval or step count
         would reach its currents at the last-ulp level.
         """
         solver = make_solver(48, 8, 30e-3, 1e3, seed=0)
         engine = solver.batch_engine
         codes = np.random.default_rng(12).integers(0, 32, size=(16, 48))
-        codes[:, 0] = 31  # every row reaches full drive: equal beta
+        codes[:, 0] = 31  # every row reaches full drive: equal intervals
         calm = drive_for_beta(engine, codes, 1.3)
         loud = calm.copy()
         loud[1:] *= 30.0
-        beta = calm.max(axis=1) * engine._lambda_max
-        loud_beta = loud.max(axis=1) * engine._lambda_max
-        assert np.all(loud_beta[1:] > 29.0 * beta[0])
-        tol = engine.CHEBYSHEV_TOL
-        loud_steps = chebyshev_steps(loud_beta[1:], tol)
-        # The batch-mates iterate (no dense rows), for many more steps.
-        assert chebyshev_steps(beta[:1], tol)[0] < loud_steps.min()
+        loud_steps = row_steps(engine, loud[1:])
+        # The batch-mates iterate (no dense rows), for more steps.
+        assert row_steps(engine, calm[:1])[0] < loud_steps.min()
         assert loud_steps.max() <= engine.MAX_CHEBYSHEV_STEPS
 
         first = engine.solve_parasitic_batch(calm)

@@ -67,15 +67,17 @@ def test_a_hit_equals_a_build_after_clearing(sweeps):
     first = prepared(crossbar)
     hit = prepared(crossbar)
     assert len(sweeps) == 1
-    assert hit._w_matrix is first._w_matrix
-    assert hit._z_outputs is first._z_outputs
+    assert hit._operators is first._operators
     batched._clear_operator_cache()
     rebuilt = prepared(crossbar)
     assert len(sweeps) == 2
-    assert rebuilt._w_matrix is not hit._w_matrix
-    assert np.array_equal(rebuilt._w_matrix, hit._w_matrix)
-    assert np.array_equal(rebuilt._z_outputs, hit._z_outputs)
-    assert rebuilt._lambda_max == hit._lambda_max
+    assert rebuilt._operators is not hit._operators
+    assert_same_operators(rebuilt, hit)
+
+
+def assert_same_operators(engine, other):
+    for mine, theirs in zip(engine._operators, other._operators):
+        assert np.array_equal(mine, theirs)
 
 
 def test_a_one_ulp_change_to_one_conductance_misses(sweeps):
@@ -142,14 +144,21 @@ def test_a_refused_network_is_never_stored(monkeypatch, corrupt, message):
 
 def test_cached_arrays_reject_writes():
     engine = prepared(make_crossbar())
-    for array in (engine._w_matrix, engine._z_outputs):
+    for array in engine._operators.arrays:
         with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 1.0
+            array[(0,) * array.ndim] = 1.0
 
 
 def _operators(nbytes):
     half = np.zeros(nbytes // 16)
-    return batched._Operators(w_matrix=half, lambda_max=1.0, z_outputs=half.copy())
+    return batched._Operators(
+        r_matrix=half,
+        shift=1.0,
+        top_gap=1.0,
+        top_vector=np.zeros(0),
+        r_max=1.0,
+        z_outputs=half.copy(),
+    )
 
 
 def test_the_byte_budget_evicts_least_recently_used_entries():
@@ -170,7 +179,7 @@ def test_an_entry_larger_than_the_budget_is_not_cached():
     operators = _operators(2048)
     assert cache.put(b"big", operators) is operators
     assert len(cache) == 0
-    assert not operators.w_matrix.flags.writeable
+    assert not operators.r_matrix.flags.writeable
 
 
 def run_threads(target, arguments, timeout=60.0):
@@ -206,9 +215,7 @@ def test_concurrent_builds_of_one_network_agree():
     assert run_threads(BatchedCrossbarEngine.prepare, [(engine,) for engine in engines]) == []
     first = engines[0]
     for engine in engines[1:]:
-        assert np.array_equal(engine._w_matrix, first._w_matrix)
-        assert np.array_equal(engine._z_outputs, first._z_outputs)
-        assert engine._lambda_max == first._lambda_max
+        assert_same_operators(engine, first)
     assert len(batched._OPERATORS) == 1
 
 
