@@ -76,12 +76,14 @@ magnitude cheaper than re-assembling and re-factorising the 10 240-node
 reference network per image (see ``benchmarks/test_throughput.py`` and
 ``BENCH_throughput.json`` for measured images/second).  The ``batch_size``
 knob selects the recall granularity everywhere it appears; ``batch_size=1``
-is the legacy per-sample loop kept as the benchmark and equivalence
-reference.  Batched recall is sample-for-sample equivalent to the loop:
-bit-identical on the ideal solve path, identical discrete outputs and
-solver-precision analog outputs on the parasitic path, with all random
-streams advanced exactly as the loop would advance them
-(``tests/core/test_batched_equivalence.py``).
+is the per-sample loop of ``recognise``, which solves each image with the
+direct sparse solver and is kept as the benchmark and equivalence
+reference.  Every unseeded recall draws one request seed per image from
+the module generator and converts it on the seeded path
+(``recognise_batch_seeded``), so the loop and any batching draw the same
+seeds: bit-identical on the ideal solve path, identical discrete outputs
+and solver-precision analog outputs on the parasitic path, and the
+generator left in the same state (``tests/core/test_batched_equivalence.py``).
 """
 
 from repro.core.amm import (

@@ -167,35 +167,6 @@ class RecallBackend(abc.ABC):
         self.close()
 
 
-def check_batch_shape(
-    name: str,
-    batch: np.ndarray,
-    rows: int,
-    request_seeds: Optional[np.ndarray] = None,
-) -> None:
-    """Raise ``ValueError`` unless ``batch`` is a ``(B, rows)`` input batch.
-
-    ``name`` is the caller's parameter name, used in the message.  With
-    ``request_seeds`` the batch is a seeded recall, which must also be
-    non-empty and carry exactly one seed per row; without it (a raw DAC
-    solve) an empty ``(0, rows)`` batch is valid.  The shared input
-    contract of the backends that do not delegate validation to the
-    module, pinned across every registered backend by
-    ``tests/backends/test_input_contract.py``.
-    """
-    if batch.ndim != 2 or batch.shape[1] != rows:
-        raise ValueError(f"{name} must have shape (B, {rows}), got {batch.shape}")
-    if request_seeds is None:
-        return
-    if batch.shape[0] == 0:
-        raise ValueError(f"{name} must not be empty")
-    if request_seeds.shape != (batch.shape[0],):
-        raise ValueError(
-            f"request_seeds must have shape ({batch.shape[0]},), "
-            f"got {request_seeds.shape}"
-        )
-
-
 def contiguous_shards(
     count: int, workers: int, min_shard_size: int
 ) -> List[Tuple[int, int]]:

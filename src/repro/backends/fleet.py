@@ -70,7 +70,6 @@ from repro.backends.base import (
     EngineSpec,
     RecallBackend,
     WorkerCrashedError,
-    check_batch_shape,
 )
 from repro.backends.remote import (
     Address,
@@ -84,6 +83,7 @@ from repro.core.amm import (
     BatchRecognitionResult,
     concatenate_batch_results,
 )
+from repro.core.inputs import check_batch
 from repro.crossbar.batched import (
     BatchCrossbarSolution,
     concatenate_batch_solutions,
@@ -861,9 +861,9 @@ class FleetSupervisor(RecallBackend):
     def recall_batch_seeded(
         self, codes_batch: np.ndarray, request_seeds: Sequence[int]
     ) -> BatchRecognitionResult:
-        codes = np.asarray(codes_batch, dtype=np.int64)
-        seeds = np.asarray(request_seeds, dtype=np.int64)
-        check_batch_shape("codes_batch", codes, self.module.crossbar.rows, seeds)
+        codes, seeds = check_batch(
+            "codes_batch", codes_batch, self.module.crossbar.rows, request_seeds
+        )
 
         def send_one(replica: _Replica, begin: int, end: int):
             kind, header, arrays = replica.exchange(
@@ -886,8 +886,13 @@ class FleetSupervisor(RecallBackend):
     def solve_batch(
         self, dac_conductances: np.ndarray, include_parasitics: bool = True
     ) -> BatchCrossbarSolution:
-        dac = np.asarray(dac_conductances, dtype=float)
-        check_batch_shape("dac_conductances", dac, self.module.crossbar.rows)
+        dac, _ = check_batch(
+            "dac_conductances",
+            dac_conductances,
+            self.module.crossbar.rows,
+            dtype=float,
+            allow_empty=True,
+        )
         if dac.shape[0] == 0:
             # Nothing to shard: answer like the in-process engines do.
             return BatchCrossbarSolution(

@@ -333,7 +333,6 @@ def spec_to_wire(spec: EngineSpec) -> Tuple[dict, Dict[str, np.ndarray]]:
     """
     module = spec.module
     wta = module.wta
-    neuron = wta.neurons[0]
     header = {
         "parameters": dataclasses.asdict(module.parameters),
         "parasitics": dataclasses.asdict(module.crossbar.parasitics),
@@ -350,11 +349,11 @@ def spec_to_wire(spec: EngineSpec) -> Tuple[dict, Dict[str, np.ndarray]]:
             "dac_gain_sigma": wta.dac_gain_sigma,
             "reset_neurons": wta.reset_neurons,
             "dwn_config": dataclasses.asdict(wta.dwn_config),
-            "latch": dataclasses.asdict(neuron.latch),
+            "latch": dataclasses.asdict(wta.latch),
             "mtj": {
-                "r_parallel_ohm": neuron.mtj.r_parallel_ohm,
-                "r_antiparallel_ohm": neuron.mtj.r_antiparallel_ohm,
-                "scale": neuron.mtj._scale,
+                "r_parallel_ohm": wta.mtj.r_parallel_ohm,
+                "r_antiparallel_ohm": wta.mtj.r_antiparallel_ohm,
+                "scale": wta.mtj._scale,
             },
         },
         "include_parasitics": module.include_parasitics,

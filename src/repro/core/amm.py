@@ -21,12 +21,13 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.core.config import DesignParameters, default_parameters
+from repro.core.inputs import check_batch, integral_array
 from repro.core.wta import BatchWtaResult, SpinCmosWta, WtaResult
 from repro.crossbar.array import ResistiveCrossbar
 from repro.crossbar.batched import BatchCrossbarSolution
 from repro.crossbar.programming import TemplateProgrammer
 from repro.crossbar.solver import CrossbarSolution, CrossbarSolver
-from repro.utils.rng import RandomState, ensure_rng, substream_standard_normal
+from repro.utils.rng import RandomState, draw_seeds, ensure_rng, substream_standard_normal
 from repro.utils.validation import check_integer, check_positive, check_shape
 
 
@@ -308,6 +309,17 @@ class AssociativeMemoryModule:
     and wires up the WTA from a :class:`~repro.core.config.DesignParameters`
     object.
 
+    One recall path (unseeded stream version 2): a row's noise is a
+    function of one int64 request seed (:meth:`recognise_batch_seeded`).
+    The unseeded entry points draw one seed per row from the module
+    generator, one after another, so a loop, a chunked batch and one batch
+    draw the same seeds.  On the deterministic stack (stochastic switching
+    off, per-cycle preset on) every recall converts through the seeded WTA
+    kernel; only stochastic or no-preset neurons run the per-neuron loop.
+    Version 1 drew unseeded noise straight from the module generator and
+    per-neuron streams, and carried each neuron's final state into the
+    next row's ``dwn_switches``; seeded answers are the same in both.
+
     Parameters
     ----------
     crossbar:
@@ -327,7 +339,7 @@ class AssociativeMemoryModule:
         One-sigma relative variation applied to the input DAC conductances
         on every evaluation (models input-source noise/variation).
     seed:
-        Seed or generator for the per-evaluation input variation.
+        Seed or generator of the unseeded entry points' request seeds.
     """
 
     def __init__(
@@ -502,34 +514,45 @@ class AssociativeMemoryModule:
             round(self.parameters.dom_threshold_fraction * (self.wta.levels - 1))
         )
 
-    def _varied_conductances(
-        self, conductances: np.ndarray, unit_noise: np.ndarray
-    ) -> np.ndarray:
-        """Input variation applied to DAC conductances, element by element.
+    def _input_conductances(self, codes: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        """DAC conductances of a ``(B, rows)`` code batch with input variation.
 
-        ``unit_noise`` holds one standard normal draw per conductance.  The
-        single definition of the noise model shared by the sequential
-        scalar/batch paths (drawing from the module's stream) and the
-        seeded serving path (drawing from per-request substreams), so the
-        paths cannot drift apart.  ``input_variation * unit_noise`` is
-        bit-identical to ``normal(0.0, input_variation)`` on the same
-        stream.
+        The one input noise model of every entry point: row ``i`` draws
+        ``normal(0.0, input_variation)`` bit for bit from the ``seeds[i]``
+        substream with spawn key :attr:`INPUT_STREAM_KEY`.
         """
-        noise = self.input_variation * unit_noise
-        return np.clip(conductances * (1.0 + noise), 0.0, None)
+        conductances = self.input_dacs.conductances(codes)
+        if self.input_variation > 0.0:
+            noise = self.input_variation * substream_standard_normal(
+                seeds, self.INPUT_STREAM_KEY, (conductances.shape[1],)
+            )
+            conductances = np.clip(conductances * (1.0 + noise), 0.0, None)
+        return conductances
+
+    def _convert(self, currents: np.ndarray, seeds: np.ndarray) -> BatchWtaResult:
+        """The seeded WTA conversion, or the per-neuron loop for stochastic
+        and no-preset neurons."""
+        if self.wta.deterministic:
+            return self.wta.convert_batch_seeded(currents, seeds)
+        return self.wta.convert_batch(currents)
+
+    def _solve_one(self, input_codes: np.ndarray) -> tuple:
+        """Direct solve of one code vector under a request seed drawn from
+        the module generator; returns ``(solution, seeds)``."""
+        input_codes = np.asarray(input_codes)
+        check_shape("input_codes", input_codes, (self.crossbar.rows,))
+        codes, _ = check_batch("input_codes", input_codes[None], self.crossbar.rows)
+        seeds = draw_seeds(self._rng, 1)
+        solution = self.solver.solve(
+            self._input_conductances(codes, seeds)[0],
+            include_parasitics=self.include_parasitics,
+        )
+        return solution, seeds
 
     def column_solution(self, input_codes: np.ndarray) -> CrossbarSolution:
-        """Solve the crossbar for an input-code vector (no WTA)."""
-        input_codes = np.asarray(input_codes, dtype=np.int64)
-        check_shape("input_codes", input_codes, (self.crossbar.rows,))
-        conductances = self.input_dacs.conductances(input_codes)
-        if self.input_variation > 0.0:
-            conductances = self._varied_conductances(
-                conductances, self._rng.standard_normal(conductances.shape)
-            )
-        return self.solver.solve(
-            conductances, include_parasitics=self.include_parasitics
-        )
+        """Solve the crossbar for an input-code vector (no WTA), under a
+        request seed drawn from the module generator."""
+        return self._solve_one(input_codes)[0]
 
     def column_solution_batch(
         self,
@@ -538,19 +561,16 @@ class AssociativeMemoryModule:
     ) -> BatchCrossbarSolution:
         """Solve the crossbar for a ``(B, features)`` code batch (no WTA).
 
-        The batch counterpart of :meth:`column_solution`: DAC conversion
-        and per-evaluation input variation are applied sample by sample in
-        batch order (consuming the module's noise stream exactly as a
-        scalar loop would) and the whole batch goes through the amortised
-        crossbar engine.  ``include_parasitics`` overrides the module
-        setting for this call only, without mutating the module — used by
-        the analysis layer to compare parasitic and ideal solves of the
-        same inputs.
+        The batch counterpart of :meth:`column_solution`, drawing the same
+        seeds, through the amortised crossbar engine.
+        ``include_parasitics`` overrides the module setting for this call
+        only, without mutating the module — used by the analysis layer to
+        compare parasitic and ideal solves of the same inputs.
         """
-        input_codes_batch = np.asarray(input_codes_batch, dtype=np.int64)
-        if input_codes_batch.ndim != 2:
-            raise ValueError("input_codes_batch must be 2-D (B x features)")
-        conductances = self._batch_input_conductances(input_codes_batch)
+        codes, _ = check_batch(
+            "input_codes_batch", input_codes_batch, self.crossbar.rows, allow_empty=True
+        )
+        conductances = self._input_conductances(codes, draw_seeds(self._rng, codes.shape[0]))
         if include_parasitics is None:
             include_parasitics = self.include_parasitics
         return self.solver.solve_batch(
@@ -558,9 +578,15 @@ class AssociativeMemoryModule:
         )
 
     def recognise(self, input_codes: np.ndarray) -> RecognitionResult:
-        """Full associative recall of one input feature vector."""
-        solution = self.column_solution(input_codes)
-        wta_result = self.wta.convert(solution.column_currents)
+        """Full associative recall of one input feature vector.
+
+        Draws one request seed from the module generator and solves with
+        the direct sparse solver, so the answer equals
+        ``recognise_batch_seeded(codes[None], [seed])`` (analog fields to
+        solver precision) and a loop equals :meth:`recognise_batch`.
+        """
+        solution, seeds = self._solve_one(input_codes)
+        wta_result = self._convert(solution.column_currents[None], seeds).result(0)
         return self._package(solution, wta_result)
 
     def recognise_ideal(self, input_codes: np.ndarray) -> RecognitionResult:
@@ -569,7 +595,7 @@ class AssociativeMemoryModule:
         Bypasses DAC non-linearity, parasitics and device non-idealities;
         used by the accuracy analyses as the "ideal comparison" baseline.
         """
-        input_codes = np.asarray(input_codes, dtype=np.int64)
+        input_codes = integral_array("input_codes", input_codes)
         check_shape("input_codes", input_codes, (self.crossbar.rows,))
         values = input_codes.astype(float) / self.input_dacs.max_code
         currents = self.crossbar.ideal_dot_product(values)
@@ -608,43 +634,24 @@ class AssociativeMemoryModule:
     # ------------------------------------------------------------------ #
     # Batch evaluation
     # ------------------------------------------------------------------ #
-    def _batch_input_conductances(self, input_codes_batch: np.ndarray) -> np.ndarray:
-        """DAC conductances for a code batch, with per-evaluation variation.
-
-        The variation noise is drawn in batch order (row-major) from the
-        same generator :meth:`column_solution` uses, so a batch consumes
-        the random stream exactly as a per-sample loop would.
-        """
-        conductances = self.input_dacs.conductances(input_codes_batch)
-        if self.input_variation > 0.0:
-            conductances = self._varied_conductances(
-                conductances, self._rng.standard_normal(conductances.shape)
-            )
-        return conductances
-
     def recognise_batch(self, input_codes_batch: np.ndarray) -> BatchRecognitionResult:
         """Full associative recall of a ``(B, features)`` code batch.
 
-        Solves the whole batch through the crossbar's batched engine
-        (:meth:`~repro.crossbar.solver.CrossbarSolver.solve_batch`) and a
-        vectorised WTA conversion.  Sample ``i`` of the result matches
-        ``recognise(input_codes_batch[i])`` called in a loop: discrete
-        outputs (winner, DOM code, acceptance, tie, events) are identical,
-        analog outputs are bit-identical on the ideal path and agree to
-        solver precision (~1e-12 relative) on the parasitic path, and all
-        random streams advance exactly as the loop would advance them.
+        Draws one request seed per row from the module generator and, on
+        the deterministic stack, is :meth:`recognise_batch_seeded` under
+        those seeds.  Sample ``i`` matches ``recognise`` called in a loop
+        from the same generator state: discrete outputs (winner, DOM code,
+        acceptance, tie, events) are identical, analog outputs are
+        bit-identical on the ideal path and agree to solver precision
+        (~1e-12 relative) on the parasitic path, and the generator ends in
+        the same state.
         """
-        input_codes_batch = np.asarray(input_codes_batch, dtype=np.int64)
-        if input_codes_batch.ndim != 2:
-            raise ValueError("input_codes_batch must be 2-D (B x features)")
-        if input_codes_batch.shape[0] == 0:
-            raise ValueError("input_codes_batch must not be empty")
-        conductances = self._batch_input_conductances(input_codes_batch)
+        codes, _ = check_batch("input_codes_batch", input_codes_batch, self.crossbar.rows)
+        seeds = draw_seeds(self._rng, codes.shape[0])
         solution = self.solver.solve_batch(
-            conductances, include_parasitics=self.include_parasitics
+            self._input_conductances(codes, seeds), include_parasitics=self.include_parasitics
         )
-        wta_result = self.wta.convert_batch(solution.column_currents)
-        return self._package_batch(solution, wta_result)
+        return self._package_batch(solution, self._convert(solution.column_currents, seeds))
 
     #: Spawn key of the per-request input-variation substream used by
     #: :meth:`recognise_batch_seeded` (the latch-offset substream of
@@ -666,15 +673,14 @@ class AssociativeMemoryModule:
         ``i``'s result a pure function of ``(module, codes, seed)``:
 
         * input-variation noise is drawn from a per-request substream
-          seeded by ``request_seeds[i]`` (spawn key 0) instead of the
-          module's sequential stream.  The draws come from
+          seeded by ``request_seeds[i]`` (spawn key 0).  The draws come from
           :func:`~repro.utils.rng.substream_standard_normal`, bit-identical
           to ``default_rng(SeedSequence(entropy=seed,
           spawn_key=(INPUT_STREAM_KEY,)))`` per sample, with the seed hash
           vectorised over the batch;
         * the WTA conversion draws its latch offsets from the matching
-          per-request substream (spawn key 1) and leaves the neurons'
-          magnetic state and switch counters untouched.  It draws them
+          per-request substream (spawn key 1) and reads or writes no
+          neuron object.  It draws them
           only when an offset can flip a sense decision; on the reference
           read stack none can, so none are drawn and the answers are the
           same;
@@ -682,37 +688,21 @@ class AssociativeMemoryModule:
           the same construction seed return identical results regardless
           of their request history.
 
+        A non-integral code or seed is refused, never truncated.
+
         ``engine`` optionally supplies a caller-owned pre-factorised
         :class:`~repro.crossbar.batched.BatchedCrossbarEngine` replica
         (one per serving worker); the module's own engine is used when
         omitted.  Requires deterministic neurons (``stochastic_dwn``
         off) — see :meth:`SpinCmosWta.convert_batch_seeded`.
         """
-        input_codes_batch = np.asarray(input_codes_batch, dtype=np.int64)
-        if input_codes_batch.ndim != 2:
-            raise ValueError("input_codes_batch must be 2-D (B x features)")
-        if input_codes_batch.shape[0] == 0:
-            raise ValueError("input_codes_batch must not be empty")
-        seeds = np.asarray(request_seeds, dtype=np.int64)
-        if seeds.shape != (input_codes_batch.shape[0],):
-            raise ValueError(
-                f"request_seeds must have shape ({input_codes_batch.shape[0]},), "
-                f"got {seeds.shape}"
-            )
-        if np.any(seeds < 0):
-            raise ValueError("request_seeds must be non-negative")
-        conductances = self.input_dacs.conductances(input_codes_batch)
-        if self.input_variation > 0.0:
-            conductances = self._varied_conductances(
-                conductances,
-                substream_standard_normal(
-                    seeds, self.INPUT_STREAM_KEY, (conductances.shape[1],)
-                ),
-            )
+        codes, seeds = check_batch(
+            "input_codes_batch", input_codes_batch, self.crossbar.rows, request_seeds
+        )
         if engine is None:
             engine = self.solver.batch_engine
         solution = engine.solve_batch(
-            conductances, include_parasitics=self.include_parasitics
+            self._input_conductances(codes, seeds), include_parasitics=self.include_parasitics
         )
         wta_result = self.wta.convert_batch_seeded(solution.column_currents, seeds)
         return self._package_batch(solution, wta_result)
@@ -726,11 +716,9 @@ class AssociativeMemoryModule:
         bit-identical to the scalar call (the dot product and peak
         normalisation are evaluated per sample with the same operations).
         """
-        input_codes_batch = np.asarray(input_codes_batch, dtype=np.int64)
-        if input_codes_batch.ndim != 2:
-            raise ValueError("input_codes_batch must be 2-D (B x features)")
-        if input_codes_batch.shape[0] == 0:
-            raise ValueError("input_codes_batch must not be empty")
+        input_codes_batch, _ = check_batch(
+            "input_codes_batch", input_codes_batch, self.crossbar.rows
+        )
         batch = input_codes_batch.shape[0]
         currents = np.empty((batch, self.crossbar.columns))
         for index in range(batch):
@@ -846,18 +834,17 @@ class AssociativeMemoryModule:
         :mod:`repro.backends` (a registry name, resolved with ``workers``
         execution units and closed afterwards, or an already-prepared
         :class:`~repro.backends.base.RecallBackend`, left open).  Backend
-        recalls run the *seeded* path: sample ``i`` draws its noise from
-        the ``base_seed + i`` substream instead of the module's sequential
-        stream, so the discrete arrays (winners, acceptance, ties) are
-        identical for every backend choice, worker count, shard boundary
-        and ``batch_size``; the analog ``static_power`` agrees to solver
+        recalls run the *seeded* path under the seeds ``base_seed + i``
+        instead of seeds drawn from the module generator, so the discrete
+        arrays (winners, acceptance, ties) are identical for every backend
+        choice, worker count, shard boundary and ``batch_size``; the analog ``static_power`` agrees to solver
         precision (chunk/shard shapes can shift BLAS kernel paths by a
-        few ulps).  Both differ from the default (module-stream) path
-        whenever the module draws per-evaluation noise.
+        few ulps).  Both differ from the default (module-generator seeds)
+        path whenever the module draws per-evaluation noise.
         """
         if backend is None and (workers != 1 or base_seed != 0):
             # Silently ignoring these would also silently keep the
-            # module-stream RNG semantics; make the dependency explicit.
+            # module-generator seeds; make the dependency explicit.
             raise ValueError(
                 "workers and base_seed only apply to backend recalls; "
                 "pass backend='serial'/'fleet' (or an instance)"

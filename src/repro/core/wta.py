@@ -36,14 +36,15 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.inputs import check_batch
 from repro.core.sar import SuccessiveApproximationRegister
 from repro.devices.dwn import DomainWallNeuron, DwnConfig
 from repro.devices.latch import DynamicCmosLatch
 from repro.devices.mtj import MagneticTunnelJunction
 from repro.utils.rng import (
     RandomState,
+    draw_seeds,
     ensure_rng,
-    spawn_children,
     substream_standard_normal,
 )
 from repro.utils.validation import check_integer, check_positive
@@ -166,7 +167,9 @@ class SpinCmosWta:
         comparisons return stale decisions, degrading the effective
         resolution by up to the hysteresis width.
     seed:
-        Seed or generator for all stochastic elements.
+        Seed or generator for all stochastic elements: one child seed per
+        neuron, then the DAC gains, then the request seeds of
+        :meth:`convert_batch`.
     """
 
     def __init__(
@@ -192,23 +195,35 @@ class SpinCmosWta:
         self.dwn_config = dwn_config or DwnConfig()
         self.dac_gain_sigma = dac_gain_sigma
         self.reset_neurons = reset_neurons
+        self.latch = latch or DynamicCmosLatch()
+        self.mtj = mtj or MagneticTunnelJunction()
         rng = ensure_rng(seed)
-        neuron_rngs = spawn_children(rng, columns)
-        latch = latch or DynamicCmosLatch()
-        mtj = mtj or MagneticTunnelJunction()
-        self.neurons: List[DomainWallNeuron] = [
-            DomainWallNeuron(
-                config=self.dwn_config,
-                mtj=mtj,
-                latch=latch,
-                seed=neuron_rngs[index],
-            )
-            for index in range(columns)
-        ]
+        self._rng = rng
+        self._neuron_seeds = draw_seeds(rng, columns)
+        self._neurons: Optional[List[DomainWallNeuron]] = None
         if dac_gain_sigma > 0.0:
             self._dac_gains = 1.0 + rng.normal(0.0, dac_gain_sigma, size=columns)
         else:
             self._dac_gains = np.ones(columns)
+
+    @property
+    def neurons(self) -> List[DomainWallNeuron]:
+        """One domain-wall neuron per column, built on first use: only the
+        per-neuron loop of stochastic or no-preset conversions reads them."""
+        if self._neurons is None:
+            self._neurons = [
+                DomainWallNeuron(
+                    config=self.dwn_config, mtj=self.mtj, latch=self.latch, seed=int(seed)
+                )
+                for seed in self._neuron_seeds
+            ]
+        return self._neurons
+
+    @property
+    def deterministic(self) -> bool:
+        """Stochastic switching off and per-cycle preset on: every
+        conversion is then a pure function of ``(currents, seed)``."""
+        return not self.dwn_config.stochastic and self.reset_neurons
 
     # ------------------------------------------------------------------ #
     # DAC behaviour
@@ -233,7 +248,8 @@ class SpinCmosWta:
     # Conversion
     # ------------------------------------------------------------------ #
     def convert(self, column_currents: np.ndarray) -> WtaResult:
-        """Run the full SAR conversion plus winner tracking.
+        """Run the full SAR conversion plus winner tracking: one row of
+        :meth:`convert_batch`.
 
         Parameters
         ----------
@@ -246,7 +262,10 @@ class SpinCmosWta:
             raise ValueError(
                 f"column_currents must have shape ({self.columns},), got {currents.shape}"
             )
+        return self.convert_batch(currents[None]).result(0)
 
+    def _convert_with_neurons(self, currents: np.ndarray) -> WtaResult:
+        """One conversion cycle by cycle through the per-column neuron objects."""
         registers = [
             SuccessiveApproximationRegister(self.resolution_bits)
             for _ in range(self.columns)
@@ -325,50 +344,30 @@ class SpinCmosWta:
     def convert_batch(self, column_currents: np.ndarray) -> BatchWtaResult:
         """Run the SAR conversion plus winner tracking for a whole batch.
 
-        Equivalent, sample by sample, to calling :meth:`convert` on each
-        row of ``column_currents`` in order — including the per-neuron
-        random-stream consumption (latch offsets) and the switching-event
-        counters — but vectorised over the batch.  The fast path applies
-        when the neurons are deterministic comparators (``stochastic``
-        off) and are pre-set every cycle (``reset_neurons`` on, default);
-        otherwise the batch falls back to per-sample conversions, which
-        preserves equivalence by construction.
+        On the deterministic stack (:attr:`deterministic`) this is
+        :meth:`convert_batch_seeded` under one request seed per row drawn
+        from the WTA's generator, one after another, so a loop of
+        :meth:`convert`, chunks and one batch get the same answers.
+        Otherwise each row runs the per-neuron loop, whose neurons carry
+        their state and streams from one conversion to the next.
 
         Parameters
         ----------
         column_currents:
             Degree-of-match currents (A), shape ``(B, columns)``.
         """
-        currents = np.asarray(column_currents, dtype=float)
-        if currents.ndim != 2 or currents.shape[1] != self.columns:
-            raise ValueError(
-                f"column_currents must have shape (B, {self.columns}), "
-                f"got {currents.shape}"
-            )
-        if currents.shape[0] == 0:
-            raise ValueError("column_currents batch must not be empty")
-        if self.dwn_config.stochastic or not self.reset_neurons:
-            results = [self.convert(sample) for sample in currents]
-            return BatchWtaResult(
-                winner=np.array([r.winner for r in results], dtype=np.int64),
-                dom_code=np.array([r.dom_code for r in results], dtype=np.int64),
-                codes=np.stack([r.codes for r in results]),
-                survivors=np.stack([r.survivors for r in results]),
-                tie=np.array([r.tie for r in results], dtype=bool),
-                events=[r.events for r in results],
-            )
-        # offsets[b, c, k]: latch offset of neuron c at cycle k of sample b,
-        # drawn in the (sample-major, cycle-minor) order the scalar loop
-        # consumes each neuron's stream.
-        batch, bits = currents.shape[0], self.resolution_bits
-        offsets = np.stack(
-            [
-                neuron.draw_read_offsets(batch * bits).reshape(batch, bits)
-                for neuron in self.neurons
-            ],
-            axis=1,
+        currents, _ = check_batch("column_currents", column_currents, self.columns, dtype=float)
+        if self.deterministic:
+            return self.convert_batch_seeded(currents, draw_seeds(self._rng, currents.shape[0]))
+        results = [self._convert_with_neurons(sample) for sample in currents]
+        return BatchWtaResult(
+            winner=np.array([r.winner for r in results], dtype=np.int64),
+            dom_code=np.array([r.dom_code for r in results], dtype=np.int64),
+            codes=np.stack([r.codes for r in results]),
+            survivors=np.stack([r.survivors for r in results]),
+            tie=np.array([r.tie for r in results], dtype=bool),
+            events=[r.events for r in results],
         )
-        return self._convert_batch_fast(currents, offsets)
 
     #: Spawn key of the per-request latch-offset substream used by
     #: :meth:`convert_batch_seeded` (the input-variation substream of
@@ -386,10 +385,10 @@ class SpinCmosWta:
         must not depend on how many conversions this WTA has run before,
         how requests were grouped, or which worker replica converted them.
         Sample ``i``'s latch offsets are therefore drawn from a dedicated
-        substream of ``request_seeds[i]`` (instead of the neurons'
-        sequential streams) and no neuron state is mutated.  The offsets
-        come from :func:`~repro.utils.rng.substream_standard_normal`,
-        bit-identical to ``default_rng(SeedSequence(entropy=seed,
+        substream of ``request_seeds[i]`` and no neuron object is read or
+        written.  The offsets come from
+        :func:`~repro.utils.rng.substream_standard_normal`, bit-identical
+        to ``default_rng(SeedSequence(entropy=seed,
         spawn_key=(LATCH_STREAM_KEY,))).normal(0.0, sigma, (columns,
         bits))`` per sample, with the seed hash vectorised over the batch.
         They are drawn only when one of them can flip a sense decision
@@ -405,22 +404,10 @@ class SpinCmosWta:
         switching the outcome is inherently draw-order dependent and
         cannot be made arrival-order invariant.
         """
-        currents = np.asarray(column_currents, dtype=float)
-        if currents.ndim != 2 or currents.shape[1] != self.columns:
-            raise ValueError(
-                f"column_currents must have shape (B, {self.columns}), "
-                f"got {currents.shape}"
-            )
-        if currents.shape[0] == 0:
-            raise ValueError("column_currents batch must not be empty")
-        seeds = np.asarray(request_seeds, dtype=np.int64)
-        if seeds.shape != (currents.shape[0],):
-            raise ValueError(
-                f"request_seeds must have shape ({currents.shape[0]},), got {seeds.shape}"
-            )
-        if np.any(seeds < 0):
-            raise ValueError("request_seeds must be non-negative")
-        if self.dwn_config.stochastic or not self.reset_neurons:
+        currents, seeds = check_batch(
+            "column_currents", column_currents, self.columns, request_seeds, dtype=float
+        )
+        if not self.deterministic:
             raise ValueError(
                 "seeded conversion requires deterministic neurons "
                 "(stochastic switching off, per-cycle preset on)"
@@ -430,8 +417,8 @@ class SpinCmosWta:
             offsets = substream_standard_normal(
                 seeds, self.LATCH_STREAM_KEY, (self.columns, self.resolution_bits)
             )
-            offsets *= self.neurons[0].latch.offset_sigma_ohm
-        return self._convert_batch_fast(currents, offsets, commit_state=False)
+            offsets *= self.latch.offset_sigma_ohm
+        return self._convert_batch_fast(currents, offsets)
 
     def _offsets_can_flip(self) -> bool:
         """Whether some latch offset can flip a sense decision of this WTA.
@@ -442,19 +429,15 @@ class SpinCmosWta:
         when they hold every offset leaves a parallel read below the
         reference and an anti-parallel read at or above it.
         """
-        neuron = self.neurons[0]
-        bound = Z_MAX * neuron.latch.offset_sigma_ohm
-        reference = neuron.mtj.reference_resistance()
+        bound = Z_MAX * self.latch.offset_sigma_ohm
+        reference = self.mtj.reference_resistance()
         return not (
-            neuron.mtj.resistance(True) + bound < reference
-            and neuron.mtj.resistance(False) - bound >= reference
+            self.mtj.resistance(True) + bound < reference
+            and self.mtj.resistance(False) - bound >= reference
         )
 
     def _convert_batch_fast(
-        self,
-        currents: np.ndarray,
-        offsets: Optional[np.ndarray],
-        commit_state: bool = True,
+        self, currents: np.ndarray, offsets: Optional[np.ndarray]
     ) -> BatchWtaResult:
         """Vectorised conversion for deterministic, per-cycle-preset neurons.
 
@@ -473,11 +456,9 @@ class SpinCmosWta:
         lower bit on and clears a bit it rejects, and the tracking
         registers keep the columns whose prefix is the largest so far, so
         the detection line discharges once per set bit of the row maximum
-        and the survivors are the columns equal to it.  By default the
-        neurons' magnetic state and switch counters are committed at the
-        end.  The seeded serving path passes ``commit_state=False``, in
-        which case no neuron state is read or written and each sample's
-        switching events are counted from a fresh ``-1`` preset.
+        and the survivors are the columns equal to it.  No neuron object
+        is read or written: each sample's switching events are counted
+        from a fresh ``-1`` preset.
         """
         columns, bits = self.columns, self.resolution_bits
         if offsets is None:
@@ -496,22 +477,9 @@ class SpinCmosWta:
         # Switching-event accounting: the per-cycle preset flips the state
         # back to -1 whenever the previous cycle drove it high, and the
         # evaluation flips it high whenever the drive exceeds threshold, so
-        # a neuron switches twice per high cycle except after the last one.
-        # The carry into each sample's first cycle is the neuron state left
-        # by the previous sample (or the neuron's state at batch entry);
-        # uncommitted (seeded) conversions count each sample from a fresh
-        # -1 preset instead, so its events are batch-order independent.
-        flips = 2 * high_cycles - final_high
-        if commit_state:
-            flips[0] += np.array([neuron.state == 1 for neuron in self.neurons])
-            flips[1:] += final_high[:-1]
-            per_neuron_switches = flips.sum(axis=0)
-            for index, neuron in enumerate(self.neurons):
-                neuron.apply_batch_outcome(
-                    1 if final_high[-1, index] else -1,
-                    int(per_neuron_switches[index]),
-                )
-        per_sample_switches = flips.sum(axis=1)
+        # a neuron that enters the sample at -1 switches twice per high
+        # cycle except after the last one.
+        per_sample_switches = (2 * high_cycles - final_high).sum(axis=1)
 
         batch = currents.shape[0]
         masked = np.where(survivors, code, np.int64(-1))
@@ -568,10 +536,9 @@ class SpinCmosWta:
         """
         batch, columns = currents.shape
         bits = self.resolution_bits
-        mtj = self.neurons[0].mtj
-        r_parallel = mtj.resistance(True)
-        r_antiparallel = mtj.resistance(False)
-        r_reference = mtj.reference_resistance()
+        r_parallel = self.mtj.resistance(True)
+        r_antiparallel = self.mtj.resistance(False)
+        r_reference = self.mtj.reference_resistance()
 
         # SAR register state, replicated from SuccessiveApproximationRegister.
         code = np.full((batch, columns), 1 << (bits - 1), dtype=np.int64)

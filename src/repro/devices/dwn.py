@@ -205,37 +205,6 @@ class DomainWallNeuron:
         """
         return self.apply_current(positive_current - negative_current)
 
-    def draw_read_offsets(self, count: int) -> np.ndarray:
-        """Pre-draw the latch offsets of ``count`` future :meth:`read` calls.
-
-        Batched evaluation engines consume the neuron's read offsets in
-        bulk; drawing them as one array advances this neuron's random
-        stream exactly as ``count`` sequential :meth:`read` calls would,
-        so batched and scalar paths stay in lockstep.  Returns zeros
-        (drawing nothing) when the latch is offset-free.
-        """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if self.latch.offset_sigma_ohm <= 0.0:
-            return np.zeros(count)
-        return self._rng.normal(0.0, self.latch.offset_sigma_ohm, size=count)
-
-    def apply_batch_outcome(self, final_state: int, switches: int) -> None:
-        """Commit the result of an externally vectorised evaluation run.
-
-        A batched comparator implementation that reproduces this neuron's
-        deterministic dynamics out-of-object reports back the final
-        magnetic state and the number of switching events so the device's
-        bookkeeping (energy accounting, state carry-over into the next
-        evaluation) stays exact.
-        """
-        if final_state not in (-1, 1):
-            raise ValueError(f"final_state must be -1 or +1, got {final_state}")
-        if switches < 0:
-            raise ValueError(f"switches must be >= 0, got {switches}")
-        self._state = final_state
-        self._switch_count += switches
-
     def read(self) -> int:
         """Sense the state through the MTJ stack and the dynamic latch.
 

@@ -281,7 +281,7 @@ class RecognitionService:
         check_integer("max_queue_depth", max_queue_depth, minimum=1)
         if max_wait < 0:
             raise ValueError(f"max_wait must be >= 0, got {max_wait}")
-        if amm.wta.dwn_config.stochastic or not amm.wta.reset_neurons:
+        if not amm.wta.deterministic:
             raise ValueError(
                 "RecognitionService requires deterministic neurons "
                 "(stochastic switching off, per-cycle preset on); their "

@@ -356,9 +356,9 @@ class ShardedWorkerPool:
         self.metrics = metrics or ServiceMetrics()
         self.legacy_per_sample = legacy_per_sample
         self._clock = clock
-        # The legacy path runs amm.recognise(), which draws from the
-        # module's shared numpy Generator and mutates neuron state —
-        # neither is thread-safe, so per-sample recalls serialise.
+        # The legacy path runs amm.recognise(), which draws its request
+        # seed from the module's shared numpy Generator — not thread-safe,
+        # so per-sample recalls serialise.
         self._legacy_lock = threading.Lock()
         if legacy_per_sample and (backend is None or isinstance(backend, str)):
             # The legacy path never touches a backend (every request is

@@ -45,17 +45,26 @@ def ensure_rng(seed: RandomState = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_children(rng: np.random.Generator, count: int) -> list:
-    """Derive ``count`` statistically independent child generators.
+def draw_seeds(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` non-negative int64 seeds drawn from ``rng``.
 
-    Used when a system (e.g. a 40-column WTA) needs one generator per
-    device instance whose streams must not interact even if the devices
-    are evaluated in a different order.
+    numpy draws the values one after another, so ``count`` seeds drawn at
+    once equal the same seeds drawn one at a time or in chunks of any
+    size: a loop and a batch consume ``rng`` identically.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    seeds = rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
+    return rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
+
+
+def spawn_children(rng: np.random.Generator, count: int) -> list:
+    """Derive ``count`` statistically independent child generators.
+
+    Used when a system (e.g. a Monte-Carlo study) needs one generator per
+    trial whose streams must not interact even if the trials run in a
+    different order.
+    """
+    return [np.random.default_rng(int(s)) for s in draw_seeds(rng, count)]
 
 
 # ---------------------------------------------------------------------- #

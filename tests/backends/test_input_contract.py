@@ -1,9 +1,11 @@
 """One input contract across every registered backend.
 
 Whatever executes a batch, the caller sees the same validation: a code
-batch of the wrong shape, a seeds vector of the wrong length and an
-empty recall raise ``ValueError``; an empty ``(0, rows)`` solve is not an
-error and returns an empty solution with ``(0, columns)`` currents.
+batch of the wrong shape, a seeds vector of the wrong length, an empty
+recall and a non-integral code or seed raise ``ValueError`` (never a
+silent truncation); integral floats recall like the integers they hold;
+an empty ``(0, rows)`` solve is not an error and returns an empty
+solution with ``(0, columns)`` currents.
 Remote and fleet backends run against two in-process worker agents.
 """
 
@@ -61,3 +63,28 @@ def test_empty_solve_returns_empty_solution(any_backend, backend_amm):
     assert len(solution) == 0
     assert solution.column_currents.shape == (0, backend_amm.crossbar.columns)
     assert solution.supply_current.shape == (0,)
+
+
+def test_non_integral_codes_rejected(any_backend, request_codes):
+    seeds = np.arange(request_codes.shape[0], dtype=np.int64)
+    with pytest.raises(ValueError, match="integers"):
+        any_backend.recall_batch_seeded(request_codes + 0.7, seeds)
+
+
+def test_non_integral_seeds_rejected(any_backend, request_codes):
+    seeds = np.arange(request_codes.shape[0]) + 0.5
+    with pytest.raises(ValueError, match="integers"):
+        any_backend.recall_batch_seeded(request_codes, seeds)
+
+
+def test_integral_floats_recall_like_integers(any_backend, request_codes):
+    seeds = np.arange(request_codes.shape[0], dtype=np.int64)
+    exact = any_backend.recall_batch_seeded(request_codes, seeds)
+    floats = any_backend.recall_batch_seeded(
+        request_codes.astype(float), seeds.astype(float)
+    )
+    np.testing.assert_array_equal(floats.winner, exact.winner)
+    np.testing.assert_array_equal(floats.codes, exact.codes)
+    # Shard boundaries may differ between the two calls, which can move
+    # the last ulp of a BLAS product.
+    np.testing.assert_allclose(floats.column_currents, exact.column_currents, rtol=1e-12)

@@ -1,28 +1,35 @@
-"""Property-style equivalence tests for the batched recall engine.
+"""Equivalence tests for the one recall path.
 
-The contract of :meth:`AssociativeMemoryModule.recognise_batch` is that
-sample ``i`` of a batch equals ``recognise`` called in a loop over the
-same inputs, *including* the consumption of every random stream (input
-variation noise, latch offsets), so batched and per-sample paths can be
-interleaved freely:
+Every unseeded entry point draws one int64 request seed per row from the
+module generator and runs the seeded definition of that row's noise.
+numpy draws the seeds one after another, so a loop of ``recognise``, a
+chunked ``recognise_batch`` and ``recognise_batch_seeded`` under seeds
+drawn from a twin module's generator see the same seeds:
 
 * on the ideal solve path (``include_parasitics=False``), with or
   without input variation, every field of every
   :class:`RecognitionResult` is **bit-identical** — winner, DOM code,
   tie flag, event counters, column currents and static power;
-* on the parasitic path the batched engine replaces the per-sample
-  sparse solve with a Woodbury update of one factorised network: all
-  discrete fields stay identical and the analog fields agree to solver
-  precision.
+* on the parasitic path ``recognise`` keeps the direct sparse solve
+  while the batch paths run the Woodbury engine: all discrete fields
+  stay identical and the analog fields agree to solver precision;
+* the generators end in the same state.
+
+One test pins the vectorised WTA kernel against the per-neuron scalar
+loop, which only stochastic and no-preset neurons still run.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.amm import AssociativeMemoryModule, InputDacBank
+from repro.core.amm import AssociativeMemoryModule, BatchRecognitionResult, InputDacBank
+from repro.core.config import default_parameters
 from repro.core.wta import SpinCmosWta
 from repro.crossbar.array import ResistiveCrossbar
 from repro.crossbar.solver import CrossbarSolver
+from repro.utils.rng import draw_seeds
 
 FEATURES = 32
 TEMPLATES = 6
@@ -99,56 +106,134 @@ def test_recognise_ideal_batch_bit_identical(seed, batch):
     assert_equivalent(loop_results, batch_result, exact_analog=True)
 
 
-@pytest.mark.parametrize("mode", ["ideal", "noisy", "parasitic"])
-def test_random_streams_stay_in_lockstep(mode):
-    """A batch must advance all generators exactly as the loop would.
+def generator_state(amm: AssociativeMemoryModule) -> dict:
+    return amm._rng.bit_generator.state
+
+
+def chunked(amm: AssociativeMemoryModule, inputs: np.ndarray, cuts) -> BatchRecognitionResult:
+    bounds = [0, *sorted(set(cuts)), len(inputs)]
+    return BatchRecognitionResult.stack(
+        [
+            sample
+            for start, stop in zip(bounds[:-1], bounds[1:])
+            for sample in amm.recognise_batch(inputs[start:stop])
+        ]
+    )
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    mode=st.sampled_from(sorted(MODES)),
+    batch=st.integers(min_value=1, max_value=12),
+    cut_fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
+    seed=st.sampled_from([3, 11, 29]),
+)
+def test_loop_batch_and_seeded_paths_agree(mode, batch, cut_fractions, seed):
+    """``recognise`` in a loop ≡ chunked ``recognise_batch`` ≡
+    ``recognise_batch_seeded`` under seeds drawn from a twin generator."""
+    inputs = input_codes(seed, batch)
+    cuts = [int(fraction * batch) for fraction in cut_fractions]
+    cuts = [cut for cut in cuts if 0 < cut < batch]
+    loop_amm, batch_amm, seeded_amm = (build(seed, **MODES[mode]) for _ in range(3))
+    loop_result = BatchRecognitionResult.stack([loop_amm.recognise(row) for row in inputs])
+    batch_result = chunked(batch_amm, inputs, cuts)
+    seeded_result = seeded_amm.recognise_batch_seeded(
+        inputs, draw_seeds(seeded_amm._rng, batch)
+    )
+    assert_equivalent(list(loop_result), batch_result, exact_analog=mode in BITWISE_MODES)
+    assert_equivalent(list(seeded_result), batch_result, exact_analog=mode in BITWISE_MODES)
+    assert generator_state(loop_amm) == generator_state(batch_amm)
+    assert generator_state(seeded_amm) == generator_state(batch_amm)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_interleaved_recalls_keep_one_seed_sequence(mode):
+    """A batch draws the generator exactly as the loop would.
 
     After recalling the same inputs batched on one module and looped on
     its twin, one further *scalar* recall on each must still agree in
-    every discrete field — proving the latch/noise streams were consumed
-    identically.
+    every field, and it must be the seeded answer to the next seed of a
+    third twin's generator.
     """
     inputs = input_codes(29, 9)
-    loop_amm = build(29, **MODES[mode])
-    batch_amm = build(29, **MODES[mode])
+    loop_amm, batch_amm, seeded_amm = (build(29, **MODES[mode]) for _ in range(3))
     for sample in inputs:
         loop_amm.recognise(sample)
     batch_amm.recognise_batch(inputs)
-    after_loop = loop_amm.recognise(inputs[0])
-    after_batch = batch_amm.recognise(inputs[0])
-    assert after_loop.winner_column == after_batch.winner_column
-    assert after_loop.dom_code == after_batch.dom_code
-    assert after_loop.tie == after_batch.tie
-    assert after_loop.events == after_batch.events
-    assert np.array_equal(after_loop.codes, after_batch.codes)
+    draw_seeds(seeded_amm._rng, len(inputs))
+    after = [amm.recognise(inputs[0]) for amm in (loop_amm, batch_amm)]
+    seeded = seeded_amm.recognise_batch_seeded(inputs[:1], draw_seeds(seeded_amm._rng, 1))
+    assert_equivalent(after[:1], BatchRecognitionResult.stack(after[1:]), exact_analog=True)
+    assert_equivalent(after[:1], seeded, exact_analog=mode in BITWISE_MODES)
+    assert generator_state(loop_amm) == generator_state(batch_amm) == generator_state(seeded_amm)
 
 
 def test_stochastic_neurons_fall_back_to_exact_loop():
-    """With stochastic DWN switching the batch defers to per-sample
-    conversions, so equivalence is exact in every field by construction."""
+    """With stochastic DWN switching the conversion runs the per-neuron
+    loop row by row, so equivalence is exact in every field by construction."""
     inputs = input_codes(7, 12)
     loop_amm = build(7, stochastic_dwn=True, include_parasitics=False)
     batch_amm = build(7, stochastic_dwn=True, include_parasitics=False)
     loop_results = [loop_amm.recognise(sample) for sample in inputs]
     batch_result = batch_amm.recognise_batch(inputs)
     assert_equivalent(loop_results, batch_result, exact_analog=True)
+    assert generator_state(loop_amm) == generator_state(batch_amm)
 
 
-def test_wta_convert_batch_preserves_neuron_bookkeeping():
-    """Switch counters and final neuron states match the scalar loop."""
+def reference_stack_wta(columns: int) -> SpinCmosWta:
+    """A WTA with the reference read stack, on which no latch offset can flip."""
+    parameters = default_parameters()
+    return SpinCmosWta(
+        columns=columns,
+        resolution_bits=parameters.wta_resolution_bits,
+        full_scale_current=parameters.wta_full_scale_current,
+        dwn_config=parameters.dwn_config(),
+        dac_gain_sigma=0.03,
+        mtj=parameters.mtj(),
+        seed=101,
+    )
+
+
+def test_seeded_kernel_matches_the_per_neuron_loop():
+    """The vectorised kernel against the scalar loop through fresh neurons,
+    every field at ``rtol=0`` (currents on the comparator lattice included)."""
+    columns = 7
+    wta = reference_stack_wta(columns)
+    assert not wta._offsets_can_flip()
+    rng = np.random.default_rng(17)
+    anywhere = rng.uniform(0.0, 1.2 * wta.full_scale_current, size=(24, columns))
+    lattice = rng.integers(-1, wta.levels + 1, size=(24, columns)) * wta.lsb_current
+    on_lattice = lattice * wta._dac_gains + wta.dwn_config.threshold_current
+    currents = np.vstack([anywhere, on_lattice, np.repeat(anywhere[:4, :1], columns, axis=1)])
+    seeded = wta.convert_batch_seeded(currents, np.arange(len(currents)))
+    for index, row in enumerate(currents):
+        looped = reference_stack_wta(columns)._convert_with_neurons(row)
+        mine = seeded.result(index)
+        assert (mine.winner, mine.dom_code, mine.tie) == (looped.winner, looped.dom_code, looped.tie)
+        np.testing.assert_array_equal(mine.codes, looped.codes)
+        np.testing.assert_array_equal(mine.survivors, looped.survivors)
+        assert mine.events == looped.events
+    assert wta._neurons is None
+
+
+def test_wta_convert_loop_matches_batch_without_building_neurons():
+    """``convert`` in a loop ≡ ``convert_batch`` ≡ ``convert_batch_seeded``
+    under seeds from a twin generator; the deterministic stack never builds
+    the per-neuron objects."""
     rng = np.random.default_rng(17)
     currents = rng.uniform(0.0, 32e-6, size=(11, 5))
-    loop_wta = SpinCmosWta(columns=5, seed=101)
-    batch_wta = SpinCmosWta(columns=5, seed=101)
+    loop_wta, batch_wta, seeded_wta = (SpinCmosWta(columns=5, seed=101) for _ in range(3))
     loop_results = [loop_wta.convert(sample) for sample in currents]
     batch_result = batch_wta.convert_batch(currents)
+    seeded = seeded_wta.convert_batch_seeded(currents, draw_seeds(seeded_wta._rng, len(currents)))
     for index, scalar in enumerate(loop_results):
-        assert batch_result.result(index).winner == scalar.winner
-        assert np.array_equal(batch_result.codes[index], scalar.codes)
-        assert batch_result.events[index] == scalar.events
-    for loop_neuron, batch_neuron in zip(loop_wta.neurons, batch_wta.neurons):
-        assert loop_neuron.switch_count == batch_neuron.switch_count
-        assert loop_neuron.state == batch_neuron.state
+        for result in (batch_result, seeded):
+            assert result.result(index).winner == scalar.winner
+            assert np.array_equal(result.codes[index], scalar.codes)
+            assert result.events[index] == scalar.events
+    states = {str(wta._rng.bit_generator.state) for wta in (loop_wta, batch_wta, seeded_wta)}
+    assert len(states) == 1
+    assert all(wta._neurons is None for wta in (loop_wta, batch_wta, seeded_wta))
 
 
 def test_wta_ideal_batch_matches_scalar_ideal():

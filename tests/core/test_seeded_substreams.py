@@ -52,7 +52,7 @@ def substream(seed, key):
 
 
 def reference_offsets(wta, seeds):
-    sigma = wta.neurons[0].latch.offset_sigma_ohm
+    sigma = wta.latch.offset_sigma_ohm
     assert sigma > 0.0
     return np.stack(
         [
@@ -74,9 +74,7 @@ def reference_recall(amm, codes, seeds):
         conductances, include_parasitics=amm.include_parasitics
     )
     wta = amm.wta._convert_batch_fast(
-        solution.column_currents,
-        offsets=reference_offsets(amm.wta, seeds),
-        commit_state=False,
+        solution.column_currents, offsets=reference_offsets(amm.wta, seeds)
     )
     return amm._package_batch(solution, wta)
 
@@ -101,9 +99,7 @@ def test_convert_batch_seeded_matches_per_row_seed_sequences(varied_amm, size):
     currents = varied_amm.column_solution_batch(codes).column_currents
     wta = varied_amm.wta
     seeded = wta.convert_batch_seeded(currents, seeds)
-    reference = wta._convert_batch_fast(
-        currents, offsets=reference_offsets(wta, seeds), commit_state=False
-    )
+    reference = wta._convert_batch_fast(currents, offsets=reference_offsets(wta, seeds))
     for field in ("winner", "dom_code", "codes", "survivors", "tie"):
         np.testing.assert_array_equal(
             getattr(seeded, field), getattr(reference, field), err_msg=field
@@ -171,9 +167,7 @@ def test_reference_design_draws_no_latch_offsets(varied_amm, monkeypatch):
     currents = varied_amm.column_solution_batch(codes).column_currents
     for wta in (reference_wta(), varied_amm.wta):
         seeded = wta.convert_batch_seeded(currents, seeds)
-        reference = wta._convert_batch_fast(
-            currents, offsets=reference_offsets(wta, seeds), commit_state=False
-        )
+        reference = wta._convert_batch_fast(currents, offsets=reference_offsets(wta, seeds))
         assert_same_conversion(seeded, reference)
 
 
@@ -188,12 +182,8 @@ def test_low_margin_design_draws_and_offsets_flip_decisions(varied_amm, monkeypa
     seeded = wta.convert_batch_seeded(currents, seeds)
     assert len(calls) == 1
     offsets = reference_offsets(wta, seeds)
-    assert_same_conversion(
-        seeded, wta._convert_batch_fast(currents, offsets=offsets, commit_state=False)
-    )
-    unperturbed = wta._convert_batch_fast(
-        currents, offsets=np.zeros_like(offsets), commit_state=False
-    )
+    assert_same_conversion(seeded, wta._convert_batch_fast(currents, offsets=offsets))
+    unperturbed = wta._convert_batch_fast(currents, offsets=np.zeros_like(offsets))
     assert (seeded.codes != unperturbed.codes).any(axis=1)[-1]
 
 
@@ -230,9 +220,7 @@ def test_margin_exactly_at_the_bound_draws(varied_amm, monkeypatch):
     assert len(calls) == 1
     assert_same_conversion(
         seeded,
-        at_bound._convert_batch_fast(
-            currents, offsets=reference_offsets(at_bound, seeds), commit_state=False
-        ),
+        at_bound._convert_batch_fast(currents, offsets=reference_offsets(at_bound, seeds)),
     )
 
 

@@ -213,14 +213,13 @@ class TestClosedFormConversion:
         bits=st.integers(min_value=1, max_value=7),
         batch=st.integers(min_value=1, max_value=6),
         gain_sigma=st.sampled_from([0.0, 0.05, 0.3]),
-        commit_state=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_matches_the_cycle_loop(self, columns, bits, batch, gain_sigma, commit_state, seed):
+    def test_matches_the_cycle_loop(self, columns, bits, batch, gain_sigma, seed):
         closed, looped = (
             make_wta(columns=columns, bits=bits, dac_gain_sigma=gain_sigma) for _ in range(2)
         )
-        mtj = closed.neurons[0].mtj
+        mtj = closed.mtj
         assert mtj.resistance(True) < mtj.reference_resistance() <= mtj.resistance(False)
         rng = np.random.default_rng(seed)
         # Currents exactly on the comparator's lattice ``(k·lsb)·gain +
@@ -234,13 +233,9 @@ class TestClosedFormConversion:
         currents = np.where(pick == 0, on_lattice, anywhere)
         currents = np.where(pick == 2, currents[:, :1], currents)
 
-        got = closed._convert_batch_fast(currents, None, commit_state=commit_state)
-        want = looped._convert_batch_fast(
-            currents, np.zeros((batch, columns, bits)), commit_state=commit_state
-        )
+        got = closed._convert_batch_fast(currents, None)
+        want = looped._convert_batch_fast(currents, np.zeros((batch, columns, bits)))
         for field in ("winner", "dom_code", "codes", "survivors", "tie"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
         assert got.events == want.events
         assert all(len(events) == 7 for events in got.events)
-        for mine, theirs in zip(closed.neurons, looped.neurons):
-            assert (mine.state, mine.switch_count) == (theirs.state, theirs.switch_count)

@@ -162,41 +162,3 @@ class TestReadout:
         neuron = make_neuron()
         assert neuron.apply_current(drive) == 1
         assert neuron.apply_current(-drive) == -1
-
-
-class TestBatchSupport:
-    """Hooks used by the vectorised WTA engine."""
-
-    def test_draw_read_offsets_matches_sequential_reads(self):
-        a = DomainWallNeuron(seed=5)
-        b = DomainWallNeuron(seed=5)
-        drawn = a.draw_read_offsets(6)
-        assert drawn.shape == (6,)
-        for _ in range(6):
-            b.read()
-        # Both streams must now be in the same state.
-        assert a._rng.random() == b._rng.random()
-
-    def test_draw_read_offsets_offset_free_latch_draws_nothing(self):
-        neuron = DomainWallNeuron(
-            latch=DynamicCmosLatch(offset_sigma_ohm=0.0), seed=5
-        )
-        assert np.array_equal(neuron.draw_read_offsets(4), np.zeros(4))
-        # The stream must be untouched: a fresh same-seed generator agrees.
-        assert neuron._rng.random() == np.random.default_rng(5).random()
-
-    def test_apply_batch_outcome_updates_bookkeeping(self):
-        neuron = make_neuron()
-        base = neuron.switch_count
-        neuron.apply_batch_outcome(1, 3)
-        assert neuron.state == 1
-        assert neuron.switch_count == base + 3
-
-    def test_apply_batch_outcome_validation(self):
-        neuron = make_neuron()
-        with pytest.raises(ValueError):
-            neuron.apply_batch_outcome(0, 1)
-        with pytest.raises(ValueError):
-            neuron.apply_batch_outcome(1, -1)
-        with pytest.raises(ValueError):
-            neuron.draw_read_offsets(-1)
