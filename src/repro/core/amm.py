@@ -138,9 +138,10 @@ class InputDacBank:
         Accepts a single ``(rows,)`` code vector or a batch of shape
         ``(B, rows)``; the returned array has the same shape.  Every entry
         is the code's masked sum of the row's bit conductances, looked up
-        in the bank's code table.
+        in the bank's code table.  Non-integral codes are refused, never
+        truncated.
         """
-        codes = np.asarray(codes, dtype=np.int64)
+        codes = integral_array("codes", codes)
         if codes.ndim == 2:
             if codes.shape[1] != self.rows:
                 raise ValueError(

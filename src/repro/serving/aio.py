@@ -34,8 +34,8 @@ framing so bulk clients never pay JSON per row:
   per connection.  A request carries raw little-endian ``codes`` /
   ``seeds`` arrays plus a JSON header (``timeout_ms`` / ``priority`` /
   ``client_id``); the server answers :data:`~repro.backends.wire.ROWS`
-  frames (resolved rows in row order, results as raw arrays, per-row
-  errors in the header) terminated by one
+  frames (resolved rows in arrival order, with explicit row indices,
+  results as raw arrays, per-row errors in the header) terminated by one
   :data:`~repro.backends.wire.DONE` summary.  Admission failures become
   an ``ERROR`` frame carrying the HTTP-taxonomy ``status``/``reason``
   and leave the connection usable.
@@ -52,10 +52,14 @@ wakeup)
 — **no thread-per-request, no per-row future, no blocking ``.result()``
 anywhere on the async path**.  Response bodies, NDJSON lines and
 ``ROWS`` frames are built straight from the segments' result arrays.
-A handler that gives up on a request (client gone, wait budget spent,
-an earlier row failed) calls :meth:`~repro.serving.workers.Submission.cancel`,
-which never touches the loop: the submission's undispatched rows are
-skipped by the service and their quota slots released at once.
+Every answer — a JSON body, an NDJSON stream, binary ``ROWS`` frames —
+runs through one request driver (:meth:`AsyncRecognitionServer._drive`):
+it submits the rows in windows, waits, retries admission and, when the
+request is given up (client gone, wait budget spent, an earlier row
+failed), calls :meth:`~repro.serving.workers.Submission.cancel`, which
+never touches the loop: the submission's undispatched rows are skipped
+by the service and their quota slots released at once.  The handlers
+only encode what it yields.
 asyncio cancellation keeps meaning "this handler task is being torn
 down" only.
 
@@ -69,10 +73,11 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextlib
 import socket
 import threading
 from http.client import responses as _HTTP_REASONS
-from typing import Dict, List, Optional, Tuple
+from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -82,7 +87,6 @@ from repro.serving import protocol
 from repro.serving.errors import (
     BackpressureError,
     QuotaExceededError,
-    ServiceClosedError,
 )
 from repro.serving.protocol import (
     BODY_READ_TIMEOUT,
@@ -511,69 +515,151 @@ class AsyncRecognitionServer:
             )
         return await self._buffered_recognise(parsed, writer, close_after)
 
+    async def _drive(
+        self, parsed: ParsedRecognise, budget: float, window: int, in_order: bool
+    ) -> AsyncIterator[Tuple[List[Tuple[int, int, object]], bool]]:
+        """The one submit/wait/retry/cancel loop behind every recognise answer.
+
+        Submits the request's rows in windows of at most ``window`` rows
+        and yields ``(segments, idle)`` as their outcomes arrive:
+        ``(start, stop, outcome)`` row ranges, in row order when
+        ``in_order`` (rows resolved behind an unresolved one wait for it)
+        or else in arrival order, and whether no admitted row is still
+        owed.  A row's window slot frees when it is yielded.  The first
+        yield is empty and comes once the first window is admitted.
+
+        Everything raised before that first yield is a whole-request
+        answer: a request spanning several windows is checked whole
+        (:meth:`RecognitionService.check_request`) before anything is
+        queued, and a refused first window is never retried.  Later,
+        backpressure or quota denial is absorbed by draining the rows in
+        flight and retrying (after ``retry_after`` when nothing is in
+        flight); any other refusal, such as a closed service, fails the
+        unsubmitted rows as one segment.  When ``budget`` seconds pass,
+        the queued rows are cancelled and every row not yet yielded fails
+        with one ``TimeoutError``.  Iterate under
+        :func:`contextlib.aclosing`: a consumer that stops early (a failed
+        row, a vanished client, a cancelled task) cancels the in-flight
+        submissions on the way out.
+        """
+        service = self.service
+        loop = self.loop
+        codes, seeds = parsed.codes, parsed.seeds
+        total = codes.shape[0]
+        if total > window:
+            # A one-window request is checked whole by its submit_batch.
+            codes, seeds = service.check_request(
+                codes, seeds, parsed.timeout_ms, parsed.priority, parsed.client_id
+            )
+        deadline = loop.time() + budget
+        drain = _SegmentDrain(self._bridge)
+        inflight: List[Submission] = []
+        owed = np.ones(total, dtype=bool)  # rows not yet yielded
+        early: Dict[int, Tuple[int, object]] = {}  # start -> (stop, outcome)
+        settled = 0  # rows yielded
+
+        def submit(start: int, stop: int) -> None:
+            inflight.append(
+                service.submit_batch(
+                    codes[start:stop],
+                    seeds[start:stop],
+                    drain.sink(start),
+                    timeout_ms=parsed.timeout_ms,
+                    priority=parsed.priority,
+                    client_id=parsed.client_id,
+                )
+            )
+
+        try:
+            next_row = min(window, total)  # rows submitted so far
+            if next_row:
+                submit(0, next_row)
+            yield [], not next_row
+            refused: Optional[BaseException] = None
+            while True:
+                while refused is None and next_row < min(settled + window, total):
+                    end = min(settled + window, total)
+                    try:
+                        submit(next_row, end)
+                    except (BackpressureError, QuotaExceededError) as error:
+                        if next_row > settled:
+                            break  # drain our own rows, then retry
+                        remaining = deadline - loop.time()
+                        if remaining <= 0:
+                            refused = error
+                            break
+                        delay = getattr(error, "retry_after", None) or 0.02
+                        await asyncio.sleep(max(min(delay, 0.25, remaining), 1e-4))
+                        continue
+                    except Exception as error:  # noqa: BLE001 — permanent
+                        refused = error
+                        break
+                    next_row = end
+                if settled >= next_row:
+                    break  # done, or admission gave out with nothing owed
+                remaining = deadline - loop.time()
+                batch = await drain.drained(remaining)
+                if not batch and remaining <= 0:
+                    for submission in inflight:
+                        submission.cancel()
+                    timeout = concurrent.futures.TimeoutError(
+                        f"request not served within {budget} s"
+                    )
+                    rows = np.flatnonzero(owed).tolist()
+                    yield [(row, row + 1, timeout) for row in rows], True
+                    return
+                if in_order:
+                    for start, stop, outcome in batch:
+                        early[start] = (stop, outcome)
+                    batch = []
+                    while settled in early:
+                        stop, outcome = early.pop(settled)
+                        batch.append((settled, stop, outcome))
+                        settled = stop
+                else:
+                    settled += sum(stop - start for start, stop, _ in batch)
+                for start, stop, _ in batch:
+                    owed[start:stop] = False
+                if batch:
+                    yield batch, settled >= next_row
+            if refused is not None:
+                yield [(next_row, total, refused)], True
+        finally:
+            for submission in inflight:
+                submission.cancel()
+
     async def _buffered_recognise(
         self,
         parsed: ParsedRecognise,
         writer: asyncio.StreamWriter,
         close_after: bool,
     ) -> bool:
-        loop = self.loop
-        wait = protocol.wait_budget(
+        """One JSON body: a one-window submission whose rows are assembled
+        in row order; the first failed row (the lowest, as in
+        ``RecognitionService.recognise_many``) answers the whole request
+        and abandons the rest, and a spent wait budget is a 504."""
+        budget = protocol.wait_budget(
             parsed.timeout_ms, default=DEFAULT_REQUEST_TIMEOUT
         )
-        drain = _SegmentDrain(self._bridge)
-        try:
-            submission = self.service.submit_batch(
-                parsed.codes,
-                parsed.seeds,
-                drain.sink(0),
-                timeout_ms=parsed.timeout_ms,
-                priority=parsed.priority,
-                client_id=parsed.client_id,
-            )
-        except Exception as error:  # noqa: BLE001 — admission/validation
-            await self._respond_error(writer, error, close=close_after)
-            return close_after
-        total = len(submission)
-        deadline = loop.time() + wait
-        resolved: Dict[int, Tuple[int, object]] = {}  # start -> (stop, outcome)
         results: List[dict] = []
-        # Scanned in row order (not arrival order) so a multi-row failure
-        # reports the lowest failed row, exactly like the sequential
-        # gather of ``RecognitionService.recognise_many``; the moment that
-        # row fails, the unresolved tail is abandoned without waiting.
-        next_scan = 0
+        failure: Optional[BaseException] = None
         try:
-            while next_scan < total:
-                remaining = deadline - loop.time()
-                batch = await drain.drained(remaining)
-                for start, stop, outcome in batch:
-                    resolved[start] = (stop, outcome)
-                while next_scan in resolved:
-                    stop, outcome = resolved.pop(next_scan)
-                    if isinstance(outcome, BaseException):
-                        submission.cancel()
-                        await self._respond_error(
-                            writer, outcome, close=close_after
-                        )
-                        return close_after
-                    results.extend(result_rows(outcome))
-                    next_scan = stop
-                if next_scan < total and not batch and remaining <= 0:
-                    submission.cancel()
-                    await self._respond(
-                        writer,
-                        504,
-                        {
-                            "error": f"request not served within {wait} s",
-                            "reason": "deadline",
-                        },
-                        close=close_after,
-                    )
-                    return close_after
-        except asyncio.CancelledError:
-            submission.cancel()
-            raise
+            async with contextlib.aclosing(
+                self._drive(parsed, budget, parsed.codes.shape[0], in_order=True)
+            ) as answers:
+                async for segments, _idle in answers:
+                    for _start, _stop, outcome in segments:
+                        if isinstance(outcome, BaseException):
+                            failure = outcome
+                            break
+                        results.extend(result_rows(outcome))
+                    if failure is not None:
+                        break
+        except Exception as error:  # noqa: BLE001 — admission/validation
+            failure = error
+        if failure is not None:
+            await self._respond_error(writer, failure, close=close_after)
+            return close_after
         body = {"count": len(results), "results": results}
         if parsed.single:
             body["result"] = results[0]
@@ -587,20 +673,15 @@ class AsyncRecognitionServer:
         close_after: bool,
         chunked: bool = True,
     ) -> bool:
-        """Chunked-NDJSON streaming on the loop.
+        """Chunked-NDJSON streaming: one line per row, in row order, under
+        the whole-stream budget ``MAX_REQUEST_TIMEOUT`` (see :meth:`_drive`).
 
-        Rows are submitted in windows of :meth:`RecognitionService.stream_window`
-        and emitted in row order.  Admission pressure (backpressure or
-        quota) while rows are in flight is absorbed by draining them and
-        retrying; with nothing in flight the retry honours the
-        whole-stream budget (``MAX_REQUEST_TIMEOUT``).  When that budget
-        runs out, every row still owed fails with the same timeout and
-        the queued ones are cancelled.  A closed service mid-stream fails
-        the unsubmitted rows per row; a rejection before any row was
-        admitted is a clean whole-request status instead.
-
-        HTTP/1.0 has no chunked coding: a 1.0 request (``chunked=False``)
-        gets the same lines close-delimited, ended by EOF.
+        The ``200`` head goes out once the first window is admitted, so a
+        request refused before that gets a clean whole-request status;
+        rows failing later (deadline, shed, closed service, spent budget)
+        are per-row error lines under a well-formed summary.  HTTP/1.0
+        has no chunked coding: a 1.0 request (``chunked=False``) gets the
+        same lines close-delimited, ended by EOF.
         """
         close_after = close_after or not chunked
         frame = _chunk if chunked else bytes
@@ -611,124 +692,38 @@ class AsyncRecognitionServer:
         if close_after:
             head += b"Connection: close\r\n"
         head += b"\r\n"
-        service = self.service
-        loop = self.loop
-        total = parsed.codes.shape[0]
-        window = service.stream_window()
-        deadline = loop.time() + MAX_REQUEST_TIMEOUT
-        drain = _SegmentDrain(self._bridge)
-        inflight: List[Submission] = []
-        resolved: Dict[int, Tuple[int, object]] = {}  # start -> (stop, outcome)
-        next_row = 0  # rows submitted so far
-        next_emit = 0  # in-order NDJSON emission pointer
-        admission_error: Optional[BaseException] = None
-        encoder = StreamLineEncoder(total)
+        encoder = StreamLineEncoder(parsed.codes.shape[0])
         committed = False
-
-        def abandon_inflight() -> None:
-            for submission in inflight:
-                submission.cancel()
-            inflight.clear()
-
-        async def write_lines(lines: List[bytes]) -> None:
-            writer.write(b"".join(frame(line) for line in lines))
-            await writer.drain()
-
-        def take(batch: List[Tuple[int, int, object]]) -> List[bytes]:
-            """Fold a drained batch in, return the emittable prefix."""
-            nonlocal next_emit
-            for start, stop, outcome in batch:
-                resolved[start] = (stop, outcome)
-            lines: List[bytes] = []
-            while next_emit in resolved:
-                stop, outcome = resolved.pop(next_emit)
-                lines.extend(encoder.segment(next_emit, stop, outcome))
-                next_emit = stop
-            return lines
-
         try:
-            while next_emit < total:
-                # Window accounting: a row occupies its slot from
-                # submission until its line is on the wire (emission is
-                # in-order, so resolved-but-blocked rows still count).
-                while (
-                    admission_error is None
-                    and next_row < total
-                    and next_row - next_emit < window
-                ):
-                    end = min(next_row + (window - (next_row - next_emit)), total)
-                    try:
-                        submission = service.submit_batch(
-                            parsed.codes[next_row:end],
-                            parsed.seeds[next_row:end],
-                            drain.sink(next_row),
-                            timeout_ms=parsed.timeout_ms,
-                            priority=parsed.priority,
-                            client_id=parsed.client_id,
+            async with contextlib.aclosing(
+                self._drive(
+                    parsed,
+                    MAX_REQUEST_TIMEOUT,
+                    self.service.stream_window(),
+                    in_order=True,
+                )
+            ) as answers:
+                async for segments, _idle in answers:
+                    if not committed:
+                        committed = True
+                        writer.write(head)
+                    writer.write(
+                        b"".join(
+                            frame(line)
+                            for segment in segments
+                            for line in encoder.segment(*segment)
                         )
-                    except ServiceClosedError as error:
-                        if next_row == 0:
-                            raise  # nothing streamed yet: clean 503
-                        admission_error = error  # permanent: no retry
-                        break
-                    except (BackpressureError, QuotaExceededError) as error:
-                        if next_row == 0:
-                            raise  # nothing streamed yet: clean rejection
-                        if next_row > next_emit:
-                            break  # drain our own rows, then retry
-                        remaining = deadline - loop.time()
-                        if remaining <= 0:
-                            admission_error = error
-                            break
-                        delay = getattr(error, "retry_after", None) or 0.02
-                        delay = min(delay, 0.25, remaining)
-                        await asyncio.sleep(max(delay, 1e-4))
-                        continue
-                    inflight.append(submission)
-                    next_row = end
-                if not committed:
-                    committed = True
-                    writer.write(head)
-                    await writer.drain()
-                if next_emit >= next_row:
-                    break  # done, or admission gave out with nothing queued
-                remaining = deadline - loop.time()
-                batch = await drain.drained(remaining)
-                lines = take(batch)
-                if lines:
-                    await write_lines(lines)
-                elif not batch and remaining <= 0:
-                    # The whole-stream budget is spent: everything left
-                    # fails with the same timeout, queued rows cancelled.
-                    timeout_error = concurrent.futures.TimeoutError(
-                        f"stream not served within {MAX_REQUEST_TIMEOUT} s"
                     )
-                    abandon_inflight()
-                    await write_lines(encoder.segment(next_emit, total, timeout_error))
-                    next_emit = next_row = total
-                    break
-            if not committed:
-                # Zero-row stream: still a well-formed 200 + summary.
-                committed = True
-                writer.write(head)
-            if admission_error is not None and next_row < total:
-                await write_lines(encoder.segment(next_row, total, admission_error))
+                    await writer.drain()
             writer.write(frame(encoder.summary()) + body_end)
             await writer.drain()
             return close_after
         except (ConnectionResetError, BrokenPipeError, OSError):
-            # Client went away mid-stream: nothing keeps computing for an
-            # audience that left (queued rows cancelled, quota released).
-            abandon_inflight()
-            return True
-        except asyncio.CancelledError:
-            abandon_inflight()
-            raise
+            return True  # client went away; its queued rows are cancelled
         except Exception as error:  # noqa: BLE001
-            abandon_inflight()
             if not committed:
-                # Admission/validation failed before the 200 was on the
-                # wire: the caller still gets its clean status.
+                # Refused before the 200 was on the wire: the caller
+                # still gets its clean status.
                 await self._respond_error(writer, error, close=close_after)
                 return close_after
             try:
@@ -853,134 +848,51 @@ class AsyncRecognitionServer:
         writer: asyncio.StreamWriter,
     ) -> bool:
         """Serve one RECOGNISE frame; returns False when the connection
-        is no longer usable (transport failure mid-answer)."""
-        service = self.service
-        loop = self.loop
+        is no longer usable (transport failure mid-answer).
+
+        ``ROWS`` frames carry explicit row indices, so rows ship in
+        arrival order and a window slot frees the moment its row
+        resolves; ``timeout_ms`` is a per-row dispatch deadline, exactly
+        as on the HTTP stream, and the whole answer gets the hard ceiling
+        ``MAX_REQUEST_TIMEOUT``.  A request refused before its first
+        window is admitted gets a typed ``ERROR`` frame instead.
+        """
         request_id = header.get("id")
+        chunk = _RowsFrame(request_id)
         try:
             parsed = _parse_binary_recognise(header, arrays, hello_client)
-        except Exception as error:  # noqa: BLE001 — malformed request
-            await _write_error(writer, error, request_id=request_id)
-            return True  # frame fully consumed; connection stays usable
-        total = parsed.codes.shape[0]
-        window = service.stream_window()
-        # ``timeout_ms`` is a per-row dispatch deadline, exactly as on
-        # the HTTP stream path; the whole answer gets the hard ceiling.
-        deadline = loop.time() + MAX_REQUEST_TIMEOUT
-        drain = _SegmentDrain(self._bridge)
-        inflight: List[Submission] = []
-        done = np.zeros(total, dtype=bool)  # rows whose outcome is in a chunk
-        next_row = 0  # rows submitted so far
-        resolved = 0  # rows whose outcome has landed in a chunk
-        admission_error: Optional[BaseException] = None
-        committed = False
-        chunk = _RowsFrame(request_id)
-
-        def abandon_inflight() -> None:
-            for submission in inflight:
-                submission.cancel()
-            inflight.clear()
-
-        try:
-            while resolved < total:
-                # ROWS frames carry explicit row indices, so (unlike the
-                # NDJSON stream) rows ship in arrival order and a window
-                # slot frees the moment its row resolves.
-                while (
-                    admission_error is None
-                    and next_row < total
-                    and next_row - resolved < window
-                ):
-                    end = min(next_row + (window - (next_row - resolved)), total)
-                    try:
-                        submission = service.submit_batch(
-                            parsed.codes[next_row:end],
-                            parsed.seeds[next_row:end],
-                            drain.sink(next_row),
-                            timeout_ms=parsed.timeout_ms,
-                            priority=parsed.priority,
-                            client_id=parsed.client_id,
-                        )
-                    except ServiceClosedError as error:
-                        if next_row == 0 and not committed:
-                            await _write_error(
-                                writer, error, request_id=request_id
-                            )
-                            return True
-                        admission_error = error
-                        break
-                    except (BackpressureError, QuotaExceededError) as error:
-                        if next_row == 0 and not committed:
-                            await _write_error(
-                                writer, error, request_id=request_id
-                            )
-                            return True
-                        if next_row > resolved:
-                            break
-                        remaining = deadline - loop.time()
-                        if remaining <= 0:
-                            admission_error = error
-                            break
-                        delay = getattr(error, "retry_after", None) or 0.02
-                        delay = min(delay, 0.25, remaining)
-                        await asyncio.sleep(max(delay, 1e-4))
-                        continue
-                    except Exception as error:  # noqa: BLE001 — validation
-                        if next_row == 0 and not committed:
-                            await _write_error(
-                                writer, error, request_id=request_id
-                            )
-                            return True
-                        admission_error = error
-                        break
-                    inflight.append(submission)
-                    next_row = end
-                if resolved >= next_row:
-                    break  # done, or admission gave out with nothing queued
-                committed = True
-                remaining = deadline - loop.time()
-                batch = await drain.drained(remaining)
-                if not batch and remaining <= 0:
-                    timeout_error = concurrent.futures.TimeoutError(
-                        "request not served within its wait budget"
-                    )
-                    abandon_inflight()
-                    for stale_index in np.flatnonzero(~done[:next_row]).tolist():
-                        chunk.add(stale_index, stale_index + 1, timeout_error)
-                    chunk.add(next_row, total, timeout_error)
-                    resolved = next_row = total
-                    break
-                for start, stop, outcome in batch:
-                    done[start:stop] = True
-                    resolved += stop - start
-                    chunk.add(start, stop, outcome)
-                    # Flush greedily: resolved rows go out in amortised
-                    # ROWS frames — live progress without per-row frames.
-                    if chunk.rows >= _ROWS_FLUSH:
+            async with contextlib.aclosing(
+                self._drive(
+                    parsed,
+                    MAX_REQUEST_TIMEOUT,
+                    self.service.stream_window(),
+                    in_order=False,
+                )
+            ) as answers:
+                async for segments, idle in answers:
+                    for segment in segments:
+                        chunk.add(*segment)
+                        # Flush greedily: resolved rows go out in amortised
+                        # ROWS frames — live progress without per-row frames.
+                        if chunk.rows >= _ROWS_FLUSH:
+                            await _write_frame(writer, wire.ROWS, *chunk.flush())
+                    if chunk.rows and idle:  # the last yield is idle
                         await _write_frame(writer, wire.ROWS, *chunk.flush())
-                if chunk.rows and resolved >= next_row:
-                    await _write_frame(writer, wire.ROWS, *chunk.flush())
-            if admission_error is not None:
-                chunk.add(next_row, total, admission_error)
-            if chunk.rows:
-                await _write_frame(writer, wire.ROWS, *chunk.flush())
             await _write_frame(
                 writer,
                 wire.DONE,
                 header={
                     "id": request_id,
-                    "count": total,
+                    "count": parsed.codes.shape[0],
                     "ok": chunk.ok,
                     "failed": chunk.failed,
                 },
             )
-            return True
         except (ConnectionResetError, BrokenPipeError, OSError):
-            abandon_inflight()
             return False
-        except asyncio.CancelledError:
-            abandon_inflight()
-            raise
+        except Exception as error:  # noqa: BLE001 — malformed or refused request
+            await _write_error(writer, error, request_id=request_id)
+        return True  # answer complete; connection stays usable
 
 
 #: Sentinel for a failed binary handshake (``None`` is a valid client id).
@@ -1062,10 +974,10 @@ def _parse_binary_recognise(
         raise ValueError("RECOGNISE frame requires a codes array")
     if codes.ndim != 2:
         raise ValueError(f"codes must be a 2-D batch, got shape {codes.shape}")
-    codes = protocol.integral_array("codes", codes)
+    codes = protocol.integral_payload("codes", codes)
     seeds_array = arrays.get("seeds")
     if seeds_array is not None:
-        seeds = protocol.integral_array("seeds", seeds_array)
+        seeds = protocol.integral_payload("seeds", seeds_array)
         if seeds.shape != (codes.shape[0],):
             raise ValueError(
                 f"seeds must have length {codes.shape[0]}, got {seeds.size}"
@@ -1092,7 +1004,6 @@ def _parse_binary_recognise(
         timeout_ms=timeout_ms,
         priority=priority,
         client_id=client_id,
-        wait=protocol.wait_budget(timeout_ms, default=MAX_REQUEST_TIMEOUT),
     )
 
 

@@ -46,6 +46,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.backends import wire
+from repro.core.inputs import integral_array
 from repro.serving.metrics import latency_summary
 from repro.utils.validation import check_integer
 
@@ -401,9 +402,10 @@ class BinaryRecognitionClient:
         arrives as an ERROR frame and raises :class:`ServerError` with
         the same status/reason the JSON API would have answered; per-row
         failures land in :attr:`BinaryBatchResult.errors` (partial
-        failure is per-row, exactly like the NDJSON stream).
+        failure is per-row, exactly like the NDJSON stream).  Non-integral
+        codes or seeds raise ``ValueError`` before anything is sent.
         """
-        codes_batch = np.ascontiguousarray(codes_batch, dtype=np.int64)
+        codes_batch = np.ascontiguousarray(integral_array("codes_batch", codes_batch))
         if codes_batch.ndim != 2:
             raise ValueError(
                 f"codes_batch must be 2-D, got shape {codes_batch.shape}"
@@ -416,7 +418,7 @@ class BinaryRecognitionClient:
         header: Dict[str, object] = {}
         arrays: Dict[str, np.ndarray] = {"codes": wire_codes}
         if seeds is not None:
-            arrays["seeds"] = np.ascontiguousarray(seeds, dtype=np.int64)
+            arrays["seeds"] = np.ascontiguousarray(integral_array("seeds", seeds))
         if timeout_ms is not None:
             header["timeout_ms"] = float(timeout_ms)
         if priority is not None:
@@ -572,7 +574,7 @@ def run_load(
     check_integer("images_per_request", images_per_request, minimum=1)
     if stream and binary:
         raise ValueError("binary mode already streams; pick one of stream/binary")
-    codes_pool = np.asarray(codes_pool, dtype=np.int64)
+    codes_pool = integral_array("codes_pool", codes_pool)
     if codes_pool.ndim != 2 or codes_pool.shape[0] == 0:
         raise ValueError("codes_pool must be a non-empty 2-D code batch")
     if priorities is not None and len(priorities) == 0:
@@ -796,7 +798,7 @@ def run_connection_load(
     check_integer("requests", requests, minimum=1)
     check_integer("connections", connections, minimum=1)
     check_integer("images_per_request", images_per_request, minimum=1)
-    codes_pool = np.asarray(codes_pool, dtype=np.int64)
+    codes_pool = integral_array("codes_pool", codes_pool)
     if codes_pool.ndim != 2 or codes_pool.shape[0] == 0:
         raise ValueError("codes_pool must be a non-empty 2-D code batch")
     pool_rows = codes_pool.tolist()

@@ -14,7 +14,7 @@ that contract in one place, so an endpoint can only differ in transport
   exceptions to the JSON the client sees (whole-request statuses and
   per-row stream errors share it, so the taxonomy cannot drift between
   the buffered, streaming and binary paths).
-* **Body validation** — :func:`integral_array` / :func:`integral_scalar`
+* **Body validation** — :func:`integral_payload` / :func:`integral_scalar`
   reject non-integral payloads instead of silently truncating them, and
   :func:`parse_recognise` turns a decoded ``POST /recognise`` body into
   one validated :class:`ParsedRecognise` (codes, seeds, deadline,
@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.backends.base import WorkerCrashedError
 from repro.core.amm import BatchRecognitionResult, RecognitionResult
+from repro.core.inputs import integral_array
 from repro.serving.errors import (
     BackpressureError,
     DeadlineExceededError,
@@ -186,32 +187,20 @@ def row_error_to_json(index: int, error: BaseException) -> dict:
     }
 
 
-def integral_array(
-    name: str, values: object, dtype: type = np.int64
-) -> np.ndarray:
-    """Parse a JSON number (array) as integers, rejecting non-integral input.
+def integral_payload(name: str, values: object) -> np.ndarray:
+    """A request's number array as int64, refusing non-integral input.
 
-    ``np.asarray(..., dtype=np.int64)`` would silently truncate ``1.7``
-    to ``1`` and serve a wrong answer; here non-integral, boolean and
-    non-numeric payloads are rejected with a ``ValueError`` (HTTP 400).
-    Integral floats (``2.0``) are accepted — JSON clients cannot always
-    control number formatting.
+    JSON and the binary wire carry booleans and strings as well as
+    numbers; those are refused here, and the numbers go through the
+    module's own :func:`repro.core.inputs.integral_array`, which refuses
+    ``1.7`` (and NaN, infinities, values beyond int64) rather than
+    truncating it, and accepts integral floats (``2.0``) — JSON clients
+    cannot always control number formatting.
     """
     array = np.asarray(values)
-    if array.dtype == object or np.issubdtype(array.dtype, np.bool_):
+    if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be integers, got non-numeric values")
-    if np.issubdtype(array.dtype, np.floating):
-        if not np.all(np.isfinite(array)):
-            raise ValueError(f"{name} must be finite integers")
-        if np.any(array != np.floor(array)):
-            raise ValueError(
-                f"{name} must be integers, got non-integral values "
-                "(e.g. 1.7 would otherwise be silently truncated to 1)"
-            )
-        return array.astype(dtype)
-    if not np.issubdtype(array.dtype, np.integer):
-        raise ValueError(f"{name} must be integers, got dtype {array.dtype}")
-    return array.astype(dtype)
+    return integral_array(name, array)
 
 
 def integral_scalar(name: str, value: object) -> int:
@@ -234,8 +223,7 @@ class ParsedRecognise:
     ``codes`` is always a 2-D ``(B, features)`` batch and ``seeds`` its
     ``(B,)`` int64 seeds; ``single`` records
     whether the client posted the 1-D single-image form (its response
-    carries a ``"result"`` convenience field).  ``wait`` is the front
-    end's whole-request wait budget in seconds (see :func:`wait_budget`).
+    carries a ``"result"`` convenience field).
     """
 
     codes: np.ndarray
@@ -245,7 +233,6 @@ class ParsedRecognise:
     timeout_ms: Optional[float]
     priority: int
     client_id: Optional[str]
-    wait: float
 
 
 def wait_budget(
@@ -278,7 +265,7 @@ def parse_seeds(
     if single or seeds is None:
         seed = integral_scalar("seed", payload.get("seed", 0))
         return np.full(1 if single else count, seed, dtype=np.int64)
-    array = integral_array("seeds", seeds)
+    array = integral_payload("seeds", seeds)
     if array.shape != (count,):
         raise ValueError(f"seeds must have length {count}, got {array.size}")
     return array
@@ -299,7 +286,7 @@ def parse_recognise(
     """
     if not isinstance(payload, dict):
         raise ValueError("request body must be a JSON object")
-    codes = integral_array("codes", payload.get("codes"))
+    codes = integral_payload("codes", payload.get("codes"))
     timeout_ms = payload.get("timeout_ms")
     if timeout_ms is not None:
         timeout_ms = float(timeout_ms)
@@ -328,7 +315,6 @@ def parse_recognise(
         timeout_ms=timeout_ms,
         priority=priority,
         client_id=client_id,
-        wait=wait_budget(timeout_ms),
     )
 
 

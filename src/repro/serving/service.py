@@ -57,6 +57,7 @@ import numpy as np
 
 from repro.backends.base import RecallBackend
 from repro.core.amm import AssociativeMemoryModule, RecognitionResult
+from repro.core.inputs import check_batch
 from repro.serving.errors import (
     BackpressureError,
     # Explicit re-export: callers historically import the deadline error
@@ -399,6 +400,47 @@ class RecognitionService:
             Submission, codes_batch, seeds, deliver, timeout_ms, priority, client_id
         )
 
+    def check_request(
+        self,
+        codes_batch: np.ndarray,
+        seeds: Optional[Sequence[int]],
+        timeout_ms: Optional[float],
+        priority: int,
+        client_id: Optional[str],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The request checks of :meth:`submit_batch`, queueing nothing.
+
+        Returns the int64 ``(B, features)`` codes and ``(B,)`` seeds
+        (zeros when ``seeds`` is ``None``); raises ``ValueError`` for
+        non-integral or out-of-range codes, bad seeds, an out-of-range
+        priority, a malformed client id or a non-positive ``timeout_ms``.
+        A front end that submits a request in windows runs it once over
+        the whole request, so a bad row anywhere is refused before its
+        first window is queued.
+        """
+        codes_batch, seeds = check_batch(
+            "codes_batch",
+            codes_batch,
+            self.amm.crossbar.rows,
+            seeds,
+            allow_empty=True,
+        )
+        if seeds is None:
+            seeds = np.zeros(codes_batch.shape[0], dtype=np.int64)
+        max_code = self.amm.input_dacs.max_code
+        # Every code lies in [0, max_code] exactly when their bitwise OR does.
+        if not 0 <= np.bitwise_or.reduce(codes_batch, axis=None) <= max_code:
+            raise ValueError(f"codes must be in [0, {max_code}]")
+        check_integer("priority", priority, minimum=MIN_PRIORITY)
+        if priority > MAX_PRIORITY:
+            raise ValueError(
+                f"priority must be <= {MAX_PRIORITY}, got {priority}"
+            )
+        validate_client_id(client_id)
+        if timeout_ms is not None and not timeout_ms > 0:
+            raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
+        return codes_batch, seeds
+
     def _admit(
         self,
         kind: type,
@@ -410,31 +452,10 @@ class RecognitionService:
         client_id: Optional[str],
     ):
         """Validate, then queue one submission of ``kind`` (or raise)."""
-        codes_batch = np.asarray(codes_batch, dtype=np.int64)
-        if codes_batch.ndim != 2 or codes_batch.shape[1] != self.amm.crossbar.rows:
-            raise ValueError(
-                f"codes_batch must have shape (B, {self.amm.crossbar.rows}), "
-                f"got {codes_batch.shape}"
-            )
+        codes_batch, seeds = self.check_request(
+            codes_batch, seeds, timeout_ms, priority, client_id
+        )
         rows = codes_batch.shape[0]
-        if seeds is None:
-            seeds = np.zeros(rows, dtype=np.int64)
-        if len(seeds) != rows:
-            raise ValueError(f"seeds must have length {rows}, got {len(seeds)}")
-        seeds = np.asarray(seeds, dtype=np.int64)
-        max_code = self.amm.input_dacs.max_code
-        if np.any(codes_batch < 0) or np.any(codes_batch > max_code):
-            raise ValueError(f"codes must be in [0, {max_code}]")
-        if np.any(seeds < 0):
-            raise ValueError("seeds must be non-negative")
-        check_integer("priority", priority, minimum=MIN_PRIORITY)
-        if priority > MAX_PRIORITY:
-            raise ValueError(
-                f"priority must be <= {MAX_PRIORITY}, got {priority}"
-            )
-        validate_client_id(client_id)
-        if timeout_ms is not None and not timeout_ms > 0:
-            raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
         if rows > self.max_queue_depth:
             # Never admittable, even on an idle service: a permanent-error
             # ValueError (HTTP 400), not a retry-later BackpressureError.

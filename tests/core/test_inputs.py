@@ -88,3 +88,13 @@ class TestEntryPoints:
         wta = SpinCmosWta(columns=3, seed=0)
         with pytest.raises(ValueError, match="integers"):
             wta.convert_batch_seeded(np.full((1, 3), 5e-6), [0.5])
+
+    def test_dac_bank_refuses_fractional_codes(self, amm, codes):
+        dacs = amm.input_dacs
+        with pytest.raises(ValueError, match="integers"):
+            dacs.conductances(codes + 0.7)
+        with pytest.raises(ValueError, match="integers"):
+            dacs.conductances(codes[0] + 0.5)
+        np.testing.assert_array_equal(
+            dacs.conductances(codes.astype(float)), dacs.conductances(codes)
+        )
