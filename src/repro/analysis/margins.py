@@ -142,7 +142,11 @@ def conductance_range_sweep(
     For each minimum resistance value the full range spans
     ``[r_min, r_min * resistance_ratio]``; the crossbar is re-programmed,
     the input DACs re-calibrated, and the margin evaluated with and
-    without wire parasitics.
+    without wire parasitics.  Every point builds its module from a copy of
+    the generator state left after drawing the evaluation inputs, so a
+    point's programming realisation does not depend on which points were
+    swept before it: a point of a sweep equals that point swept alone.  A
+    generator passed as ``seed`` is left just after the evaluation inputs.
     """
     check_positive("resistance_ratio", resistance_ratio)
     parameters = parameters or default_parameters()
@@ -161,7 +165,7 @@ def conductance_range_sweep(
             template_codes,
             parameters=point_parameters,
             include_parasitics=True,
-            seed=rng,
+            seed=copy.deepcopy(rng),
         )
         with_parasitics = detection_margins(amm, inputs, true_columns, include_parasitics=True)
         without_parasitics = detection_margins(amm, inputs, true_columns, include_parasitics=False)

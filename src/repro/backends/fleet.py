@@ -75,6 +75,7 @@ from repro.backends.remote import (
     Address,
     _FrameServer,
     _WorkerLink,
+    _reap_local_worker,
     parse_worker_addresses,
     spawn_local_worker,
 )
@@ -517,11 +518,7 @@ class FleetSupervisor(RecallBackend):
         for process in self._processes:
             process.terminate()
         for process in self._processes:
-            try:
-                process.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover - stuck agent
-                process.kill()
-                process.wait(timeout=10.0)
+            _reap_local_worker(process)
         self._processes = []
 
     def capabilities(self) -> BackendCapabilities:

@@ -372,7 +372,20 @@ def spawn_local_worker(
         if not line and process.poll() is not None:
             break
     process.terminate()
+    _reap_local_worker(process)
     raise RuntimeError(f"worker agent failed to start (last output: {line!r})")
+
+
+def _reap_local_worker(process: subprocess.Popen) -> None:
+    """Wait for a terminated agent of :func:`spawn_local_worker` (killing it
+    if it outlives 10 s) and close its output pipe."""
+    try:
+        process.wait(timeout=10.0)
+    except subprocess.TimeoutExpired:  # pragma: no cover - stuck agent
+        process.kill()
+        process.wait(timeout=10.0)
+    if process.stdout is not None:
+        process.stdout.close()
 
 
 # ---------------------------------------------------------------------- #

@@ -23,6 +23,7 @@ the system benchmark cross-checks the analytic estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -52,7 +53,7 @@ DEFAULT_DETECTION_LINE_CAPACITANCE = 4.0e-15
 DEFAULT_LATCH_CAPACITANCE = 1.0e-15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PowerBreakdown:
     """Static/dynamic power decomposition of one design point.
 
@@ -74,6 +75,18 @@ class PowerBreakdown:
     static_sar_dac: float
     dynamic: float
     frequency: float
+
+    def __init__(
+        self, static_rcm: float, static_sar_dac: float, dynamic: float, frequency: float
+    ) -> None:
+        # Stored straight into the instance dict, where the frozen
+        # dataclass's own __init__ calls object.__setattr__ per field: a
+        # breakdown is built for every costed row.
+        fields = self.__dict__
+        fields["static_rcm"] = static_rcm
+        fields["static_sar_dac"] = static_sar_dac
+        fields["dynamic"] = dynamic
+        fields["frequency"] = frequency
 
     @property
     def static_total(self) -> float:
@@ -299,7 +312,8 @@ class SpinAmmPowerModel:
         self, static_power: float, events: Dict[str, int]
     ) -> PowerBreakdown:
         """Combine a measured crossbar static power with measured WTA activity."""
-        check_positive("static_power", static_power, allow_zero=True)
+        if not 0.0 <= static_power < math.inf:
+            check_positive("static_power", static_power, allow_zero=True)
         coefficients = self._event_coefficients()
         frequency = self.parameters.clock_frequency_hz
         return PowerBreakdown(

@@ -449,14 +449,14 @@ class SpinCmosWta:
         conversion runs cycle by cycle (:meth:`_sar_cycles`).  ``None``
         means no offset can flip a decision (:meth:`_offsets_can_flip`):
         every decision is then the comparator's, so each cycle's decision
-        is the bit it leaves in the final code.  The codes come from an
-        MSB-first search with the kernel's own comparison
-        (:meth:`_sar_codes`) and everything else from the codes alone: a
-        neuron is driven high once per set bit, a trial toggles the next
-        lower bit on and clears a bit it rejects, and the tracking
-        registers keep the columns whose prefix is the largest so far, so
-        the detection line discharges once per set bit of the row maximum
-        and the survivors are the columns equal to it.  No neuron object
+        is the bit it leaves in the final code.  The codes are those of the
+        MSB-first search with the kernel's own comparison, found by
+        division (:meth:`_sar_codes`), and everything else comes from the
+        codes alone: a neuron is driven high once per set bit, a trial
+        toggles the next lower bit on and clears a bit it rejects, and the
+        tracking registers keep the columns whose prefix is the largest so
+        far, so the detection line discharges once per set bit of the row
+        maximum and the survivors are the columns equal to it.  No neuron object
         is read or written: each sample's switching events are counted
         from a fresh ``-1`` preset.
         """
@@ -466,13 +466,21 @@ class SpinCmosWta:
             high_cycles = np.bitwise_count(code).astype(np.int64)
             final_high = (code & 1).astype(bool)
             toggle_counts = (2 * bits - 1) * columns - high_cycles.sum(axis=1)
-            top = code.max(axis=1)
-            survivors = code == top[:, None]
-            discharge_counts = np.bitwise_count(top).astype(np.int64)
+            # The survivors are the columns at the row maximum: the winner
+            # is the first of them.
+            dom_code = code.max(axis=1)
+            survivors = code == dom_code[:, None]
+            discharge_counts = np.bitwise_count(dom_code).astype(np.int64)
+            winner = survivors.argmax(axis=1)
+            tie = np.count_nonzero(survivors, axis=1) > 1
         else:
             code, survivors, high_cycles, final_high, toggle_counts, discharge_counts = (
                 self._sar_cycles(currents, offsets)
             )
+            masked = np.where(survivors, code, np.int64(-1))
+            winner = masked.argmax(axis=1)
+            dom_code = code[np.arange(currents.shape[0]), winner]
+            tie = (masked == dom_code[:, None]).sum(axis=1) > 1
 
         # Switching-event accounting: the per-cycle preset flips the state
         # back to -1 whenever the previous cycle drove it high, and the
@@ -480,12 +488,6 @@ class SpinCmosWta:
         # a neuron that enters the sample at -1 switches twice per high
         # cycle except after the last one.
         per_sample_switches = (2 * high_cycles - final_high).sum(axis=1)
-
-        batch = currents.shape[0]
-        masked = np.where(survivors, code, np.int64(-1))
-        winner = masked.argmax(axis=1).astype(np.int64)
-        dom_code = code[np.arange(batch), winner]
-        tie = (masked == dom_code[:, None]).sum(axis=1) > 1
         events = [
             {
                 "latch_senses": columns * bits,
@@ -517,12 +519,30 @@ class SpinCmosWta:
         return currents - dac_currents >= self.dwn_config.threshold_current
 
     def _sar_codes(self, currents: np.ndarray) -> np.ndarray:
-        """Final SAR codes when every decision is the comparator's own:
-        ``resolution_bits`` MSB-first trials, as the conversion makes them."""
-        code = np.zeros(currents.shape, dtype=np.int64)
-        for bit_index in range(self.resolution_bits - 1, -1, -1):
-            trial = code | np.int64(1 << bit_index)
-            code = np.where(self._sense_high(currents, trial), trial, code)
+        """Final SAR codes when every decision is the comparator's own.
+
+        The conversion's ``resolution_bits`` MSB-first trials keep the
+        largest code the comparator accepts (0 if it accepts none above
+        0).  With positive DAC gains the comparison is monotone in the
+        code, so that code is the quotient ``(I - I_th)/(lsb·gain)``
+        rounded down and clipped to ``[0, levels - 1]``, once rounding is
+        settled: the estimate is within one of it and is moved up or down
+        by one with the comparison itself, so every code is the search's
+        bit for bit.  Any non-positive gain runs the search.
+        """
+        levels = self.levels
+        step = self.lsb_current * self._dac_gains
+        if not step.min() > 0.0:
+            code = np.zeros(currents.shape, dtype=np.int64)
+            for bit_index in range(self.resolution_bits - 1, -1, -1):
+                trial = code | np.int64(1 << bit_index)
+                code = np.where(self._sense_high(currents, trial), trial, code)
+            return code
+        estimate = np.floor((currents - self.dwn_config.threshold_current) / step)
+        # fmax sends a NaN quotient to 0, the search's answer for it.
+        code = np.fmin(np.fmax(estimate, 0.0), levels - 1).astype(np.int64)
+        code += (code < levels - 1) & self._sense_high(currents, code + 1)
+        code -= (code > 0) & ~self._sense_high(currents, code)
         return code
 
     def _sar_cycles(self, currents: np.ndarray, offsets: np.ndarray) -> tuple:

@@ -21,13 +21,19 @@ depend on the input across the batch:
       (A0 + U D U^T)^{-1} b  =  A0^{-1} b - Z (I + D W)^{-1} D U^T A0^{-1} b
 
   with ``Z = A0^{-1} U`` and ``W = U^T Z``.  The right-hand side is
-  supported on the driven nodes (``b = U·ΔV·d``), so each sample needs
-  one ``rows x rows`` correction solve ``(I + D W) c = D·base_driven``,
-  ``base_driven = W·ΔV·d``.  Its solution is ``c = D·v_driven``, so
-  ``i = ΔV·d - c`` are the DAC currents ``d·(ΔV - v_driven)``: their sum
-  is the supply current and the column terminations see ``Z_out i``.
-  Set-up needs only ``W`` and ``Z_out = Z[outputs]`` (``cols x rows``),
-  never all of ``Z``.
+  supported on the driven nodes (``b = U·ΔV·d``), and the identity
+  reduces to one ``rows x rows`` solve per sample for the DAC currents
+  ``i = d·(ΔV - v_driven)`` themselves::
+
+      (I + D W) i = ΔV·d
+
+  (the driven voltages are ``v_driven = W i``).  Their sum is the supply
+  current and the column terminations see ``Z_out i``.  Set-up needs only
+  ``W`` and ``Z_out = Z[outputs]`` (``cols x rows``), never all of ``Z``.
+  The engine never forms ``i`` as ``ΔV·d - c`` from the correction
+  ``c = D·v_driven``: once ``max(d)·λmax(W) ≫ 1`` the two terms nearly
+  cancel and ``i`` would lose digits in proportion, while the solve for
+  ``i`` keeps its relative error at any drive.
 
 **Operators by a block Schur sweep.**  Numbered in crosspoint-row blocks
 (row bar ``i``, then the column-bar nodes of row ``i``;
@@ -75,11 +81,14 @@ applied by Sherman–Morrison in O(rows):
 inverse of ``Q = D⁻¹ + s·I + (λ₁ - s)·u·uᵀ ⪰ H⁻¹``, so the preconditioned
 operator ``I + P⁻¹D·R`` is similar to the symmetric ``I + Q^-½ R Q^-½``
 and its spectrum lies in ``[1, 1 + β]`` with
-``β = λmax(R)·maxᵢ dᵢ / (1 + s·dᵢ)``.  Zero DAC conductances (undriven
-rows) stay well defined: their entries of ``c`` are exactly zero.  The
-engine runs Chebyshev semi-iteration on that interval; every step is one
-``(B, rows) @ R`` GEMM for the whole batch plus O(rows) per row, instead
-of one dense LU per sample.
+``β = λmax(R)·maxᵢ dᵢ / (1 + s·dᵢ)``.  The preconditioned system is
+``(I + P⁻¹D·R) i = P⁻¹·ΔV·d``, and its right-hand side has the closed
+form ``ΔV·(h - γ·(Σ h_u)·h_u)`` with ``h = d / (1 + s·d)`` and
+``h_u = h·u``: no product with ``W`` precedes the iteration.  Zero DAC
+conductances (undriven rows) stay well defined: their entries of ``i``
+are exactly zero.  The engine runs Chebyshev semi-iteration on that
+interval; every step is one ``(B, rows) @ R`` GEMM for the whole batch
+plus O(rows) per row, instead of one dense LU per sample.
 
 * *Precondition.*  :meth:`BatchedCrossbarEngine.prepare` checks that
   ``A0`` is symmetric to rounding (reciprocal) before the sweep and that
@@ -95,15 +104,18 @@ of one dense LU per sample.
   taken ``margin`` below their computed values, so ``R ⪰ 0``, and
   ``λmax(R)`` is taken as ``max(λ₂ - s, margin) + margin``.
 * *Error bound.*  For a row with ``κ = 1 + β`` and
-  ``ρ = (√κ - 1)/(√κ + 1)``, ``k`` steps from ``c0 = 0`` leave a relative
-  error ``‖c_k - c‖_Q / ‖c‖_Q ≤ 2√κ·ρ^k`` in the ``Q``-norm (over the
-  driven entries).  The bound holds for any ``β`` (Neumann series would
-  need ``β < 1``).
+  ``ρ = (√κ - 1)/(√κ + 1)``, ``k`` steps from ``i0 = 0`` leave a relative
+  error ``‖i_k - i‖_Q / ‖i‖_Q ≤ 2√κ·ρ^k`` in the ``Q``-norm (over the
+  driven entries) on the DAC currents themselves.  The bound holds for
+  any ``β`` (Neumann series would need ``β < 1``).
 * *Step rule.*  Each row takes its ``β``, its Chebyshev coefficients and
   its step count ``k`` — the least ``k`` with ``2√κ·ρ^k ≤``
   :attr:`~BatchedCrossbarEngine.CHEBYSHEV_TOL` — from its own drive
   only, and is frozen once it has taken its own ``k`` steps.  No row's
-  answer depends on its batch-mates.
+  answer depends on its batch-mates.  A batch whose rows share one ``β``
+  (every row reaches the same full-scale drive, as on the reference
+  design) runs on those coefficients as scalars: the same values, so the
+  same bits.
 * *Step cap and dense rows.*  ``dᵢ / (1 + s·dᵢ) < 1/s``, so whatever the
   drive ``β < λmax(R)/s`` and every network has a fixed step cap: 9 on
   the reference array, 13 at ``r_min = 200 Ω``.  A row whose ``k``
@@ -131,7 +143,8 @@ process (each fleet agent) has its own.
 On the reference design ``β ≈ 0.002`` (5 steps; without the
 preconditioner ``β = max(d)·λmax(W) ≈ 0.06`` took 9); the lowest Fig. 9 ΔV
 point, 2 mV, takes 8 steps (30 before).  The iteration agrees with a dense
-per-sample solve to ~1e-15 relative and with the direct sparse solve to
+per-sample solve for the DAC currents to ~1e-15 relative at any drive
+and with the direct sparse solve to
 solver precision; the discrete recognition outputs (winner, DOM codes,
 tie flags) are identical.
 """
@@ -793,11 +806,11 @@ class BatchedCrossbarEngine:
     def solve_parasitic_batch(self, dac_conductances: np.ndarray) -> BatchCrossbarSolution:
         """Woodbury solves of the full MNA network for a ``(B, rows)`` batch.
 
-        The correction systems of the whole batch are solved together by
-        preconditioned Chebyshev semi-iteration (one GEMM per step), each
-        row on its own spectral interval and step count, and the
-        projections are batched GEMMs, so the hot path spends its time in
-        BLAS.
+        The DAC-current systems ``(I + D W) i = ΔV·d`` of the whole batch
+        are solved together by preconditioned Chebyshev semi-iteration (one
+        GEMM per step), each row on its own spectral interval and step
+        count, and the column currents are one batched GEMM ``g·i Z_outᵀ``,
+        so the hot path spends its time in BLAS.
         """
         if self.crossbar.parasitics.segment_resistance == 0.0:
             return self.solve_ideal_batch(dac_conductances)
@@ -805,34 +818,26 @@ class BatchedCrossbarEngine:
         if not self._woodbury_ready:
             self._build_woodbury()
         operators = self._operators
-        shift, gap, vector = operators.shift, operators.top_gap, operators.top_vector
-        injection = dac * self.delta_v
-        # base = injection @ W, from W = R + s·I + (λ₁ - s)·u·uᵀ.
-        base_driven = injection @ operators.r_matrix
-        base_driven += shift * injection
-        base_driven += (gap * (injection @ vector))[:, None] * vector
         # By Sherman–Morrison P⁻¹D = H - γ·(H u)(H u)ᵀ, H = diag(d / (1 + s·d)),
-        # applied as P⁻¹D·x = H·(x - γ·((H u)·x)·u).
+        # applied as P⁻¹D·x = H·(x - γ·((H u)·x)·u).  The right-hand side
+        # P⁻¹·ΔV·d = ΔV·P⁻¹D·1 is that with x = 1.
         scaled_d, beta = self._intervals(dac)
-        scaled_u = scaled_d * vector
-        gamma = gap / (1.0 + gap * (scaled_u @ vector))
-        rhs = base_driven - (gamma * np.vecdot(scaled_u, base_driven))[:, None] * vector
-        rhs *= scaled_d
+        scaled_u = scaled_d * operators.top_vector
+        gap = operators.top_gap
+        gamma = gap / (1.0 + gap * (scaled_u @ operators.top_vector))
+        rhs = scaled_d - (gamma * scaled_u.sum(axis=1))[:, None] * scaled_u
+        rhs *= self.delta_v
         steps = chebyshev_steps(beta, self.CHEBYSHEV_TOL)
-        corrections = self._chebyshev(
+        dac_currents = self._chebyshev(
             rhs, scaled_d, scaled_u, gamma, beta, np.minimum(steps, self.MAX_CHEBYSHEV_STEPS)
         )
         dense = np.flatnonzero(steps[:, 0] > self.MAX_CHEBYSHEV_STEPS)
         if dense.size:
             d = dac[dense]
             systems = np.eye(d.shape[1]) + d[:, :, None] * self._w_matrix[None, :, :]
-            corrections[dense] = np.linalg.solve(
-                systems, (d * base_driven[dense])[:, :, None]
-            )[:, :, 0]
-        # The correction system says c = D·v_driven, so injection - c is each
-        # DAC's current d·(ΔV - v_driven): their sum is the supply current,
-        # and the network's response to them gives the column voltages.
-        dac_currents = injection - corrections
+            dac_currents[dense] = np.linalg.solve(systems, (d * self.delta_v)[:, :, None])[:, :, 0]
+        # The DAC currents sum to the supply current, and the network's
+        # response to them gives the column voltages.
         return BatchCrossbarSolution(
             column_currents=self._g_term * (dac_currents @ operators.z_outputs.T),
             supply_current=dac_currents.sum(axis=1),
@@ -870,9 +875,9 @@ class BatchedCrossbarEngine:
         beta: np.ndarray,
         steps: np.ndarray,
     ) -> np.ndarray:
-        """Solve ``(I + P⁻¹D·R) c = rhs`` row by row, ``rhs = P⁻¹D·base``.
+        """Solve ``(I + P⁻¹D·R) i = rhs`` row by row, ``rhs = P⁻¹·ΔV·d``.
 
-        Preconditioned Chebyshev semi-iteration from ``c0 = 0`` (Saad,
+        Preconditioned Chebyshev semi-iteration from ``i0 = 0`` (Saad,
         *Iterative Methods for Sparse Linear Systems*, Alg. 12.1 with the
         preconditioner of §12.3) on each row's interval ``[1, 1 + β_b]``,
         carrying the preconditioned residual.  Row ``b`` applies
@@ -880,23 +885,27 @@ class BatchedCrossbarEngine:
         ``beta`` and ``steps`` are ``(B, 1)`` columns, so every coefficient
         comes from the row's own ``β_b``; a row stops accumulating once it
         has taken its own step count, so the batch-wide loop length never
-        reaches its answer.
+        reaches its answer.  When every row has the same ``β`` (hence the
+        same step count) the coefficients are those same values as Python
+        floats, which saves a broadcast pass per coefficient and changes no
+        bit.  ``rhs`` is consumed as the residual.
         """
         r_matrix, vector = self._operators.r_matrix, self._operators.top_vector
+        ragged = bool(beta.size) and beta.min() != beta.max()
+        if not ragged and beta.size:
+            beta = float(beta[0, 0])
         theta = 1.0 + 0.5 * beta
         half_width = 0.5 * beta
         sigma = theta / half_width
         rho = 1.0 / sigma
         # In-place updates: fresh (B, rows) temporaries per step would cost
         # more than the GEMM itself.
-        residual = rhs.copy()
+        residual = rhs
         direction = rhs / theta
         solution = direction.copy()
         scaled = np.empty_like(rhs)
         product = np.empty_like(rhs)
-        last = int(steps.max(initial=0))
-        ragged = last != int(steps.min(initial=0))
-        for step in range(1, last):
+        for step in range(1, int(steps.max(initial=0))):
             np.matmul(direction, r_matrix, out=product)
             along = gamma * np.vecdot(scaled_u, product)
             np.multiply(along[:, None], vector, out=scaled)

@@ -103,6 +103,20 @@ class TestConductanceRangeSweep:
         )
         assert points[0].mean_margin_ideal >= points[0].mean_margin - 0.05
 
+    def test_point_does_not_depend_on_the_points_before_it(
+        self, margin_templates, margin_parameters
+    ):
+        """Each point programs its module from its own copy of the generator."""
+        sweep = conductance_range_sweep(
+            margin_templates, r_min_values=(200.0, 1000.0), parameters=margin_parameters,
+            num_inputs=2, seed=3,
+        )
+        (alone,) = conductance_range_sweep(
+            margin_templates, r_min_values=(1000.0,), parameters=margin_parameters,
+            num_inputs=2, seed=3,
+        )
+        assert sweep[1] == alone
+
     def test_invalid_ratio_rejected(self, margin_templates, margin_parameters):
         with pytest.raises(ValueError):
             conductance_range_sweep(

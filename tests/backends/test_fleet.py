@@ -23,9 +23,11 @@ from repro.backends import (
     FleetSupervisor,
     contiguous_shards,
     create_backend,
+    spawn_local_worker,
     weighted_shards,
     wire,
 )
+from repro.backends import remote
 from repro.backends.fleet import (
     FleetMembershipError,
     ReplicaDrainedError,
@@ -123,6 +125,29 @@ class TestSpawnedAgents:
                 entries = handle.read().split(b"\0")
             environ = dict(entry.split(b"=", 1) for entry in entries if b"=" in entry)
             assert environ[b"OPENBLAS_NUM_THREADS"] == expected.encode()
+
+    def test_close_reaps_agents_and_closes_their_pipes(self, backend_amm):
+        backend = FleetSupervisor(backend_amm, workers=1).prepare()
+        (process,) = backend._processes
+        backend.close()
+        assert process.returncode is not None
+        assert process.stdout.closed
+
+    def test_failed_spawn_reaps_the_agent_and_closes_its_pipe(self, monkeypatch):
+        """An agent that cannot bind exits before its startup line."""
+        spawned = []
+        real_popen = remote.subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            spawned.append(real_popen(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(remote.subprocess, "Popen", recording_popen)
+        with pytest.raises(RuntimeError, match="failed to start"):
+            spawn_local_worker(host="256.0.0.1")
+        (process,) = spawned
+        assert process.returncode is not None
+        assert process.stdout.closed
 
 
 class TestMembership:

@@ -416,6 +416,7 @@ class TestIntegration:
     def test_worker_cli_subprocess_round_trip(self, backend_amm, request_codes, request_seeds):
         """The real `python -m repro worker` agent serves a backend."""
         from repro.backends import spawn_local_worker
+        from repro.backends.remote import _reap_local_worker
 
         process, address = spawn_local_worker()
         try:
@@ -434,4 +435,4 @@ class TestIntegration:
                 backend.close()
         finally:
             process.terminate()
-            process.wait(timeout=10.0)
+            _reap_local_worker(process)

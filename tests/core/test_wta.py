@@ -203,35 +203,53 @@ class TestIdealReference:
 
 class TestClosedFormConversion:
     """With ``offsets=None`` (no latch offset can flip a decision) the fast
-    conversion searches the final codes and derives survivors, winner, tie
-    and every event counter from them; it must equal the cycle-by-cycle
-    loop fed zero offsets, which then senses exactly the comparator."""
+    conversion finds the final codes by division and derives survivors,
+    winner, tie and every event counter from them; it must equal the
+    cycle-by-cycle loop fed zero offsets, which then senses exactly the
+    comparator."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
         columns=st.integers(min_value=1, max_value=12),
-        bits=st.integers(min_value=1, max_value=7),
+        bits=st.integers(min_value=1, max_value=8),
         batch=st.integers(min_value=1, max_value=6),
-        gain_sigma=st.sampled_from([0.0, 0.05, 0.3]),
+        full_scale=st.sampled_from([1e-7, 32e-6, 1e-3]),
+        gain_sigma=st.sampled_from([0.0, 0.05, 0.3, 0.5]),
+        first_gain=st.sampled_from([None, 0.0, -0.25]),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_matches_the_cycle_loop(self, columns, bits, batch, gain_sigma, seed):
+    def test_matches_the_cycle_loop(
+        self, columns, bits, batch, full_scale, gain_sigma, first_gain, seed
+    ):
         closed, looped = (
-            make_wta(columns=columns, bits=bits, dac_gain_sigma=gain_sigma) for _ in range(2)
+            make_wta(columns=columns, bits=bits, full_scale=full_scale, dac_gain_sigma=gain_sigma)
+            for _ in range(2)
         )
+        if first_gain is not None:
+            # A non-positive DAC gain breaks the division: the search runs.
+            for wta in (closed, looped):
+                wta._dac_gains[0] = first_gain
         mtj = closed.mtj
         assert mtj.resistance(True) < mtj.reference_resistance() <= mtj.resistance(False)
         rng = np.random.default_rng(seed)
+        shape = (batch, columns)
+        threshold = closed.dwn_config.threshold_current
         # Currents exactly on the comparator's lattice ``(k·lsb)·gain +
-        # threshold`` (decisions on the boundary), anywhere in range, or a
-        # copy of column 0 (ties).
-        lattice = rng.integers(-1, 2**bits + 1, size=(batch, columns))
+        # threshold`` (decisions on the boundary) or one ulp either side of
+        # it, anywhere in range, far above full scale, or a copy of column
+        # 0 (ties).
+        lattice = rng.integers(-2, 2**bits + 2, size=shape)
         on_lattice = (lattice * closed.lsb_current) * closed._dac_gains
-        on_lattice += closed.dwn_config.threshold_current
-        anywhere = rng.uniform(0.0, 1.2 * closed.full_scale_current, size=(batch, columns))
-        pick = rng.integers(0, 3, size=(batch, columns))
-        currents = np.where(pick == 0, on_lattice, anywhere)
-        currents = np.where(pick == 2, currents[:, :1], currents)
+        on_lattice += threshold
+        ulps = rng.integers(-1, 2, size=shape)
+        on_lattice = np.where(
+            ulps == 0, on_lattice, np.nextafter(on_lattice, np.copysign(np.inf, ulps))
+        )
+        anywhere = rng.uniform(-threshold, 1.2 * closed.full_scale_current, size=shape)
+        above = full_scale * rng.uniform(1.0, 1e3, size=shape) + threshold
+        pick = rng.integers(0, 4, size=shape)
+        currents = np.select([pick == 0, pick == 1, pick == 2], [on_lattice, anywhere, above])
+        currents = np.where(pick == 3, currents[:, :1], currents)
 
         got = closed._convert_batch_fast(currents, None)
         want = looped._convert_batch_fast(currents, np.zeros((batch, columns, bits)))

@@ -81,6 +81,19 @@ def dense_reference(engine, dac):
     return currents, supply
 
 
+def dense_current_reference(engine, dac):
+    """Column and supply currents from one dense solve per row of
+    ``(I + D W) i = ΔV·d`` for the DAC currents ``i``."""
+    w_matrix = engine._w_matrix
+    currents = np.empty((dac.shape[0], engine.crossbar.columns))
+    supply = np.empty(dac.shape[0])
+    for b, d in enumerate(dac):
+        dac_currents = np.linalg.solve(np.eye(d.size) + d[:, None] * w_matrix, engine.delta_v * d)
+        currents[b] = engine._g_term * (engine._z_outputs @ dac_currents)
+        supply[b] = dac_currents.sum()
+    return currents, supply
+
+
 def relative_gap(actual, expected):
     return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
 
@@ -223,6 +236,21 @@ class TestPreconditionedInterval:
         engine, dac = random_drive(rows, cols, r_min, drive, seed)
         solution = engine.solve_parasitic_batch(dac)
         dense_currents, dense_supply = dense_reference(engine, dac)
+        assert relative_gap(solution.column_currents, dense_currents) <= 1e-14
+        assert relative_gap(solution.supply_current, dense_supply) <= 1e-14
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(drive=st.floats(min_value=1e-3, max_value=1e3), **NETWORKS)
+    @example(rows=1, cols=1, r_min=200.0, drive=1e3, seed=0)
+    @example(rows=48, cols=8, r_min=200.0, drive=1e3, seed=1)
+    def test_rows_match_the_dense_current_solve(self, rows, cols, r_min, drive, seed):
+        """The engine iterates on the DAC currents themselves, so nothing
+        cancels at large drives: it matches a dense solve for them at any
+        drive."""
+        engine, dac = random_drive(rows, cols, r_min, drive, seed)
+        solution = engine.solve_parasitic_batch(dac)
+        dense_currents, dense_supply = dense_current_reference(engine, dac)
         assert relative_gap(solution.column_currents, dense_currents) <= 1e-14
         assert relative_gap(solution.supply_current, dense_supply) <= 1e-14
 
