@@ -51,7 +51,6 @@ this directory for the protocol and the custom-backend recipe.
 """
 
 from repro.backends.base import (
-    EVENT_KEYS,
     BackendCapabilities,
     EngineSpec,
     RecallBackend,
@@ -83,7 +82,6 @@ from repro.backends.serial import SerialBackend
 __all__ = [
     "BackendCapabilities",
     "DEFAULT_BACKEND",
-    "EVENT_KEYS",
     "EngineSpec",
     "FleetAdminClient",
     "FleetControlServer",

@@ -28,18 +28,6 @@ import numpy as np
 from repro.core.amm import AssociativeMemoryModule, BatchRecognitionResult
 from repro.crossbar.batched import BatchCrossbarSolution, BatchedCrossbarEngine
 
-#: Fixed order in which per-sample WTA event counters cross an execution
-#: boundary (worker-agent frames) as one int64 row.
-EVENT_KEYS = (
-    "latch_senses",
-    "sar_bit_writes",
-    "dac_transitions",
-    "dwn_switches",
-    "tracking_writes",
-    "detection_discharges",
-    "detection_precharges",
-)
-
 
 class WorkerCrashedError(RuntimeError):
     """No worker replica could complete a batch.

@@ -633,7 +633,7 @@ class FleetSupervisor(RecallBackend):
             raise wire.WireProtocolError(
                 f"canary RECALL answered with kind {kind}"
             )
-        result = wire.result_from_wire(arrays)
+        result = wire.result_from_wire(arrays, self._canary_codes.shape[0])
         discrete = (
             np.array_equal(result.winner_column, expected.winner_column)
             and np.array_equal(result.winner, expected.winner)
@@ -641,6 +641,7 @@ class FleetSupervisor(RecallBackend):
             and np.array_equal(result.accepted, expected.accepted)
             and np.array_equal(result.tie, expected.tie)
             and np.array_equal(result.codes, expected.codes)
+            and np.array_equal(result.events, expected.events)
         )
         analog = np.allclose(
             result.column_currents,
@@ -875,7 +876,7 @@ class FleetSupervisor(RecallBackend):
             return arrays
 
         def read_one(arrays, begin, end):
-            return wire.result_from_wire(arrays)
+            return wire.result_from_wire(arrays, end - begin)
 
         chunks = self._dispatch_shards(codes.shape[0], send_one, read_one)
         return concatenate_batch_results(chunks)
@@ -911,7 +912,7 @@ class FleetSupervisor(RecallBackend):
             return arrays
 
         def read_one(arrays, begin, end):
-            return wire.solution_from_wire(arrays, self.module.solver.delta_v)
+            return wire.solution_from_wire(arrays, self.module.solver.delta_v, end - begin)
 
         chunks = self._dispatch_shards(dac.shape[0], send_one, read_one)
         return concatenate_batch_solutions(chunks)

@@ -44,14 +44,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.base import EVENT_KEYS, EngineSpec
+from repro.backends.base import EngineSpec
 from repro.core.amm import (
     AssociativeMemoryModule,
     BatchRecognitionResult,
     InputDacBank,
 )
 from repro.core.config import DesignParameters
-from repro.core.wta import SpinCmosWta
+from repro.core.wta import EVENT_KEYS, SpinCmosWta
 from repro.crossbar.array import ResistiveCrossbar
 from repro.crossbar.batched import BatchCrossbarSolution
 from repro.crossbar.parasitics import WireParasitics
@@ -433,40 +433,54 @@ def spec_from_wire(header: dict, arrays: Dict[str, np.ndarray]) -> EngineSpec:
 # ---------------------------------------------------------------------- #
 # Result payloads
 # ---------------------------------------------------------------------- #
+#: Wire dtype of every :class:`BatchRecognitionResult` field, in ``RESULT``
+#: frame order; booleans cross as uint8 and ``events`` is already int64.
+_RESULT_DTYPES = dict(
+    winner_column=np.int64, winner=np.int64, dom_code=np.int64, accepted=np.uint8,
+    tie=np.uint8, codes=np.int64, column_currents=np.float64, static_power=np.float64,
+    events=np.int64,
+)
+
+
+def _reply_arrays(arrays: Dict[str, np.ndarray], dtypes: dict, rows: int, kind: str) -> dict:
+    """The named arrays of a ``kind`` reply, cast, each checked to hold
+    ``rows`` rows: a reply is stitched into a larger batch by position, so
+    a missing array or a row too few raises :class:`WireProtocolError`
+    instead of shifting every later row onto the wrong caller."""
+    checked = {}
+    for name, dtype in dtypes.items():
+        if name not in arrays:
+            raise WireProtocolError(f"{kind} frame lacks the {name!r} array")
+        checked[name] = value = np.array(arrays[name], dtype=dtype)
+        if value.shape[:1] != (rows,):
+            raise WireProtocolError(
+                f"{kind} array {name!r} has shape {value.shape}, expected {rows} rows"
+            )
+    return checked
+
+
 def result_to_wire(result: BatchRecognitionResult) -> Dict[str, np.ndarray]:
-    """Arrays of one ``RESULT`` frame (events packed in ``EVENT_KEYS`` order)."""
+    """Arrays of one ``RESULT`` frame: every field at its wire dtype."""
     return {
-        "winner_column": np.asarray(result.winner_column, dtype=np.int64),
-        "winner": np.asarray(result.winner, dtype=np.int64),
-        "dom_code": np.asarray(result.dom_code, dtype=np.int64),
-        "accepted": np.asarray(result.accepted, dtype=np.uint8),
-        "tie": np.asarray(result.tie, dtype=np.uint8),
-        "codes": np.asarray(result.codes, dtype=np.int64),
-        "column_currents": np.asarray(result.column_currents, dtype=np.float64),
-        "static_power": np.asarray(result.static_power, dtype=np.float64),
-        "events": np.asarray(
-            [[sample.get(key, 0) for key in EVENT_KEYS] for sample in result.events],
-            dtype=np.int64,
-        ).reshape(len(result.events), len(EVENT_KEYS)),
+        name: np.asarray(getattr(result, name), dtype=dtype)
+        for name, dtype in _RESULT_DTYPES.items()
     }
 
 
-def result_from_wire(arrays: Dict[str, np.ndarray]) -> BatchRecognitionResult:
-    """Rebuild a :class:`BatchRecognitionResult` from ``RESULT`` arrays."""
-    return BatchRecognitionResult(
-        winner_column=np.array(arrays["winner_column"], dtype=np.int64),
-        winner=np.array(arrays["winner"], dtype=np.int64),
-        dom_code=np.array(arrays["dom_code"], dtype=np.int64),
-        accepted=np.array(arrays["accepted"], dtype=np.uint8).astype(bool),
-        tie=np.array(arrays["tie"], dtype=np.uint8).astype(bool),
-        codes=np.array(arrays["codes"], dtype=np.int64),
-        column_currents=np.array(arrays["column_currents"], dtype=np.float64),
-        static_power=np.array(arrays["static_power"], dtype=np.float64),
-        events=[
-            dict(zip(EVENT_KEYS, (int(value) for value in row)))
-            for row in arrays["events"]
-        ],
-    )
+def result_from_wire(arrays: Dict[str, np.ndarray], rows: int) -> BatchRecognitionResult:
+    """Rebuild the :class:`BatchRecognitionResult` of ``rows`` samples from
+    ``RESULT`` arrays; raises :class:`WireProtocolError` unless every field
+    is present with ``rows`` rows and ``events`` has shape ``(rows,
+    len(EVENT_KEYS))``."""
+    fields = _reply_arrays(arrays, _RESULT_DTYPES, rows, "RESULT")
+    if fields["events"].shape != (rows, len(EVENT_KEYS)):
+        raise WireProtocolError(
+            f"RESULT array 'events' has shape {fields['events'].shape}, "
+            f"expected {(rows, len(EVENT_KEYS))}"
+        )
+    fields["accepted"] = fields["accepted"].astype(bool)
+    fields["tie"] = fields["tie"].astype(bool)
+    return BatchRecognitionResult(**fields)
 
 
 def solution_to_wire(solution: BatchCrossbarSolution) -> Dict[str, np.ndarray]:
@@ -478,11 +492,11 @@ def solution_to_wire(solution: BatchCrossbarSolution) -> Dict[str, np.ndarray]:
 
 
 def solution_from_wire(
-    arrays: Dict[str, np.ndarray], delta_v: float
+    arrays: Dict[str, np.ndarray], delta_v: float, rows: int
 ) -> BatchCrossbarSolution:
-    """Rebuild a :class:`BatchCrossbarSolution` from ``SOLUTION`` arrays."""
-    return BatchCrossbarSolution(
-        column_currents=np.array(arrays["column_currents"], dtype=np.float64),
-        supply_current=np.array(arrays["supply_current"], dtype=np.float64),
-        delta_v=delta_v,
-    )
+    """Rebuild the :class:`BatchCrossbarSolution` of ``rows`` samples from
+    ``SOLUTION`` arrays; raises :class:`WireProtocolError` unless both
+    arrays are present with ``rows`` rows."""
+    dtypes = {"column_currents": np.float64, "supply_current": np.float64}
+    fields = _reply_arrays(arrays, dtypes, rows, "SOLUTION")
+    return BatchCrossbarSolution(**fields, delta_v=delta_v)

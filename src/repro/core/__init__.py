@@ -22,12 +22,13 @@ from repro.core.config import DesignParameters, default_parameters
 from repro.core.pipeline import FaceRecognitionPipeline, build_default_amm, build_pipeline
 from repro.core.power import PowerBreakdown, SpinAmmPowerModel
 from repro.core.sar import SuccessiveApproximationRegister
-from repro.core.wta import BatchWtaResult, SpinCmosWta, WtaResult
+from repro.core.wta import EVENT_KEYS, BatchWtaResult, SpinCmosWta, WtaResult
 
 __all__ = [
     "AssociativeMemoryModule",
     "BatchRecognitionResult",
     "BatchWtaResult",
+    "EVENT_KEYS",
     "RecognitionResult",
     "DesignParameters",
     "default_parameters",

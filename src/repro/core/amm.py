@@ -194,7 +194,8 @@ class RecognitionResult:
     static_power:
         Static power (W) drawn from the ΔV supply during this evaluation.
     events:
-        Switching-activity counters from the WTA conversion.
+        Switching-activity counters from the WTA conversion: an int64
+        vector in :data:`~repro.core.wta.EVENT_KEYS` order.
     """
 
     winner_column: int
@@ -205,7 +206,7 @@ class RecognitionResult:
     codes: np.ndarray
     column_currents: np.ndarray
     static_power: float
-    events: Dict[str, int]
+    events: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -215,10 +216,12 @@ class BatchRecognitionResult:
     Field names match :class:`RecognitionResult` with a leading batch
     axis: ``winner_column``/``winner``/``dom_code``/``accepted``/``tie``/
     ``static_power`` have shape ``(B,)``, ``codes`` and
-    ``column_currents`` have shape ``(B, columns)`` and ``events`` holds
-    one counter dictionary per sample.  Indexing recovers the scalar
+    ``column_currents`` have shape ``(B, columns)`` and ``events`` has
+    shape ``(B, len(EVENT_KEYS))``.  Indexing recovers the scalar
     :class:`RecognitionResult` of one sample; slicing returns the
     :class:`BatchRecognitionResult` of a contiguous run of samples.
+    Indexing, slicing, :meth:`stack` and :func:`concatenate_batch_results`
+    treat every field alike, so the field list lives in the dataclass only.
     """
 
     winner_column: np.ndarray
@@ -229,7 +232,7 @@ class BatchRecognitionResult:
     codes: np.ndarray
     column_currents: np.ndarray
     static_power: np.ndarray
-    events: list
+    events: np.ndarray
 
     def __len__(self) -> int:
         return self.codes.shape[0]
@@ -237,27 +240,15 @@ class BatchRecognitionResult:
     def __getitem__(self, index):
         if isinstance(index, slice):
             return BatchRecognitionResult(
-                winner_column=self.winner_column[index],
-                winner=self.winner[index],
-                dom_code=self.dom_code[index],
-                accepted=self.accepted[index],
-                tie=self.tie[index],
-                codes=self.codes[index],
-                column_currents=self.column_currents[index],
-                static_power=self.static_power[index],
-                events=self.events[index],
+                **{name: getattr(self, name)[index] for name in _RESULT_FIELDS}
             )
-        return RecognitionResult(
-            winner_column=int(self.winner_column[index]),
-            winner=int(self.winner[index]),
-            dom_code=int(self.dom_code[index]),
-            accepted=bool(self.accepted[index]),
-            tie=bool(self.tie[index]),
-            codes=self.codes[index],
-            column_currents=self.column_currents[index],
-            static_power=float(self.static_power[index]),
-            events=self.events[index],
-        )
+        # One sample: per-sample scalars become Python scalars, vectors
+        # stay arrays (views into the batch).
+        row = {}
+        for name in _RESULT_FIELDS:
+            value = getattr(self, name)[index]
+            row[name] = value.item() if value.ndim == 0 else value
+        return RecognitionResult(**row)
 
     def __iter__(self):
         return (self[index] for index in range(len(self)))
@@ -265,17 +256,18 @@ class BatchRecognitionResult:
     @classmethod
     def stack(cls, results: Sequence[RecognitionResult]) -> "BatchRecognitionResult":
         """The batch form of scalar results (e.g. from per-sample recalls)."""
+        if not results:
+            raise ValueError("results must not be empty")
         return cls(
-            winner_column=np.array([result.winner_column for result in results]),
-            winner=np.array([result.winner for result in results]),
-            dom_code=np.array([result.dom_code for result in results]),
-            accepted=np.array([result.accepted for result in results], dtype=bool),
-            tie=np.array([result.tie for result in results], dtype=bool),
-            codes=np.stack([result.codes for result in results]),
-            column_currents=np.stack([result.column_currents for result in results]),
-            static_power=np.array([result.static_power for result in results], dtype=float),
-            events=[result.events for result in results],
+            **{
+                name: np.array([getattr(result, name) for result in results])
+                for name in _RESULT_FIELDS
+            }
         )
+
+
+#: Fields of both result classes, in declaration order.
+_RESULT_FIELDS = tuple(field.name for field in dataclasses.fields(BatchRecognitionResult))
 
 
 def concatenate_batch_results(chunks) -> BatchRecognitionResult:
@@ -289,15 +281,10 @@ def concatenate_batch_results(chunks) -> BatchRecognitionResult:
     if not chunks:
         raise ValueError("chunks must not be empty")
     return BatchRecognitionResult(
-        winner_column=np.concatenate([c.winner_column for c in chunks]),
-        winner=np.concatenate([c.winner for c in chunks]),
-        dom_code=np.concatenate([c.dom_code for c in chunks]),
-        accepted=np.concatenate([c.accepted for c in chunks]),
-        tie=np.concatenate([c.tie for c in chunks]),
-        codes=np.concatenate([c.codes for c in chunks]),
-        column_currents=np.concatenate([c.column_currents for c in chunks]),
-        static_power=np.concatenate([c.static_power for c in chunks]),
-        events=[events for c in chunks for events in c.events],
+        **{
+            name: np.concatenate([getattr(chunk, name) for chunk in chunks])
+            for name in _RESULT_FIELDS
+        }
     )
 
 

@@ -27,7 +27,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.core.config import DesignParameters, default_parameters
+from repro.core.wta import EVENT_KEYS
 from repro.devices.latch import DynamicCmosLatch
 from repro.devices.transistor import TechnologyParameters
 from repro.utils.validation import check_in_range, check_positive
@@ -298,22 +301,21 @@ class SpinAmmPowerModel:
             )
         return cached[1]
 
-    def dynamic_energy_from_events(self, events: Dict[str, int]) -> float:
-        """Dynamic energy (J) of one conversion from measured event counters.
-
-        Uses the switching-activity dictionary produced by
-        :meth:`repro.core.wta.SpinCmosWta.convert`, so that the power
-        reported for an actual workload reflects its real bit activity
-        rather than the average activity factors.
-        """
-        return _events_energy(self._event_coefficients(), events)
-
     def power_from_measurement(
-        self, static_power: float, events: Dict[str, int]
+        self, static_power: float, events: np.ndarray
     ) -> PowerBreakdown:
-        """Combine a measured crossbar static power with measured WTA activity."""
+        """Combine a measured crossbar static power with measured WTA activity.
+
+        ``events`` is one conversion's counter vector in
+        :data:`~repro.core.wta.EVENT_KEYS` order (a result's ``events`` or
+        one row of a batch's), so the dynamic power reflects the workload's
+        real bit activity rather than the average activity factors.
+        """
         if not 0.0 <= static_power < math.inf:
             check_positive("static_power", static_power, allow_zero=True)
+        events = np.asarray(events)
+        if events.shape != _EVENT_SHAPE:
+            raise ValueError(f"events must have shape {_EVENT_SHAPE}, got {events.shape}")
         coefficients = self._event_coefficients()
         frequency = self.parameters.clock_frequency_hz
         return PowerBreakdown(
@@ -324,25 +326,28 @@ class SpinAmmPowerModel:
         )
 
 
+#: Shape of one conversion's counter vector.
+_EVENT_SHAPE = (len(EVENT_KEYS),)
+
+
 def _events_energy(
-    coefficients: Tuple[float, float, int, float, float, float], events: Dict[str, int]
+    coefficients: Tuple[float, float, int, float, float, float], events: np.ndarray
 ) -> float:
-    """Dynamic energy (J) of the counters ``events`` at the per-event
+    """Dynamic energy (J) of the counter vector ``events`` at the per-event
     ``coefficients`` of :meth:`SpinAmmPowerModel._event_coefficients`.
 
-    Every product keeps its left-to-right operand order (``events * columns
-    * inverter`` is ``(events * columns) * inverter``), so the cached
-    coefficients change no bit of the result.
+    The counters are unpacked as Python ints and every product keeps its
+    left-to-right operand order (``events * columns * inverter`` is
+    ``(events * columns) * inverter``), so the cached coefficients change
+    no bit of the result.  DWN switches and line discharges cost nothing
+    of their own.
     """
     sense, inverter, columns, detection_capacitance, supply_squared, _ = coefficients
+    senses, bit_writes, transitions, _, tracking_writes, _, precharges = events.tolist()
     energy = 0.0
-    energy += events.get("latch_senses", 0) * sense
-    energy += events.get("sar_bit_writes", 0) * 2.0 * inverter
-    energy += events.get("dac_transitions", 0) * inverter
-    energy += events.get("tracking_writes", 0) * columns * inverter
-    energy += (
-        events.get("detection_precharges", 0)
-        * detection_capacitance
-        * supply_squared
-    )
+    energy += senses * sense
+    energy += bit_writes * 2.0 * inverter
+    energy += transitions * inverter
+    energy += tracking_writes * columns * inverter
+    energy += precharges * detection_capacitance * supply_squared
     return energy

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -61,6 +61,14 @@ _ZIGGURAT_R = 3.6541528853610088
 #: The float value below equals numpy's own float result at that ``u``.
 Z_MAX = _ZIGGURAT_R + 53.0 * math.log(2.0) / _ZIGGURAT_R
 
+#: The switching-event counters of one conversion, in the order of the last
+#: axis of every ``events`` array: results, the worker wire's ``RESULT`` frame
+#: and the energy model index the counters by position in this tuple.
+EVENT_KEYS = (
+    "latch_senses", "sar_bit_writes", "dac_transitions", "dwn_switches",
+    "tracking_writes", "detection_discharges", "detection_precharges",
+)
+
 
 @dataclass(frozen=True)
 class BatchWtaResult:
@@ -68,8 +76,9 @@ class BatchWtaResult:
 
     Field names match :class:`WtaResult` with a leading batch axis:
     ``winner``/``dom_code``/``tie`` have shape ``(B,)``, ``codes`` and
-    ``survivors`` have shape ``(B, columns)`` and ``events`` is one
-    counter dictionary per sample.
+    ``survivors`` have shape ``(B, columns)`` and ``events`` is the int64
+    counter array of shape ``(B, len(EVENT_KEYS))``, one row per sample
+    in :data:`EVENT_KEYS` order.
     """
 
     winner: np.ndarray
@@ -77,7 +86,7 @@ class BatchWtaResult:
     codes: np.ndarray
     survivors: np.ndarray
     tie: np.ndarray
-    events: List[Dict[str, int]]
+    events: np.ndarray
 
     def __len__(self) -> int:
         return self.codes.shape[0]
@@ -113,9 +122,11 @@ class WtaResult:
         WTA resolution).
     events:
         Counters of the digital/analog activity during the conversion,
-        consumed by the power model: latch senses, SAR register bit
-        writes, DAC input transitions, DWN switching events, tracking
-        register writes and detection-line discharges.
+        consumed by the power model: an int64 vector in
+        :data:`EVENT_KEYS` order (latch senses, SAR register bit writes,
+        DAC input transitions, DWN switching events, tracking register
+        writes, detection-line discharges and precharges); all zeros for
+        the ideal reference, which models no device.
     """
 
     winner: int
@@ -123,7 +134,7 @@ class WtaResult:
     codes: np.ndarray
     survivors: np.ndarray
     tie: bool
-    events: Dict[str, int]
+    events: np.ndarray
 
     def accepted(self, dom_threshold_code: int) -> bool:
         """Whether the winner's DOM clears the acceptance threshold.
@@ -270,26 +281,19 @@ class SpinCmosWta:
             SuccessiveApproximationRegister(self.resolution_bits)
             for _ in range(self.columns)
         ]
-        events = {
-            "latch_senses": 0,
-            "sar_bit_writes": 0,
-            "dac_transitions": 0,
-            "dwn_switches": 0,
-            "tracking_writes": 0,
-            "detection_discharges": 0,
-            "detection_precharges": 0,
-        }
+        latch_senses = sar_bit_writes = dac_transitions = 0
+        discharges = precharges = 0
 
         previous_trial = np.zeros(self.columns, dtype=np.int64)
         for column, register in enumerate(registers):
             previous_trial[column] = register.begin()
-            events["sar_bit_writes"] += 1
+            sar_bit_writes += 1
 
         tracking = np.ones(self.columns, dtype=bool)
         switch_baseline = [neuron.switch_count for neuron in self.neurons]
 
         for cycle in range(self.resolution_bits):
-            events["detection_precharges"] += 1
+            precharges += 1
             bit_results = np.zeros(self.columns, dtype=bool)
             for column, register in enumerate(registers):
                 trial_code = register.trial_code
@@ -299,27 +303,27 @@ class SpinCmosWta:
                     neuron.reset(-1)
                 neuron.apply_current(float(currents[column]) - dac_current)
                 decision = neuron.read()
-                events["latch_senses"] += 1
+                latch_senses += 1
                 keep = decision > 0
                 bit_results[column] = keep
                 next_trial = register.resolve_bit(keep)
                 toggled_bits = bin(int(previous_trial[column]) ^ int(next_trial)).count("1")
-                events["dac_transitions"] += toggled_bits
-                events["sar_bit_writes"] += toggled_bits
+                dac_transitions += toggled_bits
+                sar_bit_writes += toggled_bits
                 previous_trial[column] = next_trial
 
             discharge = tracking & bit_results
             if discharge.any():
-                events["detection_discharges"] += 1
-                events["tracking_writes"] += 1
+                discharges += 1
                 tracking = discharge
 
-        events["dwn_switches"] = int(
-            sum(
-                neuron.switch_count - baseline
-                for neuron, baseline in zip(self.neurons, switch_baseline)
-            )
+        dwn_switches = sum(
+            neuron.switch_count - baseline
+            for neuron, baseline in zip(self.neurons, switch_baseline)
         )
+        # Each discharge enables one tracking-register write.
+        counts = (latch_senses, sar_bit_writes, dac_transitions, dwn_switches)
+        events = np.array(counts + (discharges, discharges, precharges), dtype=np.int64)
 
         codes = np.array([register.code for register in registers], dtype=np.int64)
         survivors = tracking.copy()
@@ -366,7 +370,7 @@ class SpinCmosWta:
             codes=np.stack([r.codes for r in results]),
             survivors=np.stack([r.survivors for r in results]),
             tie=np.array([r.tie for r in results], dtype=bool),
-            events=[r.events for r in results],
+            events=np.stack([r.events for r in results]),
         )
 
     #: Spawn key of the per-request latch-offset substream used by
@@ -488,22 +492,19 @@ class SpinCmosWta:
         # a neuron that enters the sample at -1 switches twice per high
         # cycle except after the last one.
         per_sample_switches = (2 * high_cycles - final_high).sum(axis=1)
-        events = [
-            {
-                "latch_senses": columns * bits,
-                "sar_bit_writes": columns + toggles,
-                "dac_transitions": toggles,
-                "dwn_switches": switches,
-                "tracking_writes": discharges,
-                "detection_discharges": discharges,
-                "detection_precharges": bits,
-            }
-            for toggles, switches, discharges in zip(
-                toggle_counts.tolist(),
-                per_sample_switches.tolist(),
-                discharge_counts.tolist(),
+        # The counters in EVENT_KEYS order; a detection-line discharge
+        # enables one tracking-register write.
+        events = np.column_stack(
+            (
+                np.full_like(toggle_counts, columns * bits),
+                columns + toggle_counts,
+                toggle_counts,
+                per_sample_switches,
+                discharge_counts,
+                discharge_counts,
+                np.full_like(toggle_counts, bits),
             )
-        ]
+        )
         return BatchWtaResult(
             winner=winner,
             dom_code=dom_code,
@@ -598,24 +599,13 @@ class SpinCmosWta:
         Quantises the column currents with an ideal ADC of the same
         resolution and full scale, then picks the largest code (lowest
         index on ties).  Used as the reference in the accuracy analyses of
-        Fig. 3b and in unit tests of the hardware WTA.
+        Fig. 3b and in unit tests of the hardware WTA.  One row of
+        :meth:`ideal_batch`.
         """
-        check_integer("resolution_bits", resolution_bits, minimum=1)
-        check_positive("full_scale_current", full_scale_current)
         currents = np.asarray(column_currents, dtype=float)
-        levels = 2**resolution_bits
-        lsb = full_scale_current / levels
-        codes = np.clip(np.floor(currents / lsb), 0, levels - 1).astype(np.int64)
-        winner = int(np.argmax(codes))
-        tie = bool(np.count_nonzero(codes == codes[winner]) > 1)
-        return WtaResult(
-            winner=winner,
-            dom_code=int(codes[winner]),
-            codes=codes,
-            survivors=codes == codes[winner],
-            tie=tie,
-            events={},
-        )
+        return SpinCmosWta.ideal_batch(
+            currents[None], resolution_bits, full_scale_current
+        ).result(0)
 
     @staticmethod
     def ideal_batch(
@@ -623,11 +613,10 @@ class SpinCmosWta:
         resolution_bits: int,
         full_scale_current: float,
     ) -> BatchWtaResult:
-        """Vectorised :meth:`ideal` over a ``(B, columns)`` current batch.
+        """:meth:`ideal` over a ``(B, columns)`` current batch.
 
-        All operations are element-wise or per-row, so every sample's
-        codes, winner and tie flag are bit-identical to a scalar
-        :meth:`ideal` call on that sample.
+        All operations are element-wise or per-row, so a sample's codes,
+        winner and tie flag do not depend on the rest of the batch.
         """
         check_integer("resolution_bits", resolution_bits, minimum=1)
         check_positive("full_scale_current", full_scale_current)
@@ -647,5 +636,5 @@ class SpinCmosWta:
             codes=codes,
             survivors=survivors,
             tie=tie,
-            events=[{} for _ in range(codes.shape[0])],
+            events=np.zeros((codes.shape[0], len(EVENT_KEYS)), dtype=np.int64),
         )

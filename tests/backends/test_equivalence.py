@@ -26,7 +26,7 @@ def assert_results_equal(result, reference, rtol=1e-12):
     assert np.array_equal(result.accepted, reference.accepted)
     assert np.array_equal(result.tie, reference.tie)
     assert np.array_equal(result.codes, reference.codes)
-    assert list(result.events) == list(reference.events)
+    np.testing.assert_array_equal(result.events, reference.events)
     np.testing.assert_allclose(
         result.column_currents, reference.column_currents, rtol=rtol
     )

@@ -55,7 +55,7 @@ def assert_bit_identical(result, reference):
     assert np.array_equal(result.codes, reference.codes)
     assert np.array_equal(result.column_currents, reference.column_currents)
     assert np.array_equal(result.static_power, reference.static_power)
-    assert list(result.events) == list(reference.events)
+    np.testing.assert_array_equal(result.events, reference.events)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +130,7 @@ class TestBackendMatrixProperties:
                 single.column_currents, reference.column_currents
             )
             assert single.static_power == reference.static_power
-            assert single.events == reference.events
+            np.testing.assert_array_equal(single.events, reference.events)
 
     @settings(
         max_examples=15,

@@ -279,6 +279,53 @@ class TestWeightedRouting:
             slow.close()
 
 
+class ShortReplyWorker(remote.WorkerServer):
+    """A worker agent whose RECALL and SOLVE replies drop their last row."""
+
+    def _command(self, conn, kind, header, arrays, state) -> None:
+        if kind == wire.RECALL:
+            result = state["module"].recognise_batch_seeded(
+                arrays["codes"], arrays["seeds"], engine=state["engine"]
+            )
+            wire.send_frame(conn, wire.RESULT, arrays=wire.result_to_wire(result[:-1]))
+        elif kind == wire.SOLVE:
+            solution = state["engine"].solve_batch(
+                arrays["dac"], include_parasitics=bool(header["include_parasitics"])
+            )
+            short = {
+                name: value[:-1] for name, value in wire.solution_to_wire(solution).items()
+            }
+            wire.send_frame(conn, wire.SOLUTION, arrays=short)
+        else:
+            super()._command(conn, kind, header, arrays, state)
+
+
+class TestShardReplyChecks:
+    def test_a_shard_answered_a_row_short_is_refused(
+        self, backend_amm, request_codes, request_seeds
+    ):
+        good, short = remote.WorkerServer().start(), ShortReplyWorker().start()
+        fleet = FleetSupervisor(
+            backend_amm,
+            worker_addresses=[good.address, short.address],
+            min_shard_size=2,
+            heartbeat_interval=0.5,
+            io_timeout=20.0,
+        ).prepare()
+        try:
+            with pytest.raises(wire.WireProtocolError, match="rows"):
+                fleet.recall_batch_seeded(request_codes, request_seeds)
+            dac = backend_amm.input_dacs.conductances(request_codes)
+            with pytest.raises(wire.WireProtocolError, match="rows"):
+                fleet.solve_batch(dac)
+            # Both replies were read whole: the links stay usable.
+            assert fleet._find(short.address).link.alive
+        finally:
+            fleet.close()
+            good.close()
+            short.close()
+
+
 class TestControlSocket:
     def test_status_join_drain_respec_via_admin_client(
         self, fleet_backend, worker_servers

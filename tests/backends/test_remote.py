@@ -145,7 +145,7 @@ class TestWireFormat:
         assert np.array_equal(rebuilt.winner_column, reference.winner_column)
         assert np.array_equal(rebuilt.codes, reference.codes)
         assert np.array_equal(rebuilt.column_currents, reference.column_currents)
-        assert list(rebuilt.events) == list(reference.events)
+        np.testing.assert_array_equal(rebuilt.events, reference.events)
 
 
 class TestAddressParsing:

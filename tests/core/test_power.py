@@ -5,8 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.amm import AssociativeMemoryModule
 from repro.core.config import default_parameters
 from repro.core.power import PowerBreakdown, SpinAmmPowerModel
+from repro.core.wta import EVENT_KEYS
 from repro.devices.latch import DynamicCmosLatch
 from repro.devices.transistor import TechnologyParameters
 
@@ -83,44 +85,62 @@ class TestThresholdScaling:
         assert 0.4 < ratio < 2.5
 
 
+def counters(**counts):
+    """An ``EVENT_KEYS``-ordered counter vector; unnamed counters are 0."""
+    return np.array([counts.get(key, 0) for key in EVENT_KEYS], dtype=np.int64)
+
+
+def dynamic_energy(model, events):
+    """Dynamic energy (J) of one conversion through the public API."""
+    return model.power_from_measurement(0.0, events).dynamic / model.parameters.clock_frequency_hz
+
+
 class TestMeasuredActivityPath:
     def test_dynamic_energy_from_events_positive(self, model):
-        events = {
-            "latch_senses": 200,
-            "sar_bit_writes": 300,
-            "dac_transitions": 250,
-            "tracking_writes": 4,
-            "detection_precharges": 5,
-        }
-        assert model.dynamic_energy_from_events(events) > 0
+        events = counters(
+            latch_senses=200,
+            sar_bit_writes=300,
+            dac_transitions=250,
+            tracking_writes=4,
+            detection_precharges=5,
+        )
+        assert dynamic_energy(model, events) > 0
 
     def test_more_activity_more_energy(self, model):
-        low = model.dynamic_energy_from_events({"latch_senses": 100})
-        high = model.dynamic_energy_from_events({"latch_senses": 300})
+        low = dynamic_energy(model, counters(latch_senses=100))
+        high = dynamic_energy(model, counters(latch_senses=300))
         assert high == pytest.approx(3 * low)
 
     def test_power_from_measurement_combines_terms(self, model):
         breakdown = model.power_from_measurement(
-            static_power=30e-6, events={"latch_senses": 200, "detection_precharges": 5}
+            static_power=30e-6, events=counters(latch_senses=200, detection_precharges=5)
         )
         assert breakdown.static_rcm == pytest.approx(30e-6)
         assert breakdown.total > 30e-6
 
     def test_invalid_static_power_rejected(self, model):
         with pytest.raises(ValueError):
-            model.power_from_measurement(-1.0, {})
+            model.power_from_measurement(-1.0, counters())
+
+    @pytest.mark.parametrize("shape", [(6,), (8,), (1, 7), (7, 1), ()])
+    def test_counter_vector_shape_checked(self, model, shape):
+        with pytest.raises(ValueError, match="events must have shape"):
+            model.power_from_measurement(1e-6, np.zeros(shape, dtype=np.int64))
 
 
 def uncached_dynamic_energy(model, events):
-    """The measured-activity formula, every term re-derived per call."""
+    """The measured-activity formula, every term re-derived per call, on
+    the counters looked up by name as the per-row dicts of the earlier
+    format were."""
+    counts = dict(zip(EVENT_KEYS, (int(value) for value in events)))
     inverter = model.technology.inverter_switching_energy()
     energy = 0.0
-    energy += events.get("latch_senses", 0) * model.latch.sense_energy()
-    energy += events.get("sar_bit_writes", 0) * 2.0 * inverter
-    energy += events.get("dac_transitions", 0) * inverter
-    energy += events.get("tracking_writes", 0) * model.parameters.num_templates * inverter
+    energy += counts["latch_senses"] * model.latch.sense_energy()
+    energy += counts["sar_bit_writes"] * 2.0 * inverter
+    energy += counts["dac_transitions"] * inverter
+    energy += counts["tracking_writes"] * model.parameters.num_templates * inverter
     energy += (
-        events.get("detection_precharges", 0)
+        counts["detection_precharges"]
         * model.detection_line_capacitance
         * model.technology.supply_voltage**2
     )
@@ -137,22 +157,15 @@ def uncached_power_from_measurement(model, static_power, events):
     )
 
 
-EVENT_KEYS = (
-    "latch_senses",
-    "sar_bit_writes",
-    "dac_transitions",
-    "tracking_writes",
-    "detection_precharges",
-)
-
-
 def random_events(rng):
-    events = {}
-    for key in EVENT_KEYS:
-        if rng.random() < 0.8:
-            value = int(rng.integers(0, 10 ** int(rng.integers(1, 8))))
-            events[key] = np.int64(value) if rng.random() < 0.5 else value
-    return events
+    """A counter vector with random magnitudes, some counters zero."""
+    return np.array(
+        [
+            int(rng.integers(0, 10 ** int(rng.integers(1, 8)))) if rng.random() < 0.8 else 0
+            for _ in EVENT_KEYS
+        ],
+        dtype=np.int64,
+    )
 
 
 class TestCachedEventCoefficients:
@@ -169,39 +182,49 @@ class TestCachedEventCoefficients:
             got = model.power_from_measurement(static_power, events)
             want = uncached_power_from_measurement(model, static_power, events)
             assert got == want  # every field, at rtol=0
-            assert model.dynamic_energy_from_events(
-                events
-            ) == uncached_dynamic_energy(model, events)
+            # A plain sequence of Python ints costs the same.
+            assert model.power_from_measurement(static_power, events.tolist()) == want
 
-    def test_bit_identical_on_wta_event_dicts(self):
-        """Dicts carrying every WTA counter, some with keys dropped (all of
-        them in the empty dict), cost as the uncached formula at rtol=0."""
-        rng = np.random.default_rng(26)
-        model = SpinAmmPowerModel(default_parameters())
-        keys = EVENT_KEYS + ("dwn_switches", "detection_discharges")
-        for _ in range(300):
-            events = {
-                key: int(rng.integers(0, 10**6)) for key in keys if rng.random() < 0.7
-            }
-            static_power = float(rng.random()) * 1e-4
-            assert model.power_from_measurement(
-                static_power, events
-            ) == uncached_power_from_measurement(model, static_power, events)
-        assert model.power_from_measurement(0.0, {}) == uncached_power_from_measurement(
-            model, 0.0, {}
+    def test_bit_identical_on_recognition_batch_rows(self):
+        """Every row of a real seeded batch, and its scalar result, costs as
+        the name-keyed uncached formula at rtol=0."""
+        rng = np.random.default_rng(30)
+        templates = rng.integers(0, 32, size=(32, 6))
+        amm = AssociativeMemoryModule.from_templates(
+            templates, seed=30, include_parasitics=True, input_variation=0.05
         )
+        codes = rng.integers(0, 32, size=(48, 32))
+        result = amm.recognise_batch_seeded(codes, np.arange(48, dtype=np.int64) + 900)
+        model = SpinAmmPowerModel(amm.parameters)
+        assert len({tuple(row) for row in result.events.tolist()}) > 1
+        for index, (power, events) in enumerate(zip(result.static_power, result.events)):
+            want = uncached_power_from_measurement(model, float(power), events)
+            assert model.power_from_measurement(float(power), events) == want
+            scalar = result[index]
+            assert model.power_from_measurement(scalar.static_power, scalar.events) == want
+
+    def test_ideal_row_costs_no_dynamic_energy(self):
+        rng = np.random.default_rng(31)
+        templates = rng.integers(0, 32, size=(32, 6))
+        amm = AssociativeMemoryModule.from_templates(templates, seed=31)
+        result = amm.recognise_ideal_batch(rng.integers(0, 32, size=(3, 32)))
+        model = SpinAmmPowerModel(amm.parameters)
+        for power, events in zip(result.static_power, result.events):
+            breakdown = model.power_from_measurement(float(power), events)
+            assert breakdown.dynamic == 0.0
+            assert breakdown == uncached_power_from_measurement(model, float(power), events)
 
     def test_one_coefficient_lookup_per_costed_row(self, monkeypatch):
         model = SpinAmmPowerModel(default_parameters())
         lookup = model._event_coefficients
         calls = []
         monkeypatch.setattr(model, "_event_coefficients", lambda: calls.append(1) or lookup())
-        model.power_from_measurement(1e-6, {"latch_senses": 200})
+        model.power_from_measurement(1e-6, counters(latch_senses=200))
         assert len(calls) == 1
 
     def test_attribute_changes_after_construction_take_effect(self):
         model = SpinAmmPowerModel(default_parameters())
-        events = {key: 1000 for key in EVENT_KEYS}
+        events = np.full(len(EVENT_KEYS), 1000, dtype=np.int64)
         before = model.power_from_measurement(1e-6, events)
         model.technology = TechnologyParameters(supply_voltage=0.8)
         model.latch = DynamicCmosLatch(supply_voltage=0.8, node_capacitance=2e-15)

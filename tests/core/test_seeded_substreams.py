@@ -90,7 +90,7 @@ def assert_bit_identical(result, reference):
         np.testing.assert_array_equal(
             getattr(result, field), getattr(reference, field), err_msg=field
         )
-    assert result.events == reference.events
+    np.testing.assert_array_equal(result.events, reference.events)
 
 
 @pytest.mark.parametrize("size", [1, 7, 64])
@@ -104,7 +104,7 @@ def test_convert_batch_seeded_matches_per_row_seed_sequences(varied_amm, size):
         np.testing.assert_array_equal(
             getattr(seeded, field), getattr(reference, field), err_msg=field
         )
-    assert seeded.events == reference.events
+    np.testing.assert_array_equal(seeded.events, reference.events)
 
 
 @pytest.mark.parametrize("size", [1, 7, 64])
@@ -154,7 +154,7 @@ def assert_same_conversion(result, reference):
         np.testing.assert_array_equal(
             getattr(result, field), getattr(reference, field), err_msg=field
         )
-    assert result.events == reference.events
+    np.testing.assert_array_equal(result.events, reference.events)
 
 
 def test_reference_design_draws_no_latch_offsets(varied_amm, monkeypatch):

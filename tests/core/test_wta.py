@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.wta import SpinCmosWta
+from repro.core.wta import EVENT_KEYS, SpinCmosWta
 from repro.devices.dwn import DwnConfig
 
 
@@ -125,26 +125,42 @@ class TestConversion:
         assert currents.max() - currents[result.winner] <= 2 * wta.lsb_current
 
 
+def event(result, key):
+    """One named counter of a scalar result's ``EVENT_KEYS``-ordered vector."""
+    return result.events[EVENT_KEYS.index(key)]
+
+
 class TestEvents:
     def test_latch_senses_count(self):
         wta = make_wta(columns=5, bits=5)
         result = wta.convert(np.linspace(2e-6, 30e-6, 5))
-        assert result.events["latch_senses"] == 5 * 5
+        assert event(result, "latch_senses") == 5 * 5
 
     def test_detection_precharges_once_per_cycle(self):
         wta = make_wta(columns=5, bits=4)
         result = wta.convert(np.linspace(2e-6, 30e-6, 5))
-        assert result.events["detection_precharges"] == 4
+        assert event(result, "detection_precharges") == 4
 
     def test_dwn_switch_count_positive(self):
         wta = make_wta(columns=3)
         result = wta.convert(np.array([30e-6, 10e-6, 2e-6]))
-        assert result.events["dwn_switches"] > 0
+        assert event(result, "dwn_switches") > 0
 
     def test_tracking_writes_bounded_by_cycles(self):
         wta = make_wta(columns=4, bits=5)
         result = wta.convert(np.array([30e-6, 10e-6, 2e-6, 18e-6]))
-        assert 1 <= result.events["tracking_writes"] <= 5
+        assert 1 <= event(result, "tracking_writes") <= 5
+
+    def test_counters_are_one_int64_array_in_event_key_order(self):
+        wta = make_wta(columns=4, bits=5)
+        currents = np.array([[30e-6, 10e-6, 2e-6, 18e-6], [1e-6, 20e-6, 20e-6, 5e-6]])
+        batch = wta.convert_batch(currents)
+        assert batch.events.dtype == np.int64
+        assert batch.events.shape == (2, len(EVENT_KEYS))
+        np.testing.assert_array_equal(batch.result(1).events, batch.events[1])
+        ideal = SpinCmosWta.ideal_batch(currents, 5, 32e-6)
+        np.testing.assert_array_equal(ideal.events, np.zeros((2, len(EVENT_KEYS))))
+        assert ideal.events.dtype == np.int64
 
 
 class TestNonIdealities:
@@ -255,5 +271,5 @@ class TestClosedFormConversion:
         want = looped._convert_batch_fast(currents, np.zeros((batch, columns, bits)))
         for field in ("winner", "dom_code", "codes", "survivors", "tie"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
-        assert got.events == want.events
-        assert all(len(events) == 7 for events in got.events)
+        np.testing.assert_array_equal(got.events, want.events)
+        assert got.events.shape == (batch, len(EVENT_KEYS))

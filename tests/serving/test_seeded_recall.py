@@ -23,7 +23,7 @@ def assert_samples_equal(left, right, rtol=1e-9):
     assert left.accepted == right.accepted
     assert left.tie == right.tie
     assert np.array_equal(left.codes, right.codes)
-    assert left.events == right.events
+    np.testing.assert_array_equal(left.events, right.events)
     np.testing.assert_allclose(left.column_currents, right.column_currents, rtol=rtol)
     np.testing.assert_allclose(left.static_power, right.static_power, rtol=rtol)
 
@@ -89,7 +89,7 @@ class TestNoStateMutation:
         assert after_busy.winner_column == after_pristine.winner_column
         assert after_busy.dom_code == after_pristine.dom_code
         assert after_busy.tie == after_pristine.tie
-        assert after_busy.events == after_pristine.events
+        np.testing.assert_array_equal(after_busy.events, after_pristine.events)
         assert np.array_equal(after_busy.codes, after_pristine.codes)
         np.testing.assert_allclose(
             after_busy.column_currents, after_pristine.column_currents, rtol=1e-12

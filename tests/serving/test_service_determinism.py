@@ -37,7 +37,7 @@ def assert_request_equal(left, right, rtol=1e-9):
     assert left.accepted == right.accepted
     assert left.tie == right.tie
     assert np.array_equal(left.codes, right.codes)
-    assert left.events == right.events
+    np.testing.assert_array_equal(left.events, right.events)
     np.testing.assert_allclose(left.column_currents, right.column_currents, rtol=rtol)
 
 
