@@ -1,4 +1,4 @@
-"""Execution-backend benchmark: serial vs fleet vs remote.
+"""Execution-backend benchmark: serial vs a fleet of spawned or adopted agents.
 
 Recalls the reference 128x40 corpus through each registered execution
 backend (parasitic path, per-request seeded substreams — the exact
@@ -8,7 +8,8 @@ measured throughput trajectory into
 artifact next to the recall and serving trajectories.  The ``fleet``
 section spawns its own ``python -m repro worker`` agents on localhost
 (``workers=N``) at 1, 2 and all-cores counts; the ``remote`` section
-adopts 1 and 2 agents spawned up front.  Both trajectories include the
+is a ``fleet`` that adopts 1 and 2 agents spawned up front
+(``worker_addresses``).  Both trajectories include the
 wire-protocol overhead a replica in another process pays per dispatch.
 
 The benchmark also re-asserts the cross-backend contract on the timed
@@ -105,8 +106,9 @@ def measure(backend, codes, seeds) -> dict:
     }
 
 
-#: Localhost worker agents spawned up front for the remote section (the
-#: acceptance bar is "remote over >= 2 localhost workers").
+#: Localhost worker agents spawned up front for the adopted-agent
+#: section (a ``fleet`` given their ``worker_addresses``; its JSON key
+#: stays ``"remote"`` so the trajectory remains comparable).
 REMOTE_AGENTS = 2
 
 
@@ -119,22 +121,23 @@ def test_backend_throughput_matrix(full_pipeline, recall_codes, request_seeds, w
 
     agents = [spawn_local_worker() for _ in range(REMOTE_AGENTS)]
     addresses = [address for _, address in agents]
+    # (trajectory key, registry name, worker counts)
     plan = [
-        ("serial", [1]),
-        ("fleet", sweep),
-        ("remote", list(range(1, REMOTE_AGENTS + 1))),
+        ("serial", "serial", [1]),
+        ("fleet", "fleet", sweep),
+        ("remote", "fleet", list(range(1, REMOTE_AGENTS + 1))),
     ]
     trajectory = {}
     reference = None
     try:
-        for name, counts in plan:
+        for name, backend_name, counts in plan:
             points = []
             for workers in counts:
                 options = {}
                 if name == "remote":
                     options["worker_addresses"] = addresses[:workers]
                 backend = create_backend(
-                    name, amm, workers=workers,
+                    backend_name, amm, workers=workers,
                     min_shard_size=DISPATCH_BATCH // 4, **options,
                 )
                 try:

@@ -10,9 +10,10 @@ through ``POST /recognise``:
 * a **batch-window sweep**: the same load under different ``max_wait``
   windows (0 = dispatch immediately), the knob trading tail latency for
   batch fill;
-* the **batch_size=1 dispatch reference**: the same service shape but
-  every request dispatched through the legacy per-sample sparse solve
-  (the repository-wide ``batch_size=1`` convention) — the baseline the
+* the **per-sample reference**: ``amm.recognise`` looped over the same
+  number of images, one sparse MNA solve each and no HTTP at all (the
+  repository-wide ``batch_size=1`` convention, timed as
+  ``test_throughput.py`` times its ``per_sample``) — the baseline the
   micro-batching speedup is asserted against;
 * a **streaming-vs-buffered comparison** on one 1000-image request: the
   chunked NDJSON stream must return row-identical results with a far
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -61,7 +63,8 @@ WINDOW_CONCURRENCY = 8
 IMAGES_PER_REQUEST = 16
 REQUESTS_PER_POINT = 96
 
-#: The slow reference: requests dispatched one sparse MNA solve at a time.
+#: The slow reference: this many requests' worth of images, recalled one
+#: sparse MNA solve at a time.
 BATCH1_REQUESTS = 12
 BATCH1_IMAGES_PER_REQUEST = 2
 
@@ -105,22 +108,19 @@ def _measure(service, codes, requests, concurrency, images_per_request):
 def test_http_serving_throughput(full_pipeline, full_dataset, recall_codes, write_result):
     amm = full_pipeline.amm
 
-    # batch_size=1 dispatch: the legacy per-sample reference, measured on a
-    # small request budget because each image is a full sparse MNA solve.
-    batch1_service = RecognitionService(
-        amm,
-        max_batch_size=1,
-        max_wait=0.0,
-        workers=WORKERS,
-        legacy_per_sample=True,
-    )
-    batch1 = _measure(
-        batch1_service,
-        recall_codes,
-        requests=BATCH1_REQUESTS,
-        concurrency=4,
-        images_per_request=BATCH1_IMAGES_PER_REQUEST,
-    )
+    # The per-sample reference, measured on a small image budget because
+    # each image is a full sparse MNA solve.  It skips HTTP, so it is
+    # faster than any served batch_size=1 dispatch and the gate no easier.
+    subset = recall_codes[: BATCH1_REQUESTS * BATCH1_IMAGES_PER_REQUEST]
+    start = time.perf_counter()
+    for codes in subset:
+        amm.recognise(codes)
+    per_sample_seconds = time.perf_counter() - start
+    per_sample = {
+        "images": len(subset),
+        "seconds": per_sample_seconds,
+        "images_per_second": len(subset) / per_sample_seconds,
+    }
 
     def micro_batched_service(max_wait=MAX_WAIT_SECONDS):
         return RecognitionService(
@@ -154,7 +154,7 @@ def test_http_serving_throughput(full_pipeline, full_dataset, recall_codes, writ
         window_sweep.append(point)
 
     best = max(concurrency_sweep + window_sweep, key=lambda p: p["images_per_second"])
-    speedup = best["images_per_second"] / batch1["images_per_second"]
+    speedup = best["images_per_second"] / per_sample["images_per_second"]
     payload = {
         "array": {"rows": amm.crossbar.rows, "columns": amm.crossbar.columns},
         "service": {
@@ -162,11 +162,11 @@ def test_http_serving_throughput(full_pipeline, full_dataset, recall_codes, writ
             "max_wait_seconds": MAX_WAIT_SECONDS,
             "workers": WORKERS,
         },
-        "batch1_dispatch": batch1,
+        "per_sample": per_sample,
         "concurrency_sweep": concurrency_sweep,
         "window_sweep": window_sweep,
         "best": best,
-        "speedup_vs_batch1_dispatch": speedup,
+        "speedup_vs_per_sample": speedup,
     }
     merged = {}
     if OUTPUT_PATH.exists():
@@ -174,10 +174,7 @@ def test_http_serving_throughput(full_pipeline, full_dataset, recall_codes, writ
     merged.update(payload)
     OUTPUT_PATH.write_text(json.dumps(merged, indent=2) + "\n")
 
-    lines = [
-        f"batch1 dispatch: {batch1['images_per_second']:8.1f} images/s "
-        f"(p99 {batch1['latency']['p99_ms']:7.1f} ms)",
-    ]
+    lines = [f"per-sample loop: {per_sample['images_per_second']:8.1f} images/s"]
     for point in concurrency_sweep:
         lines.append(
             f"concurrency={point['concurrency']:<3d}  "
@@ -192,7 +189,7 @@ def test_http_serving_throughput(full_pipeline, full_dataset, recall_codes, writ
             f"(p99 {point['latency']['p99_ms']:6.1f} ms, "
             f"fill {point['server']['mean_batch_fill']:.1f})"
         )
-    lines.append(f"micro-batching speedup vs batch1 dispatch: {speedup:.1f}x")
+    lines.append(f"micro-batching speedup vs the per-sample loop: {speedup:.1f}x")
     write_result("serving", "\n".join(lines))
 
     assert best["images_per_second"] >= REQUIRED_IMAGES_PER_SECOND, (
@@ -200,7 +197,7 @@ def test_http_serving_throughput(full_pipeline, full_dataset, recall_codes, writ
         f"(required {REQUIRED_IMAGES_PER_SECOND:.0f})"
     )
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"micro-batching reached only {speedup:.1f}x over batch_size=1 dispatch "
+        f"micro-batching reached only {speedup:.1f}x over the per-sample loop "
         f"(required {REQUIRED_SPEEDUP}x)"
     )
 

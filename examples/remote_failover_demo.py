@@ -1,11 +1,13 @@
 """Kill a remote worker mid-load and prove the serving path recovers.
 
-The CI smoke for the ``remote`` execution backend:
+The CI smoke for a ``fleet`` execution backend over adopted agents
+(``worker_addresses``: nothing spawned by the backend, no control
+socket):
 
 1. spawn two ``python -m repro worker`` agents on localhost (ephemeral
    ports, addresses parsed back from their startup lines);
-2. boot the HTTP recognition service on ``backend="remote"`` over both
-   agents and pin a reference answer batch against the serial backend;
+2. boot the HTTP recognition service on ``backend="fleet"`` with both
+   agents as its ``worker_addresses`` and pin a reference answer batch against the serial backend;
 3. drive concurrent load, and **kill one agent** part-way through —
    in-flight shards must retry onto the survivor, so every request
    either succeeds or fails with a *retryable* 503, never a wrong
@@ -67,8 +69,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         pipeline.amm,
         max_batch_size=16,
         max_wait=2e-3,
-        workers=2,
-        backend="remote",
+        backend="fleet",
         backend_options={
             "worker_addresses": [victim_address, survivor_address],
             "min_shard_size": 2,
@@ -78,7 +79,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     server = start_async_server(service, port=0)
     backend = service.pool.backend
-    print(f"serving on http://127.0.0.1:{server.port} (backend=remote)", flush=True)
+    print(f"serving on http://127.0.0.1:{server.port} (backend=fleet, adopted agents)", flush=True)
 
     outcomes = {"ok": 0, "retryable": 0, "fatal": 0}
     lock = threading.Lock()

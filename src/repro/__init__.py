@@ -36,9 +36,9 @@ The package is organised around the systems described in the paper:
 ``repro.backends``
     Pluggable execution backends for batched recall, selected by name
     through one registry: ``serial`` (one pre-factorised engine, the
-    equivalence reference and the default) and ``remote``/``fleet``
-    (worker agents — ``fleet`` spawns them locally with ``workers=N`` —
-    each rebuilding its own engine from an ``EngineSpec`` sent over a
+    equivalence reference and the default) and ``fleet`` (worker agents
+    — spawned locally with ``workers=N`` or adopted with
+    ``worker_addresses`` — each rebuilding its own engine from an ``EngineSpec`` sent over a
     pickle-free TCP protocol).  Results are seed-pure and therefore
     identical for every backend choice.
 

@@ -10,13 +10,6 @@ compute; this package owns *where and how* it executes:
     consumer: the batched engine already keeps the host's BLAS threads
     busy, so nothing in-process has been measured to beat it.
 
-``remote``
-    :class:`~repro.backends.fleet.RemoteBackend` — a ``fleet`` with a
-    static membership: the worker *agents* named by
-    ``worker_addresses`` (``python -m repro worker --listen HOST:PORT``
-    on any host), no spawned agents and no control socket.  Same links,
-    supervision, weighted routing and shard retry as ``fleet``.
-
 ``fleet``
     :class:`~repro.backends.fleet.FleetSupervisor` — the one remote
     transport: worker agents spoken to over the pickle-free
@@ -24,13 +17,16 @@ compute; this package owns *where and how* it executes:
     (:mod:`repro.backends.remote` holds the agent and the link).  Each
     agent rebuilds its own pre-factorised engine from an
     :class:`~repro.backends.base.EngineSpec` (configuration + programmed
-    conductances, never a factorisation).  ``workers=N`` without
-    addresses spawns N local agents (``python -m repro worker``), so the
-    same backend runs engine replicas in other processes on one host or
-    across machines.  Links are supervised (heartbeats, reconnect with
+    conductances, never a factorisation) and answers one verb,
+    ``RECALL``.  ``worker_addresses`` adopts agents started with
+    ``python -m repro worker --listen HOST:PORT`` on any host (no agent
+    is spawned and, unless ``control`` is given, no control socket is
+    served); ``workers=N`` without addresses spawns N local agents, so
+    the same backend runs engine replicas in other processes on one host
+    or across machines.  Links are supervised (heartbeats, reconnect with
     backoff) and in-flight shards retry onto surviving replicas, so
     recall survives worker loss.  On top of that it is a control
-    plane: spawns and/or adopts worker agents, weights shard routing by
+    plane: spawns or adopts worker agents, weights shard routing by
     measured per-replica EWMA latency (slow replicas get proportionally
     fewer rows, never declared dead), admits workers *joining a running
     service*, drains replicas out of routing without disconnecting them,
@@ -61,7 +57,6 @@ from repro.backends.fleet import (
     FleetAdminClient,
     FleetControlServer,
     FleetSupervisor,
-    RemoteBackend,
     weighted_shards,
 )
 from repro.backends.registry import (
@@ -87,7 +82,6 @@ __all__ = [
     "FleetControlServer",
     "FleetSupervisor",
     "RecallBackend",
-    "RemoteBackend",
     "SerialBackend",
     "UnknownBackendError",
     "WorkerCrashedError",

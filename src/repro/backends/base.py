@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.amm import AssociativeMemoryModule, BatchRecognitionResult
-from repro.crossbar.batched import BatchCrossbarSolution, BatchedCrossbarEngine
+from repro.crossbar.batched import BatchedCrossbarEngine
 
 
 class WorkerCrashedError(RuntimeError):
@@ -51,7 +51,7 @@ class BackendCapabilities:
     Attributes
     ----------
     name:
-        Registry name of the backend ("serial", "remote", "fleet", …).
+        Registry name of the backend ("serial", "fleet", …).
     workers:
         Number of independent execution units (engine replicas).
     shards_batches:
@@ -111,8 +111,8 @@ class RecallBackend(abc.ABC):
     :meth:`~repro.core.amm.AssociativeMemoryModule.recognise_batch_seeded`,
     which mutates nothing, so one module can be shared by every execution
     unit.  Lifecycle: construct → :meth:`prepare` (idempotent; builds
-    factorisations/workers) → any number of :meth:`recall_batch_seeded` /
-    :meth:`solve_batch` calls (thread-safe) → :meth:`close`.
+    factorisations/workers) → any number of :meth:`recall_batch_seeded`
+    calls (thread-safe) → :meth:`close`.
     """
 
     #: Registry name; implementations override.
@@ -127,12 +127,6 @@ class RecallBackend(abc.ABC):
         self, codes_batch: np.ndarray, request_seeds: Sequence[int]
     ) -> BatchRecognitionResult:
         """Recall a ``(B, features)`` code batch under per-request seeds."""
-
-    @abc.abstractmethod
-    def solve_batch(
-        self, dac_conductances: np.ndarray, include_parasitics: bool = True
-    ) -> BatchCrossbarSolution:
-        """Solve raw DAC-conductance vectors through the crossbar (no WTA)."""
 
     @abc.abstractmethod
     def close(self) -> None:

@@ -7,20 +7,20 @@ replica set:
 * :class:`FleetSupervisor` — registered as ``"fleet"``.  Spawns local
   worker agents (``spawn_local_worker``, each with its share of the
   cores as its BLAS thread count: :func:`spawned_agent_environment`)
-  and/or adopts remote ones
-  (``worker_addresses``), supervises every link (heartbeats, reconnect
-  with backoff, shard retry on the survivors), and tracks per-replica
-  health and an EWMA of measured per-row shard latency.  Routing is
+  or adopts running ones (``worker_addresses``), supervises every link
+  (heartbeats, reconnect with backoff, shard retry on the survivors),
+  and tracks per-replica health and an EWMA of measured per-row shard
+  latency.  Routing is
   *health-weighted*: shard sizes are proportional to each replica's
   measured speed (:func:`weighted_shards`), so a slow replica receives
   proportionally fewer rows — it is never declared dead for being slow
   (slow ≠ dead), it just stops being the bottleneck.  Because routing
   only decides *which replica* solves a shard, every recall runs the
   seeded path and the engine answers a row independently of its
-  batch-mates, no routing decision can change a result bit.
-* :class:`RemoteBackend` — registered as ``"remote"``: the same
-  supervisor with a static membership of adopted ``worker_addresses``,
-  no spawned agents and no control socket.
+  batch-mates, no routing decision can change a result bit.  A replica
+  whose reply fails the consumer's checks (wrong frame kind, missing
+  array, a row too few) is taken out of routing like a lost one and its
+  shard retried on the survivors.
 * **Online membership** — :meth:`FleetSupervisor.join` admits a worker
   into a *running* fleet (scale-out under load): the supervisor dials
   it, pushes the current spec over the ordinary handshake and starts
@@ -85,10 +85,6 @@ from repro.core.amm import (
     concatenate_batch_results,
 )
 from repro.core.inputs import check_batch
-from repro.crossbar.batched import (
-    BatchCrossbarSolution,
-    concatenate_batch_solutions,
-)
 from repro.utils.validation import check_integer
 
 
@@ -237,8 +233,8 @@ class _Replica:
 
         ``control=True`` bypasses the admitted check (drained replicas
         still accept SPEC pushes and canary recalls — that is the whole
-        point of draining instead of disconnecting); recall/solve
-        dispatch uses ``control=False`` and re-queues on
+        point of draining instead of disconnecting); recall dispatch
+        uses ``control=False`` and re-queues on
         :class:`ReplicaDrainedError`.
         """
         gate = None if control else self._refuse_if_drained
@@ -283,14 +279,13 @@ class FleetSupervisor(RecallBackend):
         connect time, on every reconnect, and (rolling) on re-spec.
     workers:
         When no ``worker_addresses`` are given, how many local worker
-        agents to spawn at :meth:`prepare` (registry-factory
-        compatibility: ``--backend fleet --workers 2`` just works).
+        agents to spawn at :meth:`prepare` (``--backend fleet --workers
+        2``); ignored otherwise.
     worker_addresses:
         Worker agents to *adopt* — ``"host:port,host:port"`` or a
-        sequence of addresses.  May be combined with ``spawn_workers``.
-    spawn_workers:
-        Local agents to spawn in addition to any adopted addresses
-        (``None`` = ``workers`` when no addresses were given, else 0).
+        sequence of addresses (``python -m repro worker --listen
+        HOST:PORT`` on any host).  With addresses the fleet spawns no
+        local agent.
     min_shard_size:
         A batch is split across replicas only when every shard would
         hold at least this many samples.
@@ -309,19 +304,19 @@ class FleetSupervisor(RecallBackend):
         ``(host, port)`` or ``"host:port"`` to serve the fleet control
         socket (``port`` 0 = ephemeral; read
         :attr:`control_address` back).  ``None`` = no control socket.
-    canary_batch:
-        Rows in the re-spec canary recall (the verification batch every
-        replica must answer bit-identically before readmission).
     """
 
     name = "fleet"
+
+    #: Rows in the re-spec canary recall (the verification batch every
+    #: replica must answer bit-identically before readmission).
+    CANARY_BATCH = 4
 
     def __init__(
         self,
         module: AssociativeMemoryModule,
         workers: int = 2,
         worker_addresses: Union[str, Sequence[Union[str, Address]], None] = None,
-        spawn_workers: Optional[int] = None,
         min_shard_size: int = 16,
         connect_timeout: float = 5.0,
         io_timeout: float = 60.0,
@@ -330,20 +325,10 @@ class FleetSupervisor(RecallBackend):
         backoff_max: float = 2.0,
         latency_alpha: float = 0.3,
         control: Union[str, Address, None] = None,
-        canary_batch: int = 4,
         **_ignored,
     ) -> None:
         addresses = parse_worker_addresses(worker_addresses)
-        if spawn_workers is None:
-            spawn_workers = 0 if addresses else max(1, int(workers))
-        check_integer("spawn_workers", spawn_workers, minimum=0)
-        if not addresses and spawn_workers == 0:
-            raise ValueError(
-                "fleet backend needs members: pass worker_addresses "
-                "and/or spawn_workers (or a positive workers count)"
-            )
         check_integer("min_shard_size", min_shard_size, minimum=1)
-        check_integer("canary_batch", canary_batch, minimum=1)
         if not 0.0 < latency_alpha <= 1.0:
             raise ValueError(
                 f"latency_alpha must be in (0, 1], got {latency_alpha}"
@@ -357,7 +342,7 @@ class FleetSupervisor(RecallBackend):
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
         self.latency_alpha = latency_alpha
-        self._spawn_workers = spawn_workers
+        self._local_agents = 0 if addresses else max(1, int(workers))
         self._control_request = _parse_control(control)
         self._control_server: Optional[FleetControlServer] = None
         self._processes: List[subprocess.Popen] = []
@@ -377,12 +362,12 @@ class FleetSupervisor(RecallBackend):
         rows = module.crossbar.rows
         levels = 2 ** module.input_dacs.bits
         self._canary_codes = (
-            np.arange(canary_batch * rows, dtype=np.int64).reshape(
-                canary_batch, rows
+            np.arange(self.CANARY_BATCH * rows, dtype=np.int64).reshape(
+                self.CANARY_BATCH, rows
             )
             * 7
         ) % levels
-        self._canary_seeds = np.arange(canary_batch, dtype=np.int64) + 9001
+        self._canary_seeds = np.arange(self.CANARY_BATCH, dtype=np.int64) + 9001
         #: Observability counters (all surfaced by :meth:`fleet_stats`).
         self.reconnects = 0
         self.retried_shards = 0
@@ -418,8 +403,8 @@ class FleetSupervisor(RecallBackend):
                 raise RuntimeError("backend is closed")
             if self._prepared:
                 return self
-            env = spawned_agent_environment(self._spawn_workers)
-            for _ in range(self._spawn_workers):
+            env = spawned_agent_environment(self._local_agents)
+            for _ in range(self._local_agents):
                 process, address = spawn_local_worker(env=env)
                 self._processes.append(process)
                 with self._fleet_lock:
@@ -621,19 +606,9 @@ class FleetSupervisor(RecallBackend):
     def _canary_matches(
         self, replica: _Replica, expected: BatchRecognitionResult
     ) -> bool:
-        kind, header, arrays = replica.exchange(
-            wire.RECALL,
-            {"count": int(self._canary_codes.shape[0])},
-            {"codes": self._canary_codes, "seeds": self._canary_seeds},
-            control=True,
+        result = self._recall_shard(
+            replica, self._canary_codes, self._canary_seeds, control=True
         )
-        if kind == wire.ERROR:
-            raise wire.transported_error(header["type"], header["message"])
-        if kind != wire.RESULT:
-            raise wire.WireProtocolError(
-                f"canary RECALL answered with kind {kind}"
-            )
-        result = wire.result_from_wire(arrays, self._canary_codes.shape[0])
         discrete = (
             np.array_equal(result.winner_column, expected.winner_column)
             and np.array_equal(result.winner, expected.winner)
@@ -767,16 +742,49 @@ class FleetSupervisor(RecallBackend):
             [weights[index] for index in order],
         )
 
-    def _dispatch_shards(self, count: int, send_one, read_one) -> list:
+    def _recall_shard(
+        self,
+        replica: _Replica,
+        codes: np.ndarray,
+        seeds: np.ndarray,
+        control: bool = False,
+    ) -> BatchRecognitionResult:
+        """One ``RECALL`` round-trip on ``replica``, its reply checked.
+
+        An ``ERROR`` reply re-raises the worker's transported error; a
+        reply of the wrong kind or shape raises
+        :class:`~repro.backends.wire.WireProtocolError`.
+        """
+        kind, header, arrays = replica.exchange(
+            wire.RECALL,
+            {"count": len(seeds)},
+            {"codes": codes, "seeds": seeds},
+            control=control,
+        )
+        if kind == wire.ERROR:
+            raise wire.transported_error(header["type"], header["message"])
+        if kind != wire.RESULT:
+            raise wire.WireProtocolError(f"RECALL answered with kind {kind}")
+        return wire.result_from_wire(arrays, len(seeds))
+
+    def _dispatch_shards(
+        self, codes: np.ndarray, seeds: np.ndarray
+    ) -> List[BatchRecognitionResult]:
         """Health-weighted shard dispatch with retry on the survivors.
 
         The first round sizes shards proportionally to replica speed
         (fastest replica, biggest shard); a shard lost to a dying — or
         just-drained — replica re-queues for the remaining routable
-        members.  The retryable :class:`WorkerCrashedError` surfaces only
-        when no routable replica remains, or when a shard has burned its
-        retry budget, so a crash-looping worker (reconnects fine, dies on
-        every command) cannot spin a request forever.
+        members.  So does a shard whose reply fails this side's checks
+        (:class:`~repro.backends.wire.WireProtocolError`), and its
+        replica leaves routing until an operator readmits it with
+        :meth:`join`: a replica that answers wrongly once may do so
+        again.  An error the worker transported back (bad codes, say)
+        fails the batch unchanged.  The retryable :class:`WorkerCrashedError`
+        surfaces only when no routable replica remains, or when a shard
+        has burned its retry budget, so a crash-looping worker
+        (reconnects fine, dies on every command) cannot spin a request
+        forever.
         """
         self.prepare()
         routable = self._routable()
@@ -793,8 +801,8 @@ class FleetSupervisor(RecallBackend):
                 "was not started and is safe to retry"
             )
         ordered, weights = self._ordered_routable()
-        pending = list(weighted_shards(count, weights, self.min_shard_size))
-        chunks: Dict[int, object] = {}
+        pending = list(weighted_shards(len(seeds), weights, self.min_shard_size))
+        chunks: Dict[int, BatchRecognitionResult] = {}
         attempts: Dict[Tuple[int, int], int] = {}
         max_attempts = max(3, 2 * len(self._replicas_snapshot()))
         while pending:
@@ -808,13 +816,17 @@ class FleetSupervisor(RecallBackend):
             pending = pending[len(ordered):]
             threads = []
             outcomes: List[Optional[BaseException]] = [None] * len(round_shards)
-            replies: List[object] = [None] * len(round_shards)
 
             def run(index: int, replica: _Replica, bounds: Tuple[int, int]) -> None:
                 begin, end = bounds
                 started = time.monotonic()
                 try:
-                    replies[index] = send_one(replica, begin, end)
+                    chunks[begin] = self._recall_shard(
+                        replica, codes[begin:end], seeds[begin:end]
+                    )
+                except wire.WireProtocolError as error:
+                    replica.admitted = False
+                    outcomes[index] = error
                 except BaseException as error:  # noqa: BLE001 — sorted below
                     outcomes[index] = error
                 else:
@@ -834,23 +846,21 @@ class FleetSupervisor(RecallBackend):
                 threads.append(thread)
             for thread in threads:
                 thread.join()
-            for index, bounds in enumerate(round_shards):
-                error = outcomes[index]
+            for bounds, error in zip(round_shards, outcomes):
                 if error is None:
-                    chunks[bounds[0]] = read_one(replies[index], *bounds)
-                elif isinstance(error, ConnectionError):
-                    attempts[bounds] = attempts.get(bounds, 0) + 1
-                    if attempts[bounds] >= max_attempts:
-                        raise WorkerCrashedError(
-                            f"shard {bounds} failed on {attempts[bounds]} "
-                            "replicas in a row; giving up this request "
-                            "(safe to retry)"
-                        ) from error
-                    pending.append(bounds)
-                    self.retried_shards += 1
-                    self._wake.set()
-                else:
+                    continue
+                if not isinstance(error, (ConnectionError, wire.WireProtocolError)):
                     raise error
+                attempts[bounds] = attempts.get(bounds, 0) + 1
+                if attempts[bounds] >= max_attempts:
+                    raise WorkerCrashedError(
+                        f"shard {bounds} failed on {attempts[bounds]} "
+                        "replicas in a row; giving up this request "
+                        "(safe to retry)"
+                    ) from error
+                pending.append(bounds)
+                self.retried_shards += 1
+                self._wake.set()
         return [chunks[begin] for begin in sorted(chunks)]
 
     # ------------------------------------------------------------------ #
@@ -862,60 +872,7 @@ class FleetSupervisor(RecallBackend):
         codes, seeds = check_batch(
             "codes_batch", codes_batch, self.module.crossbar.rows, request_seeds
         )
-
-        def send_one(replica: _Replica, begin: int, end: int):
-            kind, header, arrays = replica.exchange(
-                wire.RECALL,
-                {"count": end - begin},
-                {"codes": codes[begin:end], "seeds": seeds[begin:end]},
-            )
-            if kind == wire.ERROR:
-                raise wire.transported_error(header["type"], header["message"])
-            if kind != wire.RESULT:
-                raise wire.WireProtocolError(f"RECALL answered with kind {kind}")
-            return arrays
-
-        def read_one(arrays, begin, end):
-            return wire.result_from_wire(arrays, end - begin)
-
-        chunks = self._dispatch_shards(codes.shape[0], send_one, read_one)
-        return concatenate_batch_results(chunks)
-
-    def solve_batch(
-        self, dac_conductances: np.ndarray, include_parasitics: bool = True
-    ) -> BatchCrossbarSolution:
-        dac, _ = check_batch(
-            "dac_conductances",
-            dac_conductances,
-            self.module.crossbar.rows,
-            dtype=float,
-            allow_empty=True,
-        )
-        if dac.shape[0] == 0:
-            # Nothing to shard: answer like the in-process engines do.
-            return BatchCrossbarSolution(
-                column_currents=np.empty((0, self.module.crossbar.columns)),
-                supply_current=np.empty(0),
-                delta_v=self.module.solver.delta_v,
-            )
-
-        def send_one(replica: _Replica, begin: int, end: int):
-            kind, header, arrays = replica.exchange(
-                wire.SOLVE,
-                {"include_parasitics": bool(include_parasitics)},
-                {"dac": dac[begin:end]},
-            )
-            if kind == wire.ERROR:
-                raise wire.transported_error(header["type"], header["message"])
-            if kind != wire.SOLUTION:
-                raise wire.WireProtocolError(f"SOLVE answered with kind {kind}")
-            return arrays
-
-        def read_one(arrays, begin, end):
-            return wire.solution_from_wire(arrays, self.module.solver.delta_v, end - begin)
-
-        chunks = self._dispatch_shards(dac.shape[0], send_one, read_one)
-        return concatenate_batch_solutions(chunks)
+        return concatenate_batch_results(self._dispatch_shards(codes, seeds))
 
     # ------------------------------------------------------------------ #
     # Observability
@@ -976,38 +933,6 @@ class FleetSupervisor(RecallBackend):
             self.close()
         except Exception:
             pass
-
-
-class RemoteBackend(FleetSupervisor):
-    """The ``remote`` backend: a fleet of statically adopted workers.
-
-    Every link, the supervision, the health-weighted dispatch and the
-    shard retry are :class:`FleetSupervisor`'s; this alias only requires
-    ``worker_addresses`` (the replica set), never spawns local agents
-    and never serves a control socket.  The other keyword options are
-    the fleet's.
-    """
-
-    name = "remote"
-
-    def __init__(
-        self,
-        module: AssociativeMemoryModule,
-        workers: int = 1,
-        worker_addresses: Union[str, Sequence[Union[str, Address]], None] = None,
-        **options,
-    ) -> None:
-        if not parse_worker_addresses(worker_addresses):
-            raise ValueError(
-                "remote backend needs worker_addresses "
-                "(e.g. worker_addresses='127.0.0.1:7070,127.0.0.1:7071' or "
-                "--workers 127.0.0.1:7070,127.0.0.1:7071 on the CLI); start "
-                "agents with `python -m repro worker --listen HOST:PORT`"
-            )
-        options.update(spawn_workers=0, control=None)
-        super().__init__(
-            module, workers=workers, worker_addresses=worker_addresses, **options
-        )
 
 
 # ---------------------------------------------------------------------- #

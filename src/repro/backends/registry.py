@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Union
 
 from repro.backends.base import RecallBackend
-from repro.backends.fleet import FleetSupervisor, RemoteBackend
+from repro.backends.fleet import FleetSupervisor
 from repro.backends.serial import SerialBackend
 
 #: The default backend name used when a caller asks for "a backend".
@@ -105,5 +105,4 @@ def resolve_backend(
 
 
 register_backend("serial", SerialBackend)
-register_backend("remote", RemoteBackend)
 register_backend("fleet", FleetSupervisor)

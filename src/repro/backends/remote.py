@@ -9,8 +9,9 @@ shard across worker agents — spawned on this host or running on others:
   conductances, numpy buffers raw — see :mod:`repro.backends.wire`),
   rebuilds and pre-factorises a private
   :class:`~repro.crossbar.batched.BatchedCrossbarEngine`, and then serves
-  ``RECALL`` / ``SOLVE`` / ``PING`` frames until the peer goes away.  A
-  mismatched protocol version is answered with a clean ``ERROR`` frame
+  ``RECALL`` / ``PING`` frames until the peer goes away; any other kind
+  gets a typed ``unknown frame kind`` ``ERROR`` and the link keeps
+  serving.  A mismatched protocol version is answered with a clean ``ERROR`` frame
   and a close — never a hang.  The accept loop, handshake and close
   live in :class:`_FrameServer`, which the fleet control socket shares.
 * :class:`_WorkerLink` — the consumer's end: one long-lived socket per
@@ -24,8 +25,6 @@ The backend that drives these links is
 :class:`~repro.backends.fleet.FleetSupervisor`: it supervises them
 (heartbeats, reconnect with backoff), routes shards by measured replica
 speed and retries a shard lost with a dying worker on the survivors.
-The ``remote`` backend (:class:`~repro.backends.fleet.RemoteBackend`) is
-that supervisor with a static adopted membership and no control socket.
 
 Because every request names its own random substream, retrying a shard
 on a different replica cannot change its answer — worker loss degrades
@@ -285,7 +284,7 @@ class WorkerServer(_FrameServer):
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, backlog: int = 16):
         super().__init__(host, port, backlog)
-        #: Recall/solve commands served since start (observability).
+        #: Recall commands served since start (observability).
         self.commands_served = 0
 
     def serve_forever(self) -> None:
@@ -310,17 +309,6 @@ class WorkerServer(_FrameServer):
             )
             self.commands_served += 1
             wire.send_frame(conn, wire.RESULT, arrays=wire.result_to_wire(result))
-        elif kind == wire.SOLVE:
-            if "engine" not in state:
-                raise RuntimeError("SOLVE before SPEC on this link")
-            solution = state["engine"].solve_batch(
-                np.array(arrays["dac"], dtype=np.float64),
-                include_parasitics=bool(header["include_parasitics"]),
-            )
-            self.commands_served += 1
-            wire.send_frame(
-                conn, wire.SOLUTION, arrays=wire.solution_to_wire(solution)
-            )
         else:
             raise wire.WireProtocolError(f"unknown frame kind {kind}")
 

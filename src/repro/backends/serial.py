@@ -22,7 +22,6 @@ from repro.backends.base import (
     RecallBackend,
 )
 from repro.core.amm import AssociativeMemoryModule, BatchRecognitionResult
-from repro.crossbar.batched import BatchCrossbarSolution
 
 
 class SerialBackend(RecallBackend):
@@ -55,14 +54,6 @@ class SerialBackend(RecallBackend):
         self.prepare()
         return self.module.recognise_batch_seeded(
             codes_batch, request_seeds, engine=self._engine
-        )
-
-    def solve_batch(
-        self, dac_conductances: np.ndarray, include_parasitics: bool = True
-    ) -> BatchCrossbarSolution:
-        self.prepare()
-        return self._engine.solve_batch(
-            dac_conductances, include_parasitics=include_parasitics
         )
 
     def close(self) -> None:

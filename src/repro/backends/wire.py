@@ -1,6 +1,6 @@
 """Pickle-free wire protocol of the remote-worker transport.
 
-Everything the ``remote`` backend and the worker agent exchange crosses
+Everything the ``fleet`` backend and its worker agents exchange crosses
 one length-prefixed binary TCP framing, defined here and nowhere else:
 
 * **Frame** — ``MAGIC (4B) | kind (u8) | protocol version (u16 LE) |
@@ -23,6 +23,12 @@ one length-prefixed binary TCP framing, defined here and nowhere else:
   bytes executes arbitrary code.  Only whitelisted dataclass fields and
   typed numpy buffers cross the wire; the factorisation never does (the
   worker re-runs ``spec.build_engine()`` locally).
+* **Commands** — after the spec, a backend sends a worker one verb,
+  ``RECALL`` (codes + per-row seeds), answered by ``RESULT``; ``PING``
+  / ``PONG`` probe liveness and ``BYE`` closes.  Kinds 7 and 8 (a raw
+  crossbar solve) are retired and stay unassigned, so every remaining
+  frame is byte-identical to version 2's; a worker answers either with
+  an ``unknown frame kind`` ``ERROR``.
 * **Errors** — a computation error on the worker becomes an ``ERROR``
   frame carrying the exception's type name and message; the backend
   resurfaces it through the transportable-type table
@@ -53,7 +59,6 @@ from repro.core.amm import (
 from repro.core.config import DesignParameters
 from repro.core.wta import EVENT_KEYS, SpinCmosWta
 from repro.crossbar.array import ResistiveCrossbar
-from repro.crossbar.batched import BatchCrossbarSolution
 from repro.crossbar.parasitics import WireParasitics
 from repro.devices.dwn import DwnConfig
 from repro.devices.latch import DynamicCmosLatch
@@ -83,8 +88,7 @@ ERROR = 3
 SPEC = 4
 RECALL = 5
 RESULT = 6
-SOLVE = 7
-SOLUTION = 8
+# 7 and 8 are retired (a raw-solve verb); never reuse them.
 PING = 9
 PONG = 10
 BYE = 11
@@ -442,23 +446,6 @@ _RESULT_DTYPES = dict(
 )
 
 
-def _reply_arrays(arrays: Dict[str, np.ndarray], dtypes: dict, rows: int, kind: str) -> dict:
-    """The named arrays of a ``kind`` reply, cast, each checked to hold
-    ``rows`` rows: a reply is stitched into a larger batch by position, so
-    a missing array or a row too few raises :class:`WireProtocolError`
-    instead of shifting every later row onto the wrong caller."""
-    checked = {}
-    for name, dtype in dtypes.items():
-        if name not in arrays:
-            raise WireProtocolError(f"{kind} frame lacks the {name!r} array")
-        checked[name] = value = np.array(arrays[name], dtype=dtype)
-        if value.shape[:1] != (rows,):
-            raise WireProtocolError(
-                f"{kind} array {name!r} has shape {value.shape}, expected {rows} rows"
-            )
-    return checked
-
-
 def result_to_wire(result: BatchRecognitionResult) -> Dict[str, np.ndarray]:
     """Arrays of one ``RESULT`` frame: every field at its wire dtype."""
     return {
@@ -471,8 +458,18 @@ def result_from_wire(arrays: Dict[str, np.ndarray], rows: int) -> BatchRecogniti
     """Rebuild the :class:`BatchRecognitionResult` of ``rows`` samples from
     ``RESULT`` arrays; raises :class:`WireProtocolError` unless every field
     is present with ``rows`` rows and ``events`` has shape ``(rows,
-    len(EVENT_KEYS))``."""
-    fields = _reply_arrays(arrays, _RESULT_DTYPES, rows, "RESULT")
+    len(EVENT_KEYS))``.  A reply is stitched into a larger batch by
+    position, so a missing array or a row too few must not shift every
+    later row onto the wrong caller."""
+    fields = {}
+    for name, dtype in _RESULT_DTYPES.items():
+        if name not in arrays:
+            raise WireProtocolError(f"RESULT frame lacks the {name!r} array")
+        fields[name] = value = np.array(arrays[name], dtype=dtype)
+        if value.shape[:1] != (rows,):
+            raise WireProtocolError(
+                f"RESULT array {name!r} has shape {value.shape}, expected {rows} rows"
+            )
     if fields["events"].shape != (rows, len(EVENT_KEYS)):
         raise WireProtocolError(
             f"RESULT array 'events' has shape {fields['events'].shape}, "
@@ -481,22 +478,3 @@ def result_from_wire(arrays: Dict[str, np.ndarray], rows: int) -> BatchRecogniti
     fields["accepted"] = fields["accepted"].astype(bool)
     fields["tie"] = fields["tie"].astype(bool)
     return BatchRecognitionResult(**fields)
-
-
-def solution_to_wire(solution: BatchCrossbarSolution) -> Dict[str, np.ndarray]:
-    """Arrays of one ``SOLUTION`` frame."""
-    return {
-        "column_currents": np.asarray(solution.column_currents, dtype=np.float64),
-        "supply_current": np.asarray(solution.supply_current, dtype=np.float64),
-    }
-
-
-def solution_from_wire(
-    arrays: Dict[str, np.ndarray], delta_v: float, rows: int
-) -> BatchCrossbarSolution:
-    """Rebuild the :class:`BatchCrossbarSolution` of ``rows`` samples from
-    ``SOLUTION`` arrays; raises :class:`WireProtocolError` unless both
-    arrays are present with ``rows`` rows."""
-    dtypes = {"column_currents": np.float64, "supply_current": np.float64}
-    fields = _reply_arrays(arrays, dtypes, rows, "SOLUTION")
-    return BatchCrossbarSolution(**fields, delta_v=delta_v)

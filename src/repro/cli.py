@@ -11,17 +11,17 @@ without writing any code:
   images end to end (``--batch-size`` selects the recall granularity;
   1 = legacy per-sample loop);
 * ``throughput`` — evaluate the corpus through the batched recall engine
-  and report images/second (``--backend
-  serial|remote|fleet`` recalls through a named execution backend —
-  ``serial``, the default, on one engine, the others with ``--workers``
-  units; ``--backend fleet --workers N`` spawns N local worker agents;
+  and report images/second (``--backend serial|fleet`` recalls through
+  a named execution backend — ``serial``, the default, on one engine;
+  ``--backend fleet --workers N`` spawns N local worker agents and
+  ``--backend fleet --workers host:port,...`` adopts running ones;
   ``--backend none`` keeps the legacy engine path without a backend);
 * ``worker`` — run a remote recall worker agent
-  (``python -m repro worker --listen HOST:PORT``) that backends created
-  with ``--backend remote --workers host:port,...`` dispatch shards to
-  over the pickle-free wire protocol; ``--announce CONTROL`` makes the
-  agent JOIN a running fleet (scale-out under load) as soon as it is
-  listening;
+  (``python -m repro worker --listen HOST:PORT``) that a backend created
+  with ``--backend fleet --workers host:port,...`` dispatches ``RECALL``
+  shards to over the pickle-free wire protocol; ``--announce CONTROL``
+  makes the agent JOIN a running fleet (scale-out under load) as soon
+  as it is listening;
 * ``admin`` — fleet control verbs (``status`` / ``join`` / ``drain`` /
   ``respec``) against the control socket of a serving process booted
   with ``--backend fleet --control HOST:PORT``;
@@ -190,8 +190,8 @@ def _resolve_workers(arguments: argparse.Namespace) -> tuple:
     """Interpret ``--workers`` as a count or a remote address list.
 
     ``--workers 4`` means four execution units; ``--workers
-    host:7070,host:7071`` (only meaningful with ``--backend remote`` or
-    ``fleet``) names the worker agents and implies their count.  Returns
+    host:7070,host:7071`` (only meaningful with ``--backend fleet``)
+    names the worker agents and implies their count.  Returns
     ``(worker_count, backend_options)``.
     """
     backend = getattr(arguments, "backend", None)
@@ -210,10 +210,8 @@ def _resolve_workers(arguments: argparse.Namespace) -> tuple:
                 "agents)"
             )
         return count, {}
-    if backend not in ("remote", "fleet"):
-        raise SystemExit(
-            "--workers with host:port addresses requires --backend remote or fleet"
-        )
+    if backend != "fleet":
+        raise SystemExit("--workers with host:port addresses requires --backend fleet")
     from repro.backends import parse_worker_addresses
 
     try:
@@ -345,7 +343,6 @@ def _build_service(arguments: argparse.Namespace):
         max_wait=arguments.max_wait_ms * 1e-3,
         max_queue_depth=arguments.queue_depth,
         workers=workers,
-        legacy_per_sample=getattr(arguments, "per_sample", False),
         backend=arguments.backend,
         backend_options=backend_options,
         quota=_build_quota(arguments),
@@ -529,9 +526,9 @@ def _add_backend_option(parser: argparse.ArgumentParser, allow_none: bool = Fals
         choices=choices,
         help="execution backend for the recall engine "
         "(serial = one engine [default], "
-        "remote = worker agents named by --workers host:port,..., "
-        "fleet = supervised replica set of spawned and/or named worker "
-        "agents with health-weighted routing and a --control admin socket"
+        "fleet = supervised replica set of worker agents, spawned "
+        "(--workers N) or named (--workers host:port,...), with "
+        "health-weighted routing and a --control admin socket"
         + (", none = legacy batched path without a backend)" if allow_none else ")"),
     )
 
@@ -554,8 +551,8 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="execution units (an integer; more than 1 needs --backend "
         "fleet, which spawns that many local worker agents), or with "
-        "--backend remote/fleet a "
-        "comma-separated worker agent list (host:port,host:port)",
+        "--backend fleet a comma-separated list of running worker "
+        "agents to adopt (host:port,host:port)",
     )
     parser.add_argument(
         "--queue-depth",
@@ -646,8 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="execution units for --backend (an integer; more than 1 needs "
         "--backend fleet, which spawns that many local worker agents), or "
-        "with --backend remote/fleet a "
-        "comma-separated agent list (host:port,...)",
+        "with --backend fleet a comma-separated list of running worker "
+        "agents to adopt (host:port,...)",
     )
     _add_backend_option(throughput, allow_none=True)
     throughput.set_defaults(handler=_command_throughput)
@@ -760,11 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         help="code vectors per request; each is queued as its own recall",
-    )
-    loadtest.add_argument(
-        "--per-sample",
-        action="store_true",
-        help="dispatch through the legacy per-sample solver (batch_size=1 reference)",
     )
     loadtest.add_argument(
         "--stream",

@@ -163,7 +163,7 @@ class FaceRecognitionPipeline:
         backend, workers, base_seed:
             Optional execution backend for the recalls — a
             :mod:`repro.backends` registry name (``"serial"``,
-            ``"remote"``, ``"fleet"``) resolved with ``workers``
+            ``"fleet"``) resolved with ``workers``
             execution units, or a prepared
             :class:`~repro.backends.base.RecallBackend`.  Backend recalls
             run the seeded path (sample ``i`` uses substream

@@ -192,22 +192,6 @@ class BatchCrossbarSolution:
         return self.column_currents.shape[0]
 
 
-def concatenate_batch_solutions(chunks) -> BatchCrossbarSolution:
-    """Stitch contiguous :class:`BatchCrossbarSolution` chunks back together.
-
-    Used by the execution backends to reassemble a sharded solve; the
-    chunks must share ``delta_v`` (they come from replicas of one network).
-    """
-    chunks = list(chunks)
-    if not chunks:
-        raise ValueError("chunks must not be empty")
-    return BatchCrossbarSolution(
-        column_currents=np.concatenate([c.column_currents for c in chunks]),
-        supply_current=np.concatenate([c.supply_current for c in chunks]),
-        delta_v=chunks[0].delta_v,
-    )
-
-
 def chebyshev_steps(beta: np.ndarray, tol: float) -> np.ndarray:
     """Per-row Chebyshev step counts for spectra in ``[1, 1 + beta]``.
 

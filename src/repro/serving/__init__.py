@@ -25,9 +25,11 @@ traffic, where callers arrive one image at a time:
     adapter between the micro-batcher and the pluggable execution
     backends of :mod:`repro.backends`.  ``backend="serial"`` (default)
     runs each micro-batch on one pre-factorised engine whose BLAS calls
-    already use the host's cores; ``"remote"``/``"fleet"`` run them on
-    worker agents over TCP (``backend="fleet", workers=N`` spawns N local
-    agents, each its own interpreter).
+    already use the host's cores; ``"fleet"`` runs them on worker agents
+    over TCP (``workers=N`` spawns N local agents, each its own
+    interpreter; ``worker_addresses`` adopts running ones).  Every
+    micro-batch runs the seeded recall, so a result is a pure function
+    of ``(module, codes, seed)`` whichever backend serves it.
     Deadline-expired segments are dropped here, before any engine time
     is spent.
 

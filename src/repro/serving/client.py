@@ -20,11 +20,11 @@ server: ``concurrency`` threads each post ``images_per_request`` code
 vectors per request (an edge node aggregating its users) until the shared
 request budget is spent, and the aggregated wall-clock throughput and
 client-observed latency percentiles come back as a :class:`LoadReport`.
-Threads can be striped across ``priorities`` (and ``client_ids``) to
-offer mixed-priority multi-tenant load, with the report segmenting
-latencies per priority level; ``stream=True`` drives the chunked
-streaming path instead of buffered responses, and ``binary=True`` drives
-the binary endpoint instead of HTTP.  :func:`run_connection_load` is the
+Threads can be striped across ``priorities`` to offer mixed-priority
+load, with the report segmenting latencies per priority level;
+``stream=True`` drives the chunked streaming path instead of buffered
+responses, and ``binary=True`` drives the binary endpoint instead of
+HTTP (one loop; only the per-request call differs).  :func:`run_connection_load` is the
 connection-scaling variant: one asyncio task per keep-alive connection
 (thousands of connections where thread-per-client stops scaling), with
 every request body pre-encoded so the client measures the server, not
@@ -549,7 +549,6 @@ def run_load(
     base_seed: int = 0,
     timeout: float = 30.0,
     priorities: Optional[Sequence[int]] = None,
-    client_ids: Optional[Sequence[str]] = None,
     stream: bool = False,
     binary: bool = False,
 ) -> LoadReport:
@@ -558,16 +557,17 @@ def run_load(
     Each request draws its ``images_per_request`` code vectors round-robin
     from ``codes_pool`` and tags every image with a deterministic seed
     derived from ``base_seed`` and the image's global index, so repeated
-    runs offer identical work.  ``priorities`` / ``client_ids`` are
-    striped across the client threads (thread ``i`` uses entry ``i % len``)
-    to offer mixed-priority, multi-tenant load; ``stream=True`` posts
-    each request in streaming mode and consumes the chunked NDJSON
-    response; ``binary=True`` drives the asyncio front end's binary
-    endpoint (``port`` is then the *binary* port) with raw-array
-    requests.  Rejections (HTTP 429 / ERROR frames with the same
-    taxonomy) are counted, not retried — the report shows how much load
-    the server actually absorbed — with quota denials (``"reason":
-    "quota"``) tallied separately from shared-queue backpressure.
+    runs offer identical work.  ``priorities`` are striped across the
+    client threads (thread ``i`` uses entry ``i % len``) to offer
+    mixed-priority load; ``stream=True`` posts each request in streaming
+    mode and consumes the chunked NDJSON response; ``binary=True`` drives
+    the asyncio front end's binary endpoint (``port`` is then the
+    *binary* port) with raw-array requests.  Rejections (HTTP 429 /
+    ERROR frames with the same taxonomy) are counted, not retried — the
+    report shows how much load the server actually absorbed — with quota
+    denials (``"reason": "quota"``) tallied separately from shared-queue
+    backpressure.  A transport failure (or a stream whose summary marks
+    it abnormal) counts as an error and the thread reconnects.
     """
     check_integer("requests", requests, minimum=1)
     check_integer("concurrency", concurrency, minimum=1)
@@ -579,12 +579,49 @@ def run_load(
         raise ValueError("codes_pool must be a non-empty 2-D code batch")
     if priorities is not None and len(priorities) == 0:
         raise ValueError("priorities must be a non-empty sequence or None")
-    if client_ids is not None and len(client_ids) == 0:
-        raise ValueError("client_ids must be a non-empty sequence or None")
     # One conversion for the whole run: request payloads index into this
     # pre-encoded pool instead of re-running asarray().tolist() per
     # request (the hot loop measures the server, not client encode).
     pool_rows: List[list] = codes_pool.tolist()
+
+    # One call per transport: send one request's rows and return
+    # ``(served, bad_rows)``.
+    if binary:
+        transport_errors: tuple = (OSError, wire.WireProtocolError)
+
+        def connect():
+            return BinaryRecognitionClient(host, port, timeout=timeout)
+
+        def call(client, indices, seeds, priority):
+            result = client.recognise_batch(
+                codes_pool[indices], seeds=seeds, priority=priority
+            )
+            return result.ok, result.failed
+
+    else:
+        transport_errors = (OSError, http.client.HTTPException)
+
+        def connect():
+            return RecognitionClient(host, port, timeout=timeout)
+
+        def call(client, indices, seeds, priority):
+            rows = [pool_rows[index] for index in indices]
+            if not stream:
+                return len(client.recognise_many(rows, seeds=seeds, priority=priority)), 0
+            served = bad_rows = 0
+            truncated = True  # until the clean summary arrives
+            for event in client.recognise_stream(rows, seeds=seeds, priority=priority):
+                if event.get("done"):
+                    # An "error" on the summary line marks an
+                    # abnormally-terminated stream, not a row.
+                    truncated = "error" in event
+                elif "result" in event:
+                    served += 1
+                elif "error" in event:
+                    bad_rows += 1
+            if truncated:
+                raise ConnectionError("stream ended without a clean summary")
+            return served, bad_rows
 
     counter = {"next": 0}
     counter_lock = threading.Lock()
@@ -602,130 +639,40 @@ def run_load(
             counter["next"] += 1
             return index
 
-    def record_rejection(error: ServerError) -> None:
-        with results_lock:
-            if error.status == 429 and error.reason == "quota":
-                outcomes["quota_rejected"] += 1
-            elif error.status == 429:
-                outcomes["rejected"] += 1
-            else:
-                outcomes["errors"] += 1
-
-    def record_served(
-        served: int, bad_rows: int, elapsed: float, priority: Optional[int]
-    ) -> None:
-        with results_lock:
-            outcomes["images"] += served
-            outcomes["row_errors"] += bad_rows
-            latencies.append(elapsed)
-            if priority is not None:
-                latencies_by_priority.setdefault(priority, []).append(elapsed)
-
-    def request_rows(request_index: int) -> List[int]:
-        first_image = request_index * images_per_request
-        return [
-            (first_image + offset) % codes_pool.shape[0]
-            for offset in range(images_per_request)
-        ]
-
-    def request_seeds(request_index: int) -> List[int]:
-        first_image = request_index * images_per_request
-        return [
-            base_seed + first_image + offset
-            for offset in range(images_per_request)
-        ]
-
     def drive(thread_index: int) -> None:
         priority = (
             None
             if priorities is None
             else int(priorities[thread_index % len(priorities)])
         )
-        client_id = (
-            None
-            if client_ids is None
-            else client_ids[thread_index % len(client_ids)]
-        )
-        with RecognitionClient(
-            host, port, timeout=timeout, client_id=client_id
-        ) as client:
-            while True:
-                request_index = next_request_index()
-                if request_index is None:
-                    return
-                rows = [pool_rows[i] for i in request_rows(request_index)]
-                seeds = request_seeds(request_index)
-                begin = time.perf_counter()
-                try:
-                    if stream:
-                        served = bad_rows = 0
-                        truncated = True  # until the clean summary arrives
-                        for event in client.recognise_stream(
-                            rows, seeds=seeds, priority=priority
-                        ):
-                            if event.get("done"):
-                                # An "error" on the summary line marks an
-                                # abnormally-terminated stream, not a row.
-                                truncated = "error" in event
-                            elif "result" in event:
-                                served += 1
-                            elif "error" in event:
-                                bad_rows += 1
-                        if truncated:
-                            with results_lock:
-                                outcomes["errors"] += 1
-                            continue
-                    else:
-                        served = len(
-                            client.recognise_many(
-                                rows, seeds=seeds, priority=priority
-                            )
-                        )
-                        bad_rows = 0
-                except ServerError as error:
-                    record_rejection(error)
-                    continue
-                except (OSError, http.client.HTTPException):
-                    with results_lock:
-                        outcomes["errors"] += 1
-                    continue
-                record_served(
-                    served, bad_rows, time.perf_counter() - begin, priority
-                )
-
-    def drive_binary(thread_index: int) -> None:
-        priority = (
-            None
-            if priorities is None
-            else int(priorities[thread_index % len(priorities)])
-        )
-        client_id = (
-            None
-            if client_ids is None
-            else client_ids[thread_index % len(client_ids)]
-        )
-        client: Optional[BinaryRecognitionClient] = None
+        client = None
         try:
-            while True:
-                request_index = next_request_index()
-                if request_index is None:
-                    return
-                codes = codes_pool[request_rows(request_index)]
-                seeds = request_seeds(request_index)
+            while (request_index := next_request_index()) is not None:
+                first_image = request_index * images_per_request
+                indices = [
+                    (first_image + offset) % codes_pool.shape[0]
+                    for offset in range(images_per_request)
+                ]
+                seeds = [
+                    base_seed + first_image + offset
+                    for offset in range(images_per_request)
+                ]
                 begin = time.perf_counter()
                 try:
                     if client is None:
-                        client = BinaryRecognitionClient(
-                            host, port, timeout=timeout, client_id=client_id
-                        )
-                    result = client.recognise_batch(
-                        codes, seeds=seeds, priority=priority
-                    )
+                        client = connect()
+                    served, bad_rows = call(client, indices, seeds, priority)
                 except ServerError as error:
-                    record_rejection(error)
+                    with results_lock:
+                        if error.status == 429 and error.reason == "quota":
+                            outcomes["quota_rejected"] += 1
+                        elif error.status == 429:
+                            outcomes["rejected"] += 1
+                        else:
+                            outcomes["errors"] += 1
                     continue
-                except (OSError, wire.WireProtocolError):
-                    # The framed stream is not recoverable mid-frame;
+                except transport_errors:
+                    # A framed stream is not recoverable mid-frame:
                     # reconnect for the next request.
                     with results_lock:
                         outcomes["errors"] += 1
@@ -733,22 +680,19 @@ def run_load(
                         client.close()
                         client = None
                     continue
-                record_served(
-                    result.ok,
-                    result.failed,
-                    time.perf_counter() - begin,
-                    priority,
-                )
+                elapsed = time.perf_counter() - begin
+                with results_lock:
+                    outcomes["images"] += served
+                    outcomes["row_errors"] += bad_rows
+                    latencies.append(elapsed)
+                    if priority is not None:
+                        latencies_by_priority.setdefault(priority, []).append(elapsed)
         finally:
             if client is not None:
                 client.close()
 
     threads = [
-        threading.Thread(
-            target=drive_binary if binary else drive,
-            args=(index,),
-            name=f"load-{index}",
-        )
+        threading.Thread(target=drive, args=(index,), name=f"load-{index}")
         for index in range(concurrency)
     ]
     begin = time.perf_counter()

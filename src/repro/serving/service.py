@@ -235,21 +235,18 @@ class RecognitionService:
         Execution units requested from the backend (worker agents;
         ``fleet`` spawns that many locally); the single-engine
         ``serial`` backend has one.
-    legacy_per_sample:
-        Dispatch through the legacy per-sample sparse solve instead of
-        the batched engine (the ``batch_size=1`` benchmark reference).
     metrics:
         Metric sink; a fresh :class:`ServiceMetrics` when omitted.
     backend:
         Execution backend for the recalls — a :mod:`repro.backends`
-        registry name (``"serial"``, ``"remote"``, ``"fleet"``;
-        ``None`` selects ``"serial"``) or a prepared
+        registry name (``"serial"``, ``"fleet"``; ``None`` selects
+        ``"serial"``) or a prepared
         :class:`~repro.backends.base.RecallBackend` instance.  Because
         every request carries its own seed, the served results are
         identical for every backend choice.
     backend_options:
         Extra keyword options for the named backend's factory (e.g.
-        ``{"worker_addresses": "host:7070,host:7071"}`` for ``remote``).
+        ``{"worker_addresses": "host:7070,host:7071"}`` for ``fleet``).
     quota:
         Per-client admission budget — a
         :class:`~repro.serving.quotas.QuotaConfig` (the service builds
@@ -271,7 +268,6 @@ class RecognitionService:
         max_wait: float = 2e-3,
         max_queue_depth: int = 1024,
         workers: int = 1,
-        legacy_per_sample: bool = False,
         metrics: Optional[ServiceMetrics] = None,
         backend: Union[str, RecallBackend, None] = None,
         backend_options: Optional[dict] = None,
@@ -300,7 +296,6 @@ class RecognitionService:
             amm,
             workers=workers,
             metrics=self.metrics,
-            legacy_per_sample=legacy_per_sample,
             backend=backend,
             backend_options=backend_options,
             clock=clock,

@@ -1,8 +1,8 @@
 """Dispatch adapter between the micro-batcher and the execution backends.
 
 PR 2's sharded thread pool lived here; the execution strategy has since
-been extracted into :mod:`repro.backends` (serial / remote / fleet,
-chosen by name through the registry) so offline sweeps can use it too.
+been extracted into :mod:`repro.backends` (serial / fleet, chosen by
+name through the registry) so offline sweeps can use it too.
 What remains is the *serving* half of the old pool, everything about
 request lifecycle rather than execution.  Work is batch-granular from
 end to end: the service queues one :class:`Submission` per submit call
@@ -62,7 +62,7 @@ import numpy as np
 
 from repro.backends.base import RecallBackend
 from repro.backends.registry import resolve_backend
-from repro.core.amm import AssociativeMemoryModule, BatchRecognitionResult
+from repro.core.amm import AssociativeMemoryModule
 from repro.serving.errors import DeadlineExceededError, ServiceClosedError
 from repro.serving.metrics import ServiceMetrics
 from repro.utils.validation import check_integer
@@ -312,23 +312,20 @@ class ShardedWorkerPool:
         dispatcher thread per unit the backend reports.
     metrics:
         Sink for completion counts and latencies.
-    legacy_per_sample:
-        Dispatch every request through the legacy per-sample sparse solve
-        instead of a backend (benchmark baseline only).
     min_shard_size:
         Forwarded to the backend: a micro-batch is split across execution
         units only when the resulting shards would hold at least this
         many requests each.
     backend:
         A :mod:`repro.backends` registry name (``"serial"``,
-        ``"remote"``, ``"fleet"``; ``None`` selects
+        ``"fleet"``; ``None`` selects
         :data:`~repro.backends.registry.DEFAULT_BACKEND`) — the pool then
         owns and closes the created backend — or an already-prepared
         :class:`~repro.backends.base.RecallBackend` shared with other
         consumers (left open on :meth:`close`).
     backend_options:
         Extra keyword options forwarded to the backend factory when
-        ``backend`` is a name (e.g. ``worker_addresses`` for the remote
+        ``backend`` is a name (e.g. ``worker_addresses`` for the fleet
         backend); ignored for pre-built instances.
     clock:
         Monotonic time source for deadlines and latencies; must be the
@@ -344,7 +341,6 @@ class ShardedWorkerPool:
         amm: AssociativeMemoryModule,
         workers: int = 1,
         metrics: Optional[ServiceMetrics] = None,
-        legacy_per_sample: bool = False,
         min_shard_size: int = 16,
         backend: Union[str, RecallBackend, None] = None,
         backend_options: Optional[dict] = None,
@@ -352,20 +348,8 @@ class ShardedWorkerPool:
     ) -> None:
         check_integer("workers", workers, minimum=1)
         check_integer("min_shard_size", min_shard_size, minimum=1)
-        self.amm = amm
         self.metrics = metrics or ServiceMetrics()
-        self.legacy_per_sample = legacy_per_sample
         self._clock = clock
-        # The legacy path runs amm.recognise(), which draws its request
-        # seed from the module's shared numpy Generator — not thread-safe,
-        # so per-sample recalls serialise.
-        self._legacy_lock = threading.Lock()
-        if legacy_per_sample and (backend is None or isinstance(backend, str)):
-            # The legacy path never touches a backend (every request is
-            # one locked amm.recognise() sparse solve); keep an unprepared
-            # serial backend for the capability surface instead of paying
-            # for engine replicas or worker agents nothing will use.
-            backend = "serial"
         # Explicit backend_options win over the pool's defaults (a caller
         # tuning min_shard_size for a remote deployment should not
         # collide with the forwarded pool default).
@@ -374,8 +358,7 @@ class ShardedWorkerPool:
         self.backend, self._owns_backend = resolve_backend(
             backend, amm, workers=workers, **options
         )
-        if not legacy_per_sample:
-            self.backend.prepare()
+        self.backend.prepare()
         self.workers = max(1, self.backend.capabilities().workers)
         # Highest-priority batch first; FIFO within a priority via the
         # monotonic sequence number (which also keeps the never-compared
@@ -471,16 +454,10 @@ class ShardedWorkerPool:
             codes = np.concatenate(
                 [_live_rows(s.codes, start, stop, mask) for s, start, stop, mask, _ in live]
             )
-            if self.legacy_per_sample:
-                with self._legacy_lock:
-                    results = BatchRecognitionResult.stack(
-                        [self.amm.recognise(sample) for sample in codes]
-                    )
-            else:
-                seeds = np.concatenate(
-                    [_live_rows(s.seeds, start, stop, mask) for s, start, stop, mask, _ in live]
-                )
-                results = self.backend.recall_batch_seeded(codes, seeds)
+            seeds = np.concatenate(
+                [_live_rows(s.seeds, start, stop, mask) for s, start, stop, mask, _ in live]
+            )
+            results = self.backend.recall_batch_seeded(codes, seeds)
         except Exception as error:  # resolve every caller, never swallow
             self.metrics.record_failed(rows)
             fail_claimed(live, error)

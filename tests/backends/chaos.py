@@ -1,8 +1,7 @@
 """Fault-injection TCP proxy for the remote-backend chaos tests.
 
 :class:`ChaosProxy` sits between one worker link of a
-:class:`~repro.backends.fleet.RemoteBackend` (a static-membership
-:class:`~repro.backends.fleet.FleetSupervisor`) and a real worker
+:class:`~repro.backends.fleet.FleetSupervisor` and a real worker
 agent, forwarding bytes in both
 directions while letting a test inject the failure modes distributed
 systems actually see:

@@ -114,15 +114,15 @@ def fleet_backend(backend_amm, worker_servers):
 
 @pytest.fixture()
 def remote_backend(backend_amm, worker_servers):
-    """A two-replica remote backend with test-speed supervision knobs.
+    """A fleet of two adopted in-process agents with test-speed knobs.
 
-    Remote results are *bit*-identical to the in-process reference
-    with no pinning: each replica builds the same engine and a row's
-    answer never depends on its batch-mates.
+    No spawned agent and no control socket: the static-membership shape
+    of ``--backend fleet --workers host:port,host:port``.  Results are
+    *bit*-identical to the in-process reference with no pinning: each
+    replica builds the same engine and a row's answer never depends on
+    its batch-mates.
     """
-    from repro.backends import RemoteBackend
-
-    backend = RemoteBackend(
+    backend = FleetSupervisor(
         backend_amm,
         worker_addresses=[server.address for server in worker_servers],
         min_shard_size=4,

@@ -41,18 +41,6 @@ class TestSerialBackend:
             result = backend.recall_batch_seeded(request_codes, request_seeds)
         assert_results_equal(result, reference_results)
 
-    def test_solve_batch_matches_solver(self, backend_amm, request_codes):
-        conductances = backend_amm.input_dacs.conductances(request_codes)
-        reference = backend_amm.solver.solve_batch(conductances)
-        with SerialBackend(backend_amm) as backend:
-            solution = backend.solve_batch(conductances)
-        np.testing.assert_allclose(
-            solution.column_currents, reference.column_currents, rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            solution.supply_current, reference.supply_current, rtol=1e-12
-        )
-
     def test_concurrent_callers_share_one_engine(
         self, backend_amm, request_codes, request_seeds, reference_results
     ):
@@ -102,17 +90,6 @@ class TestSpawnedFleetBackend:
         result = spawned_fleet.recall_batch_seeded(big_codes, big_seeds)
         reference = backend_amm.recognise_batch_seeded(big_codes, big_seeds)
         assert_results_equal(result, reference)
-
-    def test_solve_batch_matches_solver(self, backend_amm, spawned_fleet, request_codes):
-        conductances = backend_amm.input_dacs.conductances(request_codes)
-        reference = backend_amm.solver.solve_batch(conductances)
-        solution = spawned_fleet.solve_batch(conductances)
-        np.testing.assert_allclose(
-            solution.column_currents, reference.column_currents, rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            solution.supply_current, reference.supply_current, rtol=1e-12
-        )
 
     def test_validation_errors_transported(self, spawned_fleet, request_codes):
         with pytest.raises(ValueError):

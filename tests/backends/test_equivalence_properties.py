@@ -1,5 +1,5 @@
-"""Property-based cross-backend equivalence: serial ≡ fleet ≡ remote,
-bit-identically, on the ideal path.
+"""Property-based cross-backend equivalence: serial ≡ fleet, over
+spawned and over in-process agents, bit-identically, on the ideal path.
 
 The hand-picked matrix in ``test_equivalence.py`` pins the parasitic
 path to solver precision; this suite drives seeded-random workloads
@@ -13,8 +13,8 @@ Two layers, trading construction cost for coverage:
 * random *geometries* are checked on the serial backend (a fresh
   module per example): a batch equals its two parts recalled apart;
 * random *batch shapes/contents/seeds* run against long-lived
-  fleet/remote replica sets on one shared geometry (agent boot is the
-  expensive part, and the transport is geometry-agnostic).  The fleet
+  fleet replica sets on one shared geometry (agent boot is the
+  expensive part, and the transport is geometry-agnostic).  One fleet
   adopts the session's two spawned agents (``spawned_fleet``); each
   connection rebuilds its own engine for this geometry, so the
   properties run against real out-of-process replicas without a second
@@ -31,7 +31,6 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.backends import (
     FleetSupervisor,
-    RemoteBackend,
     SerialBackend,
     WorkerServer,
 )
@@ -65,7 +64,8 @@ def ideal_amm():
 
 @pytest.fixture(scope="module")
 def backend_matrix(ideal_amm, spawned_fleet):
-    """serial / fleet / remote, one prepared replica set each."""
+    """serial, a fleet over the spawned agents and a fleet over
+    in-process agents, one prepared replica set each."""
     serial = SerialBackend(ideal_amm).prepare()
     fleet = FleetSupervisor(
         ideal_amm,
@@ -74,14 +74,14 @@ def backend_matrix(ideal_amm, spawned_fleet):
         heartbeat_interval=0.5,
     ).prepare()
     workers = [WorkerServer().start(), WorkerServer().start()]
-    remote = RemoteBackend(
+    in_process = FleetSupervisor(
         ideal_amm,
         worker_addresses=[server.address for server in workers],
         min_shard_size=2,
         heartbeat_interval=0.5,
     ).prepare()
-    yield {"serial": serial, "fleet": fleet, "remote": remote}
-    for backend in (serial, fleet, remote):
+    yield {"serial": serial, "fleet": fleet, "in_process": in_process}
+    for backend in (serial, fleet, in_process):
         backend.close()
     for server in workers:
         server.close()
@@ -99,7 +99,7 @@ class TestBackendMatrixProperties:
         one answer, to the last bit."""
         codes, seeds = case
         reference = backend_matrix["serial"].recall_batch_seeded(codes, seeds)
-        for name in ("fleet", "remote"):
+        for name in ("fleet", "in_process"):
             result = backend_matrix[name].recall_batch_seeded(codes, seeds)
             assert_bit_identical(result, reference)
 
@@ -114,9 +114,9 @@ class TestBackendMatrixProperties:
         invisible in the results (the serving micro-batcher relies on
         exactly this)."""
         codes, seeds = case
-        whole = backend_matrix["remote"].recall_batch_seeded(codes, seeds)
+        whole = backend_matrix["in_process"].recall_batch_seeded(codes, seeds)
         for index in range(codes.shape[0]):
-            single = backend_matrix["remote"].recall_batch_seeded(
+            single = backend_matrix["in_process"].recall_batch_seeded(
                 codes[index : index + 1], seeds[index : index + 1]
             )[0]
             reference = whole[index]
@@ -143,7 +143,7 @@ class TestBackendMatrixProperties:
         a different backend replica reproduces it exactly."""
         codes, seeds = case
         first = backend_matrix["fleet"].recall_batch_seeded(codes, seeds)
-        second = backend_matrix["remote"].recall_batch_seeded(codes, seeds)
+        second = backend_matrix["in_process"].recall_batch_seeded(codes, seeds)
         assert_bit_identical(second, first)
 
 

@@ -21,6 +21,8 @@ import pytest
 from repro.backends import (
     FleetAdminClient,
     FleetSupervisor,
+    SerialBackend,
+    WorkerCrashedError,
     contiguous_shards,
     create_backend,
     spawn_local_worker,
@@ -83,17 +85,6 @@ class TestFleetEquivalence:
         result = fleet_backend.recall_batch_seeded(request_codes, request_seeds)
         assert_results_equal(result, reference_results)
 
-    def test_solve_batch_matches_solver(self, fleet_backend, backend_amm, request_codes):
-        conductances = backend_amm.input_dacs.conductances(request_codes)
-        reference = backend_amm.solver.solve_batch(conductances)
-        solution = fleet_backend.solve_batch(conductances)
-        np.testing.assert_allclose(
-            solution.column_currents, reference.column_currents, rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            solution.supply_current, reference.supply_current, rtol=1e-12
-        )
-
     def test_capabilities_and_context_manager(self, fleet_backend):
         capabilities = fleet_backend.capabilities()
         assert capabilities.name == "fleet"
@@ -102,6 +93,23 @@ class TestFleetEquivalence:
 
 
 class TestSpawnedAgents:
+    def test_agents_spawn_only_without_addresses(self, backend_amm, worker_servers):
+        """``workers`` counts local agents to spawn when no addresses are
+        given; with addresses it spawns none."""
+        adopted = FleetSupervisor(
+            backend_amm,
+            workers=3,
+            worker_addresses=[server.address for server in worker_servers],
+        )
+        spawning = FleetSupervisor(backend_amm, workers=3)
+        try:
+            assert adopted._local_agents == 0
+            assert spawning._local_agents == 3
+            assert adopted.capabilities().workers == 2
+        finally:
+            adopted.close()
+            spawning.close()
+
     def test_each_agent_gets_its_share_of_the_cores(self, monkeypatch):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         cores = os.cpu_count() or 1
@@ -280,7 +288,7 @@ class TestWeightedRouting:
 
 
 class ShortReplyWorker(remote.WorkerServer):
-    """A worker agent whose RECALL and SOLVE replies drop their last row."""
+    """A worker agent whose RECALL replies drop their last row."""
 
     def _command(self, conn, kind, header, arrays, state) -> None:
         if kind == wire.RECALL:
@@ -288,14 +296,16 @@ class ShortReplyWorker(remote.WorkerServer):
                 arrays["codes"], arrays["seeds"], engine=state["engine"]
             )
             wire.send_frame(conn, wire.RESULT, arrays=wire.result_to_wire(result[:-1]))
-        elif kind == wire.SOLVE:
-            solution = state["engine"].solve_batch(
-                arrays["dac"], include_parasitics=bool(header["include_parasitics"])
-            )
-            short = {
-                name: value[:-1] for name, value in wire.solution_to_wire(solution).items()
-            }
-            wire.send_frame(conn, wire.SOLUTION, arrays=short)
+        else:
+            super()._command(conn, kind, header, arrays, state)
+
+
+class WrongKindWorker(remote.WorkerServer):
+    """A worker agent that acknowledges RECALL with an ``OK`` frame."""
+
+    def _command(self, conn, kind, header, arrays, state) -> None:
+        if kind == wire.RECALL:
+            wire.send_frame(conn, wire.OK, {})
         else:
             super()._command(conn, kind, header, arrays, state)
 
@@ -304,6 +314,9 @@ class TestShardReplyChecks:
     def test_a_shard_answered_a_row_short_is_refused(
         self, backend_amm, request_codes, request_seeds
     ):
+        """The short reply is refused and its shard retried on the good
+        replica; the short replica leaves routing until an operator
+        joins it back, so later batches never reach it."""
         good, short = remote.WorkerServer().start(), ShortReplyWorker().start()
         fleet = FleetSupervisor(
             backend_amm,
@@ -313,16 +326,83 @@ class TestShardReplyChecks:
             io_timeout=20.0,
         ).prepare()
         try:
-            with pytest.raises(wire.WireProtocolError, match="rows"):
-                fleet.recall_batch_seeded(request_codes, request_seeds)
-            dac = backend_amm.input_dacs.conductances(request_codes)
-            with pytest.raises(wire.WireProtocolError, match="rows"):
-                fleet.solve_batch(dac)
-            # Both replies were read whole: the links stay usable.
-            assert fleet._find(short.address).link.alive
+            with SerialBackend(backend_amm) as serial:
+                reference = serial.recall_batch_seeded(request_codes, request_seeds)
+            result = fleet.recall_batch_seeded(request_codes, request_seeds)
+            assert_results_equal(result, reference)
+            assert fleet.retried_shards >= 1
+            replica = fleet._find(short.address)
+            # The reply was read whole, so the link stays up, but drained.
+            assert replica.link.alive and replica.state == "drained"
+            assert fleet.fleet_stats()["routable"] == 1
+            for _ in range(3):
+                assert_results_equal(
+                    fleet.recall_batch_seeded(request_codes, request_seeds), reference
+                )
+            assert replica.rows_served == 0
+            # An error the worker transports back still reaches the
+            # caller unchanged and drains nothing.
+            with pytest.raises(ValueError):
+                fleet.recall_batch_seeded(
+                    np.full_like(request_codes, 99), request_seeds
+                )
+            assert fleet.fleet_stats()["routable"] == 1
+            # An operator join readmits the replica; answering short
+            # again, it is refused and drained again.
+            retried = fleet.retried_shards
+            assert fleet.join(short.address)["state"] == "live"
+            assert_results_equal(
+                fleet.recall_batch_seeded(request_codes, request_seeds), reference
+            )
+            assert replica.state == "drained"
+            assert fleet.retried_shards == retried + 1
         finally:
             fleet.close()
             good.close()
+            short.close()
+
+
+    def test_a_shard_answered_with_the_wrong_kind_is_refused(
+        self, backend_amm, request_codes, request_seeds, reference_results
+    ):
+        good, wrong = remote.WorkerServer().start(), WrongKindWorker().start()
+        fleet = FleetSupervisor(
+            backend_amm,
+            worker_addresses=[good.address, wrong.address],
+            min_shard_size=2,
+            heartbeat_interval=0.5,
+            io_timeout=20.0,
+        ).prepare()
+        try:
+            result = fleet.recall_batch_seeded(request_codes, request_seeds)
+            assert_results_equal(result, reference_results)
+            assert fleet._find(wrong.address).state == "drained"
+            assert fleet.retried_shards >= 1
+        finally:
+            fleet.close()
+            good.close()
+            wrong.close()
+
+    def test_a_lone_refused_replica_fails_the_batch_retryably(
+        self, backend_amm, request_codes, request_seeds
+    ):
+        """With its only replica refused, nothing can serve the shard:
+        the batch fails with the retryable WorkerCrashedError, not the
+        reply's protocol error."""
+        short = ShortReplyWorker().start()
+        fleet = FleetSupervisor(
+            backend_amm,
+            worker_addresses=[short.address],
+            heartbeat_interval=0.5,
+            connect_timeout=0.5,
+            io_timeout=20.0,
+        ).prepare()
+        try:
+            with pytest.raises(WorkerCrashedError, match="safe to retry"):
+                fleet.recall_batch_seeded(request_codes, request_seeds)
+            assert fleet.fleet_stats()["routable"] == 0
+        finally:
+            fleet.close()
             short.close()
 
 

@@ -3,10 +3,8 @@
 Whatever executes a batch, the caller sees the same validation: a code
 batch of the wrong shape, a seeds vector of the wrong length, an empty
 recall and a non-integral code or seed raise ``ValueError`` (never a
-silent truncation); integral floats recall like the integers they hold;
-an empty ``(0, rows)`` solve is not an error and returns an empty
-solution with ``(0, columns)`` currents.
-Remote and fleet backends run against two in-process worker agents.
+silent truncation); integral floats recall like the integers they hold.
+The fleet backend runs against two in-process worker agents.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ def any_backend(request, backend_amm):
     name = request.param
     options = {"workers": 2, "min_shard_size": 4}
     servers = []
-    if name in ("remote", "fleet"):
+    if name == "fleet":
         from repro.backends import WorkerServer
 
         servers = [WorkerServer().start(), WorkerServer().start()]
@@ -56,13 +54,6 @@ def test_empty_recall_rejected(any_backend, backend_amm):
     codes = np.empty((0, backend_amm.crossbar.rows), dtype=np.int64)
     with pytest.raises(ValueError):
         any_backend.recall_batch_seeded(codes, np.empty(0, dtype=np.int64))
-
-
-def test_empty_solve_returns_empty_solution(any_backend, backend_amm):
-    solution = any_backend.solve_batch(np.empty((0, backend_amm.crossbar.rows)))
-    assert len(solution) == 0
-    assert solution.column_currents.shape == (0, backend_amm.crossbar.columns)
-    assert solution.supply_current.shape == (0,)
 
 
 def test_non_integral_codes_rejected(any_backend, request_codes):

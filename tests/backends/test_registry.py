@@ -20,20 +20,20 @@ from repro.backends import registry as registry_module
 
 class TestRegistry:
     def test_builtin_names_registered(self):
-        assert backend_names() == ["serial", "remote", "fleet"]
+        assert backend_names() == ["serial", "fleet"]
 
-    @pytest.mark.parametrize("name", ["auto", "threads", "processes"])
+    @pytest.mark.parametrize("name", ["auto", "threads", "processes", "remote"])
     def test_removed_backends_are_unknown(self, backend_amm, name):
-        """The cost-model router, the thread pool and the shared-memory
-        process pool are gone: asking for them fails like any typo,
-        naming what is registered."""
+        """The cost-model router, the thread pool, the shared-memory
+        process pool and the ``remote`` alias of a fleet of adopted
+        agents are gone: asking for them fails like any typo, naming
+        what is registered."""
         from repro.backends import UnknownBackendError
 
         with pytest.raises(UnknownBackendError) as excinfo:
             create_backend(name, backend_amm)
         message = str(excinfo.value)
-        for known in ("serial", "remote", "fleet"):
-            assert known in message
+        assert message.endswith("registered backends: fleet, serial")
 
     def test_create_unknown_backend_raises(self, backend_amm):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -50,14 +50,11 @@ class TestRegistry:
         assert isinstance(excinfo.value, UnknownBackendError)
         assert isinstance(excinfo.value, ValueError)
         message = str(excinfo.value)
-        for name in ("serial", "remote", "fleet"):
+        for name in ("serial", "fleet"):
             assert name in message
         # KeyError.__str__ would repr() the message into quoted noise;
         # the subclass must read as a sentence.
         assert not message.startswith('"') and not message.startswith("'")
-
-    def test_remote_registered(self):
-        assert "remote" in backend_names()
 
     def test_create_builds_requested_type(self, backend_amm):
         backend = create_backend("serial", backend_amm)

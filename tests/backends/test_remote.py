@@ -1,4 +1,7 @@
-"""Remote-backend tests: wire protocol, equivalence, supervision.
+"""Remote-transport tests: wire protocol, equivalence, supervision.
+
+The backend under test is a ``fleet`` of adopted worker agents
+(``worker_addresses``): no spawned process, no control socket.
 
 The chaos (proxy-injected) failure modes live in
 ``test_remote_faults.py``; this file pins the happy path — the framing
@@ -18,7 +21,7 @@ import pytest
 
 from repro.backends import (
     EngineSpec,
-    RemoteBackend,
+    FleetSupervisor,
     WorkerCrashedError,
     WorkerServer,
     parse_worker_addresses,
@@ -104,6 +107,24 @@ class TestWireFormat:
             left.close()
             right.close()
 
+    def test_frame_kinds_are_stable(self):
+        """Every frame kind keeps its number, and the retired raw-solve
+        kinds 7 and 8 stay unassigned, so frames are byte-identical
+        across the retirement and the protocol version is unchanged."""
+        kinds = {
+            name: value
+            for name, value in vars(wire).items()
+            if name.isupper() and type(value) is int and name not in {
+                "PROTOCOL_VERSION", "MAX_HEADER_BYTES", "MAX_ARRAY_BYTES", "PREFIX_SIZE",
+            }
+        }
+        assert kinds == {
+            "HELLO": 1, "OK": 2, "ERROR": 3, "SPEC": 4, "RECALL": 5, "RESULT": 6,
+            "PING": 9, "PONG": 10, "BYE": 11, "RECOGNISE": 12, "ROWS": 13, "DONE": 14,
+            "JOIN": 15, "DRAIN": 16, "RESPEC": 17, "STATUS": 18,
+        }
+        assert wire.PROTOCOL_VERSION == 2
+
     def test_eof_mid_frame_is_connection_closed(self):
         left, right = socket.socketpair()
         left.sendall(wire.MAGIC)  # a torn prefix, then EOF
@@ -158,10 +179,6 @@ class TestAddressParsing:
     def test_bad_addresses_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_worker_addresses(bad)
-
-    def test_backend_requires_addresses(self, backend_amm):
-        with pytest.raises(ValueError, match="worker_addresses"):
-            RemoteBackend(backend_amm)
 
 
 class TestHandshake:
@@ -218,6 +235,44 @@ class TestHandshake:
             sock.close()
 
 
+class TestRetiredKinds:
+    @pytest.mark.parametrize("kind", [7, 8])
+    def test_retired_kind_gets_typed_error_and_link_keeps_serving(
+        self, worker_servers, backend_amm, request_codes, request_seeds, kind
+    ):
+        """Kinds 7 and 8 (the retired raw-solve verb and its reply) are
+        unassigned: a worker answers one with a typed ERROR and the same
+        link still serves RECALL."""
+        sock = socket.create_connection(worker_servers[0].address, timeout=5.0)
+        try:
+            sock.settimeout(10.0)
+            wire.send_frame(sock, wire.HELLO, {"protocol": wire.PROTOCOL_VERSION})
+            assert wire.recv_frame(sock)[0] == wire.HELLO
+            spec_header, spec_arrays = wire.spec_to_wire(EngineSpec.from_module(backend_amm))
+            wire.send_frame(sock, wire.SPEC, spec_header, spec_arrays)
+            assert wire.recv_frame(sock)[0] == wire.OK
+            dac = backend_amm.input_dacs.conductances(request_codes[:2])
+            wire.send_frame(sock, kind, {"include_parasitics": True}, {"dac": dac})
+            reply, _, header, _ = wire.recv_frame(sock)
+            assert reply == wire.ERROR
+            assert header["type"] == "WireProtocolError"
+            assert f"unknown frame kind {kind}" in header["message"]
+            wire.send_frame(
+                sock,
+                wire.RECALL,
+                {"count": 2},
+                {"codes": request_codes[:2], "seeds": request_seeds[:2]},
+            )
+            reply, _, _, arrays = wire.recv_frame(sock)
+            assert reply == wire.RESULT
+            assert_results_equal(
+                wire.result_from_wire(arrays, 2),
+                backend_amm.recognise_batch_seeded(request_codes[:2], request_seeds[:2]),
+            )
+        finally:
+            sock.close()
+
+
 class TestRemoteEquivalence:
     def test_matches_reference(
         self, remote_backend, request_codes, request_seeds, reference_results
@@ -242,19 +297,6 @@ class TestRemoteEquivalence:
             )
             assert_results_equal(result, chunk)
 
-    def test_solve_batch_matches_solver(
-        self, backend_amm, remote_backend, request_codes
-    ):
-        conductances = backend_amm.input_dacs.conductances(request_codes)
-        reference = backend_amm.solver.solve_batch(conductances)
-        solution = remote_backend.solve_batch(conductances)
-        np.testing.assert_allclose(
-            solution.column_currents, reference.column_currents, rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            solution.supply_current, reference.supply_current, rtol=1e-12
-        )
-
     def test_validation_errors_transported(self, remote_backend, request_codes):
         with pytest.raises(ValueError):
             remote_backend.recall_batch_seeded(
@@ -268,8 +310,11 @@ class TestRemoteEquivalence:
 
     def test_capabilities(self, remote_backend):
         capabilities = remote_backend.capabilities()
-        assert capabilities.name == "remote"
+        assert capabilities.name == "fleet"
         assert capabilities.workers == 2
+        # Adopted agents only: nothing spawned, no control socket.
+        assert remote_backend._processes == []
+        assert remote_backend.control_address is None
         assert capabilities.shards_batches
         assert capabilities.escapes_gil
 
@@ -354,7 +399,7 @@ class TestSupervision:
         probe = socket.create_server(("127.0.0.1", 0))
         address = probe.getsockname()[:2]
         probe.close()
-        backend = RemoteBackend(
+        backend = FleetSupervisor(
             backend_amm, worker_addresses=[address], connect_timeout=0.5
         )
         with pytest.raises(ConnectionError):
@@ -367,14 +412,17 @@ class TestIntegration:
         from repro.backends import create_backend
 
         backend = create_backend(
-            "remote",
+            "fleet",
             backend_amm,
-            workers=2,
+            workers=5,
             worker_addresses=[server.address for server in worker_servers],
-        )
+        ).prepare()
         try:
-            assert isinstance(backend, RemoteBackend)
+            assert isinstance(backend, FleetSupervisor)
+            # The addresses are the membership; ``workers`` spawns nothing.
             assert backend.capabilities().workers == 2
+            assert backend._processes == []
+            assert backend.control_address is None
         finally:
             backend.close()
 
@@ -400,9 +448,8 @@ class TestIntegration:
         with RecognitionService(
             backend_amm, max_batch_size=8, max_wait=1e-3, backend=remote_backend
         ) as service:
-            assert service.health()["backend"] == "remote"
-            # remote is a static-membership fleet, so /stats reports the
-            # replica set too — with no control socket.
+            assert service.health()["backend"] == "fleet"
+            # /stats reports the replica set — with no control socket.
             fleet = service.stats()["fleet"]
             assert fleet["routable"] == 2
             assert fleet["control_address"] is None
@@ -420,7 +467,7 @@ class TestIntegration:
 
         process, address = spawn_local_worker()
         try:
-            backend = RemoteBackend(
+            backend = FleetSupervisor(
                 backend_amm, worker_addresses=[address], min_shard_size=4
             ).prepare()
             try:

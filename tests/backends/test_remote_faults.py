@@ -1,4 +1,4 @@
-"""Chaos suite: proxy-injected faults against the remote backend.
+"""Chaos suite: proxy-injected faults against a fleet of adopted agents.
 
 Every test routes one worker link through a
 :class:`tests.backends.chaos.ChaosProxy` and injects a specific failure
@@ -28,7 +28,7 @@ import time
 
 import pytest
 
-from repro.backends import RemoteBackend, WorkerCrashedError, WorkerServer
+from repro.backends import FleetSupervisor, WorkerCrashedError, WorkerServer
 from tests.backends.chaos import ChaosProxy
 from tests.backends.test_equivalence import assert_results_equal
 from tests.backends.test_remote import wait_until
@@ -43,7 +43,7 @@ def chaos_setup(backend_amm):
     proxied_worker = WorkerServer().start()
     direct_worker = WorkerServer().start()
     proxy = ChaosProxy(proxied_worker.address)
-    backend = RemoteBackend(
+    backend = FleetSupervisor(
         backend_amm,
         worker_addresses=[proxy.address, direct_worker.address],
         min_shard_size=4,
@@ -207,7 +207,7 @@ class TestServiceIntegration:
             backend_amm,
             max_batch_size=8,
             max_wait=0.0,
-            backend="remote",
+            backend="fleet",
             backend_options={
                 "worker_addresses": [proxy.address],
                 "heartbeat_interval": 0.1,

@@ -17,7 +17,6 @@ import pytest
 from repro.backends import wire
 from repro.core import EVENT_KEYS
 from repro.core.amm import BatchRecognitionResult, concatenate_batch_results
-from repro.crossbar.batched import BatchCrossbarSolution
 
 ROWS = 5
 COLUMNS = 3
@@ -106,20 +105,3 @@ class TestReplyChecks:
         for events in (arrays["events"][:, :-1], arrays["events"][:, 0]):
             with pytest.raises(wire.WireProtocolError, match="events"):
                 wire.result_from_wire(dict(arrays, events=events), ROWS)
-
-    def test_solution_rows_checked(self):
-        solution = BatchCrossbarSolution(
-            column_currents=np.ones((ROWS, COLUMNS)),
-            supply_current=np.ones(ROWS),
-            delta_v=0.03,
-        )
-        arrays = wire.solution_to_wire(solution)
-        rebuilt = wire.solution_from_wire(arrays, 0.03, ROWS)
-        np.testing.assert_array_equal(rebuilt.column_currents, solution.column_currents)
-        np.testing.assert_array_equal(rebuilt.supply_current, solution.supply_current)
-        with pytest.raises(wire.WireProtocolError, match="supply_current"):
-            wire.solution_from_wire(
-                dict(arrays, supply_current=arrays["supply_current"][:-1]), 0.03, ROWS
-            )
-        with pytest.raises(wire.WireProtocolError, match="column_currents"):
-            wire.solution_from_wire({"supply_current": arrays["supply_current"]}, 0.03, ROWS)

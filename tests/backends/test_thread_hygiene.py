@@ -6,7 +6,7 @@ acceptors — and a fleet with spawned agents owns their processes.  The
 contract pinned here: after ``close()`` returns (plus a short grace for
 daemon threads to finish unwinding), ``threading.enumerate()`` is back
 to what it was before the backend existed, and spawned agents are
-reaped.  This pins two latent leaks: remote/fleet supervisor
+reaped.  This pins two latent leaks: fleet supervisor
 threads that could outlive the backend when a reconnect dial was in
 flight (the join budget now covers ``connect_timeout``), and worker
 handler threads that were started but never joined by
@@ -21,7 +21,6 @@ import pytest
 
 from repro.backends import (
     FleetSupervisor,
-    RemoteBackend,
     SerialBackend,
     WorkerServer,
 )
@@ -48,9 +47,9 @@ def _fleet_spawned(amm):
     ), []
 
 
-def _remote(amm):
+def _fleet_adopted(amm):
     servers = [WorkerServer().start(), WorkerServer().start()]
-    backend = RemoteBackend(
+    backend = FleetSupervisor(
         amm,
         worker_addresses=[server.address for server in servers],
         min_shard_size=4,
@@ -74,8 +73,8 @@ def _fleet(amm):
 
 
 @pytest.mark.parametrize(
-    "factory", [_serial, _fleet_spawned, _remote, _fleet],
-    ids=["serial", "fleet-spawned", "remote", "fleet"],
+    "factory", [_serial, _fleet_spawned, _fleet_adopted, _fleet],
+    ids=["serial", "fleet-spawned", "fleet-adopted", "fleet"],
 )
 def test_backend_close_joins_all_threads(
     factory, backend_amm, request_codes, request_seeds

@@ -38,7 +38,17 @@ def test_workers_resolve_per_backend(free_port):
     arguments = parser.parse_args(["serve", "--backend", "fleet", "--workers", "4"])
     assert _resolve_workers(arguments) == (4, {})
     arguments = parser.parse_args(["serve", "--workers", address])
-    with pytest.raises(SystemExit, match="remote or fleet"):
+    with pytest.raises(SystemExit, match="requires --backend fleet"):
         _resolve_workers(arguments)
-    arguments = parser.parse_args(["serve", "--backend", "remote", "--workers", address])
+    arguments = parser.parse_args(["serve", "--backend", "fleet", "--workers", address])
     assert _resolve_workers(arguments) == (1, {"worker_addresses": [("127.0.0.1", free_port)]})
+    # One spelling for adopted agents: the ``remote`` alias is gone.
+    with pytest.raises(SystemExit):
+        parser.parse_args(["serve", "--backend", "remote", "--workers", address])
+
+
+def test_loadtest_has_no_per_sample_flag():
+    """The seed-blind per-sample serving path is gone; the per-sample
+    reference lives in the core (``recognise``, ``--batch-size 1``)."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["loadtest", "--per-sample"])
