@@ -4,7 +4,10 @@ Whatever executes a batch, the caller sees the same validation: a code
 batch of the wrong shape, a seeds vector of the wrong length, an empty
 recall and a non-integral code or seed raise ``ValueError`` (never a
 silent truncation); integral floats recall like the integers they hold.
-The fleet backend runs against two in-process worker agents.
+The fleet runs in both of its adopted-agent shapes against two
+in-process worker agents: ``remote`` is static membership with no
+control socket (``--backend fleet --workers host:port,...``), ``fleet``
+also serves its control socket.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ import pytest
 from repro.backends import backend_names, create_backend
 
 
-@pytest.fixture(params=backend_names())
+@pytest.fixture(params=[*backend_names(), "remote"])
 def any_backend(request, backend_amm):
     name = request.param
     options = {"workers": 2, "min_shard_size": 4}
     servers = []
-    if name == "fleet":
+    if name in ("remote", "fleet"):
         from repro.backends import WorkerServer
 
         servers = [WorkerServer().start(), WorkerServer().start()]
@@ -29,7 +32,13 @@ def any_backend(request, backend_amm):
             heartbeat_interval=0.1,
             io_timeout=20.0,
         )
-    backend = create_backend(name, backend_amm, **options).prepare()
+    if name == "fleet":
+        options["control"] = ("127.0.0.1", 0)
+    backend = create_backend(
+        "fleet" if name == "remote" else name, backend_amm, **options
+    ).prepare()
+    if name != "serial":
+        assert (backend.control_address is None) == (name == "remote")
     yield backend
     backend.close()
     for server in servers:

@@ -47,7 +47,8 @@ def _fleet_spawned(amm):
     ), []
 
 
-def _fleet_adopted(amm):
+def _remote(amm):
+    """A fleet of adopted agents with static membership (no control socket)."""
     servers = [WorkerServer().start(), WorkerServer().start()]
     backend = FleetSupervisor(
         amm,
@@ -73,8 +74,8 @@ def _fleet(amm):
 
 
 @pytest.mark.parametrize(
-    "factory", [_serial, _fleet_spawned, _fleet_adopted, _fleet],
-    ids=["serial", "fleet-spawned", "fleet-adopted", "fleet"],
+    "factory", [_serial, _fleet_spawned, _remote, _fleet],
+    ids=["serial", "fleet-spawned", "remote", "fleet"],
 )
 def test_backend_close_joins_all_threads(
     factory, backend_amm, request_codes, request_seeds
